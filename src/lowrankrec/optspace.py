@@ -7,6 +7,19 @@ column-orthonormal; the inner minimization over the small r x r matrix S is
 an exact least-squares solve performed at every objective evaluation, and the
 outer descent moves U, V along the projected (tangent-space) gradient with a
 QR retraction and an Armijo backtracking line search.
+
+Observed entry (i, j) of U S V^T is <u_i kron v_j, vec(S)>, so S solves the
+normal equations G vec(S) = b of an m x r^2 least-squares problem.  Grouping
+Omega by row gives them without forming that design:
+
+    G = sum_i (u_i u_i^T) kron W_i,   W_i = sum_{j in Omega_i} v_j v_j^T,
+    b = sum_i u_i kron z_i,           z_i = sum_{j in Omega_i} y_ij v_j.
+
+Omega's row and column groups are laid out once per descent (_OmegaIndex).
+One evaluation of F then costs O(m r^2) for the group sums, O(k r^4) for G
+over the k non-empty rows, and O(r^6) for the solve; the residual on Omega
+it leaves behind gives the gradient's R V S^T and R^T U S as row and column
+group sums in O(m r), so no n1 x n2 matrix is formed inside the descent.
 """
 
 import math
@@ -57,6 +70,7 @@ class OptspaceState:
     iteration: int
     history: tuple = ()    # accepted objective values, F_0 included
     used_ridge: bool = False
+    grad_norm: float | None = None  # tangent gradient norm; set by the descent
 
     def estimate(self):
         return self.u @ self.s @ self.v.T
@@ -106,42 +120,81 @@ def spectral_init(trimmed, omega, r):
     u, sv, v = u[:, :r], s[:r], vt[:r].T
     # S starts as the scaled singular values; the objective is still the
     # inner-minimized F(U, V), which is what the descent drives down.
-    obj, _, ridge = _inner_s(u, v, trimmed, omega)
+    obj, _, ridge, _ = _inner_s(u, v, _OmegaIndex(omega, trimmed))
     return OptspaceState(u=u, s=np.diag(sv), v=v, objective=obj, iteration=0,
                          history=(obj,), used_ridge=ridge)
 
 
-def _inner_s(u, v, y_obs, omega):
-    """Exact inner least squares over S; returns (objective, S, used_ridge).
+class _OmegaIndex:
+    """Omega's layout for the group sums of one descent, built once.
 
-    The observed entry (i, j) of U S V^T is <U_i kron V_j, vec(S)>, so S
-    solves an m x r^2 linear least-squares problem via its normal equations.
+    Entries run in the row-major order ObservationSet keeps (``rows``,
+    ``cols``, observed values ``y``); ``row_starts`` opens each non-empty row
+    group, whose row is ``row_ids``.  ``col_perm`` sorts the entries by
+    column, ``col_starts`` opens each non-empty column group of that order,
+    whose column is ``col_ids``, and ``rows_by_col`` is ``rows[col_perm]``.
+    Empty rows and columns get no group, so ``np.add.reduceat`` never sees
+    an empty segment.
     """
-    pairs = omega.pairs
+
+    def __init__(self, omega, y_obs):
+        self.rows = np.ascontiguousarray(omega.pairs[:, 0])
+        self.cols = np.ascontiguousarray(omega.pairs[:, 1])
+        self.y = y_obs[self.rows, self.cols]
+        self.row_ids, self.row_starts = np.unique(self.rows, return_index=True)
+        self.col_perm = np.argsort(self.cols, kind="stable")
+        self.rows_by_col = self.rows[self.col_perm]
+        self.col_ids, self.col_starts = np.unique(self.cols[self.col_perm],
+                                                  return_index=True)
+
+
+def _inner_s(u, v, index):
+    """Exact inner least squares over S at (U, V).
+
+    Returns (objective, S, used_ridge, residual), the residual being
+    U S V^T - Y on Omega in ``index`` order.  The r^2 x r^2 normal equations
+    come from row-grouped sums (see the module docstring), so one call costs
+    O(m r^2 + k r^4 + r^6) for m entries in k non-empty rows; the m x r^2
+    design is never formed.  A Gram matrix whose smallest eigenvalue is
+    below 1e-12 of its largest gets INNER_RIDGE on its diagonal.
+    """
     r = u.shape[1]
-    ui = u[pairs[:, 0]]                      # (m, r)
-    vj = v[pairs[:, 1]]                      # (m, r)
-    design = (ui[:, :, None] * vj[:, None, :]).reshape(-1, r * r)
-    target = y_obs[pairs[:, 0], pairs[:, 1]]
-    gram = design.T @ design
-    rhs = design.T @ target
+    starts = index.row_starts
+    vc = np.take(v.T, index.cols, axis=1)                  # (r, m): v_j per entry
+    # W_i and z_i as the columns of (r^2, k) and (r, k) group sums
+    w = np.add.reduceat((vc[:, None] * vc[None]).reshape(r * r, -1), starts, axis=1)
+    z = np.add.reduceat(vc * index.y, starts, axis=1)
+    ug = u[index.row_ids]
+    uu = (ug[:, :, None] * ug[:, None, :]).reshape(-1, r * r)
+    # (w uu)[(b, d), (a, c)] = sum_i W_i[b, d] u_ia u_ic = G[(a, b), (c, d)]
+    gram = (w @ uu).reshape(r, r, r, r).transpose(2, 0, 3, 1).reshape(r * r, r * r)
+    rhs = (z @ ug).T.reshape(r * r)
     used_ridge = False
     eigs = np.linalg.eigvalsh(gram)
     if eigs[0] <= 1e-12 * max(eigs[-1], 1.0):
         gram = gram + INNER_RIDGE * np.eye(r * r)
         used_ridge = True
-    svec = np.linalg.solve(gram, rhs)
-    resid = design @ svec - target
-    return 0.5 * float(resid @ resid), svec.reshape(r, r), used_ridge
+    s = np.linalg.solve(gram, rhs).reshape(r, r)
+    resid = (np.take((u @ s).T, index.rows, axis=1) * vc).sum(axis=0) - index.y
+    return 0.5 * float(resid @ resid), s, used_ridge, resid
 
 
-def _masked_residual(u, s, v, y_obs, omega):
-    pairs = omega.pairs
-    vals = ((u[pairs[:, 0]] @ s) * v[pairs[:, 1]]).sum(axis=1) \
-        - y_obs[pairs[:, 0], pairs[:, 1]]
-    out = np.zeros((u.shape[0], v.shape[0]))
-    out[pairs[:, 0], pairs[:, 1]] = vals
-    return out
+def _gradient(u, s, v, resid, index):
+    """Tangent gradients of F at (U, V) and their squared norm.
+
+    R V S^T and R^T U S, R the residual scattered onto Omega, are sums over
+    Omega's row and column groups of the residual-weighted rows of V S^T and
+    U S: O(m r) for m entries.
+    """
+    gu = np.zeros_like(u)
+    gu[index.row_ids] = np.add.reduceat(
+        np.take(s @ v.T, index.cols, axis=1) * resid, index.row_starts, axis=1).T
+    gv = np.zeros_like(v)
+    gv[index.col_ids] = np.add.reduceat(
+        np.take(s.T @ u.T, index.rows_by_col, axis=1) * resid[index.col_perm],
+        index.col_starts, axis=1).T
+    gu, gv = _tangent(u, gu), _tangent(v, gv)
+    return gu, gv, float((gu * gu).sum() + (gv * gv).sum())
 
 
 def _tangent(w, g):
@@ -163,7 +216,9 @@ def optspace_descent(state, y_obs, omega, config=None):
     Every step recomputes the inner S exactly, moves (U, V) along the
     negative tangent gradient, retracts by QR, and is accepted under an
     Armijo sufficient-decrease test, so the recorded objective history is
-    nonincreasing.  Stops on gradient norm, line-search stall, or max_iters.
+    nonincreasing.  Stops on gradient norm, line-search stall, or max_iters;
+    the returned state carries the gradient norm at its (U, V).  Omega is
+    indexed once, and the accepted trial's residual feeds the next gradient.
     """
     cfg = config or OptspaceConfig()
     y_obs = check_matrix(y_obs)
@@ -171,16 +226,14 @@ def optspace_descent(state, y_obs, omega, config=None):
         raise ValueError(f"shape {y_obs.shape} does not match Omega")
     if omega.m == 0:
         raise ValueError("cannot descend on an empty observation set")
+    index = _OmegaIndex(omega, y_obs)
     u, v = state.u, state.v
-    obj, s, ridge = _inner_s(u, v, y_obs, omega)
+    obj, s, ridge, resid = _inner_s(u, v, index)
     history = [obj]
     step = 1.0
     it = 0
     for it in range(1, cfg.max_iters + 1):
-        resid = _masked_residual(u, s, v, y_obs, omega)
-        grad_u = _tangent(u, resid @ (v @ s.T))
-        grad_v = _tangent(v, resid.T @ (u @ s))
-        gnorm2 = float((grad_u * grad_u).sum() + (grad_v * grad_v).sum())
+        grad_u, grad_v, gnorm2 = _gradient(u, s, v, resid, index)
         if math.sqrt(gnorm2) <= cfg.grad_tol:
             it -= 1
             break
@@ -189,7 +242,7 @@ def optspace_descent(state, y_obs, omega, config=None):
         for _ in range(60):
             u_try = _retract(u - t * grad_u)
             v_try = _retract(v - t * grad_v)
-            obj_try, s_try, ridge_try = _inner_s(u_try, v_try, y_obs, omega)
+            obj_try, s_try, ridge_try, resid_try = _inner_s(u_try, v_try, index)
             if obj_try <= obj - cfg.ls_suffdec * t * gnorm2:
                 accepted = True
                 break
@@ -197,14 +250,17 @@ def optspace_descent(state, y_obs, omega, config=None):
         if not accepted:
             it -= 1
             break  # objective stall: no decrease at any step length
-        u, v, s, obj = u_try, v_try, s_try, obj_try
+        u, v, s, obj, resid = u_try, v_try, s_try, obj_try, resid_try
         ridge = ridge or ridge_try
         history.append(obj)
         step = min(t / cfg.ls_shrink, 1e6)
+    else:
+        gnorm2 = _gradient(u, s, v, resid, index)[2]   # at the iteration cap
     return OptspaceState(u=u, s=s, v=v, objective=obj,
                          iteration=state.iteration + it,
                          history=tuple(history),
-                         used_ridge=state.used_ridge or ridge)
+                         used_ridge=state.used_ridge or ridge,
+                         grad_norm=math.sqrt(gnorm2))
 
 
 def estimate_rank(trimmed, p):
@@ -230,7 +286,9 @@ def optspace(y_obs, omega, r=None, config=None):
 
     The descent runs on the untrimmed data; trimming only stabilizes the
     spectral initialization.  Returns a SolverReport whose estimate is
-    U S V^T at the final state.
+    U S V^T at the final state; its objective, the nuclear norm of that
+    estimate, is the sum of the singular values of S since U and V have
+    orthonormal columns.
     """
     cfg = config or OptspaceConfig()
     y_obs = check_matrix(y_obs)
@@ -240,48 +298,26 @@ def optspace(y_obs, omega, r=None, config=None):
         # matrix is the only guess the pipeline can produce.  It fits the
         # observations exactly iff they were all zero to begin with.
         est = np.zeros((omega.n1, omega.n2))
-        resid_vec = -y_obs[omega.pairs[:, 0], omega.pairs[:, 1]]
-        resid_mat = np.zeros_like(est)
-        resid_mat[omega.pairs[:, 0], omega.pairs[:, 1]] = resid_vec
-        rnorm = float(np.linalg.norm(resid_vec))
-        return SolverReport(
-            estimate=est,
-            objective=0.0,
-            equality_residual=rnorm,
-            dual_residual=float(operator_norm(resid_mat)),
-            iterations=0,
-            converged=rnorm == 0.0,
-            tau_path=(),
-            residual_path=(),
-            flags=("zero-data",),
-        )
-    if r is None:
-        r = estimate_rank(trimmed, omega.p)
-    state = spectral_init(trimmed, trimmed_omega, r)
-    state = optspace_descent(state, y_obs, omega, cfg)
-    est = state.estimate()
-    resid_vec = est[omega.pairs[:, 0], omega.pairs[:, 1]] \
-        - y_obs[omega.pairs[:, 0], omega.pairs[:, 1]]
-    resid_mat = np.zeros_like(est)
-    resid_mat[omega.pairs[:, 0], omega.pairs[:, 1]] = resid_vec
-    converged = state.objective <= 1e-18 or _grad_converged(state, y_obs, omega, cfg)
-    flags = ("inner-ridge",) if state.used_ridge else ()
+        objective, iterations, flags = 0.0, 0, ("zero-data",)
+        converged = not project_omega(omega, y_obs).any()
+    else:
+        if r is None:
+            r = estimate_rank(trimmed, omega.p)
+        state = spectral_init(trimmed, trimmed_omega, r)
+        state = optspace_descent(state, y_obs, omega, cfg)
+        est = state.estimate()
+        objective, iterations = nuclear_norm(state.s), state.iteration
+        flags = ("inner-ridge",) if state.used_ridge else ()
+        converged = state.objective <= 1e-18 or state.grad_norm <= cfg.grad_tol
+    resid = project_omega(omega, est - y_obs)
     return SolverReport(
         estimate=est,
-        objective=nuclear_norm(est),
-        equality_residual=float(np.linalg.norm(resid_vec)),
-        dual_residual=float(operator_norm(resid_mat)),
-        iterations=state.iteration,
+        objective=objective,
+        equality_residual=float(np.linalg.norm(resid)),
+        dual_residual=float(operator_norm(resid)),
+        iterations=iterations,
         converged=converged,
         tau_path=(),
         residual_path=(),
         flags=flags,
     )
-
-
-def _grad_converged(state, y_obs, omega, cfg):
-    resid = _masked_residual(state.u, state.s, state.v, y_obs, omega)
-    gu = _tangent(state.u, resid @ (state.v @ state.s.T))
-    gv = _tangent(state.v, resid.T @ (state.u @ state.s))
-    gnorm = math.sqrt(float((gu * gu).sum() + (gv * gv).sum()))
-    return gnorm <= cfg.grad_tol

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lowrankrec.matcore import LowRankSpec, equal_spectrum, gen_low_rank
+from lowrankrec.matcore import LowRankSpec, equal_spectrum, gen_low_rank, nuclear_norm
 from lowrankrec.measure import (
     NoiseModel,
     ObservationSet,
@@ -13,10 +13,14 @@ from lowrankrec.measure import (
     sample_omega,
 )
 from lowrankrec.optspace import (
+    INNER_RIDGE,
     OptspaceConfig,
     OptspaceState,
+    _OmegaIndex,
+    _gradient,
     _inner_s,
     _retract,
+    _tangent,
     estimate_rank,
     optspace,
     optspace_descent,
@@ -229,7 +233,7 @@ def test_inner_s_is_first_order_optimal():
     rng = np.random.default_rng(5)
     u = np.linalg.qr(rng.normal(size=(15, 2)))[0]
     v = np.linalg.qr(rng.normal(size=(15, 2)))[0]
-    obj, s_hat, _ = _inner_s(u, v, yobs, omega)
+    obj, s_hat, _, _ = _inner_s(u, v, _OmegaIndex(omega, yobs))
 
     def f_of(s):
         pairs = omega.pairs
@@ -253,8 +257,77 @@ def test_inner_s_ridge_flag_on_deficient_design():
     omega = ObservationSet(6, 6, np.array([(i, 0) for i in range(6)]))
     y = np.zeros((6, 6))
     y[:, 0] = rng.normal(size=6)
-    _, _, used_ridge = _inner_s(u, v, y, omega)
+    _, _, used_ridge, _ = _inner_s(u, v, _OmegaIndex(omega, y))
     assert used_ridge
+
+
+def dense_inner_s(u, v, y_obs, omega):
+    """Reference on the explicit m x r^2 design: (objective, S, ridge flag).
+    S is the lstsq solution, or under the same eigenvalue test on the
+    design's Gram, the ridged normal-equation solution."""
+    pairs = omega.pairs
+    r = u.shape[1]
+    design = (u[pairs[:, 0], :, None] * v[pairs[:, 1], None, :]).reshape(-1, r * r)
+    target = y_obs[pairs[:, 0], pairs[:, 1]]
+    gram = design.T @ design
+    eigs = np.linalg.eigvalsh(gram)
+    ridge = bool(eigs[0] <= 1e-12 * max(eigs[-1], 1.0))
+    if ridge:
+        svec = np.linalg.solve(gram + INNER_RIDGE * np.eye(r * r), design.T @ target)
+    else:
+        svec = np.linalg.lstsq(design, target, rcond=None)[0]
+    fit = design @ svec - target
+    return 0.5 * float(fit @ fit), svec.reshape(r, r), ridge
+
+
+def dense_gradient(u, s, v, y_obs, omega):
+    """Reference: tangent gradients from the dense residual R = P_Omega(U S V^T
+    - Y), as R V S^T and R^T U S."""
+    resid = project_omega(omega, u @ s @ v.T - y_obs)
+    return _tangent(u, resid @ (v @ s.T)), _tangent(v, resid.T @ (u @ s))
+
+
+def on_omega(u, s, v, y_obs, omega):
+    rows, cols = omega.pairs[:, 0], omega.pairs[:, 1]
+    return ((u[rows] @ s) * v[cols]).sum(axis=1) - y_obs[rows, cols]
+
+
+@given(n1=st.integers(3, 14), n2=st.integers(3, 14), r=st.integers(1, 3),
+       density=st.floats(0.15, 1.0), empty_rows=st.integers(0, 2),
+       empty_cols=st.integers(0, 2), seed=st.integers(0, 10_000))
+@settings(deadline=None, max_examples=60)
+def test_inner_s_and_gradient_match_dense_reference(n1, n2, r, density, empty_rows,
+                                                    empty_cols, seed):
+    # rectangular Omegas with whole rows and columns unobserved, as trim
+    # leaves them before spectral_init; empty groups must get zero gradient
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n1, n2)) < density
+    mask[rng.choice(n1, size=empty_rows, replace=False)] = False
+    mask[:, rng.choice(n2, size=empty_cols, replace=False)] = False
+    mask[n1 - 1, n2 - 1] = True
+    omega = ObservationSet(n1, n2, np.argwhere(mask))
+    y = project_omega(omega, rng.normal(size=(n1, n2)))
+    u = np.linalg.qr(rng.normal(size=(n1, r)))[0]
+    v = np.linalg.qr(rng.normal(size=(n2, r)))[0]
+    index = _OmegaIndex(omega, y)
+
+    obj, s_hat, ridge, resid = _inner_s(u, v, index)
+    ref_obj, ref_s, ref_ridge = dense_inner_s(u, v, y, omega)
+    assert ridge == ref_ridge
+    assert obj == pytest.approx(ref_obj, rel=1e-8, abs=1e-12)
+    if not ridge:
+        # a full-rank design fixes S; a deficient one only fixes the fit
+        np.testing.assert_allclose(s_hat, ref_s, rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(resid, on_omega(u, s_hat, v, y, omega), atol=1e-12)
+
+    # the gradient at an arbitrary S, from its own residual on Omega
+    s = rng.normal(size=(r, r))
+    gu, gv, gnorm2 = _gradient(u, s, v, on_omega(u, s, v, y, omega), index)
+    ref_gu, ref_gv = dense_gradient(u, s, v, y, omega)
+    np.testing.assert_allclose(gu, ref_gu, atol=1e-12)
+    np.testing.assert_allclose(gv, ref_gv, atol=1e-12)
+    assert gnorm2 == pytest.approx(float((ref_gu ** 2).sum() + (ref_gv ** 2).sum()),
+                                   rel=1e-10)
 
 
 # -------------------------------------------------------- estimate_rank
@@ -306,6 +379,36 @@ def test_optspace_report_contract():
     assert rep.equality_residual == pytest.approx(np.linalg.norm(resid), abs=1e-12)
     assert rep.tau_path == ()
     assert rep.iterations >= 1
+
+
+@pytest.mark.parametrize("n1, n2, m, kappa, max_iters", [
+    (36, 24, 430, 1.0, 500),    # rectangular, stops on the gradient test
+    (30, 30, 360, 10.0, 15),    # ill-conditioned, stops at the iteration cap
+])
+def test_optspace_report_from_final_state(n1, n2, m, kappa, max_iters):
+    # the report's objective is ||S||_* and its converged flag the descent's
+    # own gradient norm; both must agree with dense recomputations
+    spec = LowRankSpec(n1, n2, 2, (kappa, 1.0), "random-orthogonal", 21)
+    truth, _ = gen_low_rank(spec)
+    omega = sample_omega(n1, n2, m, seed=22)
+    pairs = omega.pairs
+    yobs = project_omega(omega, truth)
+    yobs[pairs[:, 0], pairs[:, 1]] += add_noise(np.zeros(m), NoiseModel(1e-3, seed=23))
+    cfg = OptspaceConfig(max_iters=max_iters)
+    rep = optspace(yobs, omega, r=2, config=cfg)
+
+    tm, tom = trim(yobs, omega)
+    state = optspace_descent(spectral_init(tm, tom, 2), yobs, omega, cfg)
+    np.testing.assert_array_equal(rep.estimate, state.estimate())
+    assert rep.objective == pytest.approx(nuclear_norm(rep.estimate), rel=1e-10)
+    gu, gv = dense_gradient(state.u, state.s, state.v, yobs, omega)
+    dense_norm = np.sqrt((gu ** 2).sum() + (gv ** 2).sum())
+    assert state.grad_norm == pytest.approx(dense_norm, rel=1e-6)
+    assert rep.converged == (dense_norm <= cfg.grad_tol)
+    if max_iters < 500:
+        assert rep.iterations == max_iters and not rep.converged
+    else:
+        assert rep.iterations < max_iters and rep.converged
 
 
 def test_optspace_estimates_rank_when_absent():
