@@ -1,0 +1,156 @@
+"""Benchmark a change against its parent commit in alternating pairs.
+
+    python3 scripts/bench_pairs.py --out BENCH_3.json --parent HEAD \\
+        --workloads sensing-gaussian completion-optspace harness-jobs2 \\
+        --seeds 1-10,424242 --trace-seeds 16 --seconds 30
+
+Extracts the parent revision into a temporary directory (`git archive`), then
+for each seed and workload runs ``perfbench/run.py`` once on that tree
+("parent") and once on this working tree ("change"), alternating from one
+pair to the next which side runs first.  Each run's last two stdout lines
+(environment, result) are kept with side, workload, seed, trace and ran_first
+added, and the output file is rewritten after every run.  Traced runs
+(``--trace 1``) are made once per side for each ``--trace-seeds`` seed.
+
+At the end it prints, per workload and end-to-end metric, each side's median
+and quartiles over the untraced runs and the number of pairs in which the
+change read lower, then the share of failed operations on each side.
+Standard library only.
+"""
+
+import argparse
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUN_TIMEOUT_S = 900
+
+
+def parse_seeds(text):
+    """'1-3,424242' -> [1, 2, 3, 424242]."""
+    seeds = []
+    for part in text.split(","):
+        lo, _, hi = part.partition("-")
+        seeds.extend(range(int(lo), int(hi or lo) + 1))
+    return seeds
+
+
+def parse_args(argv):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--out", required=True, help="ledger file to write, BENCH_<n>.json")
+    ap.add_argument("--parent", default="HEAD", help="git revision of the parent side")
+    ap.add_argument("--workloads", nargs="+", required=True)
+    ap.add_argument("--seeds", type=parse_seeds, required=True,
+                    help="paired untraced seeds, e.g. 1-10,424242")
+    ap.add_argument("--trace-seeds", type=parse_seeds, default=[],
+                    help="seeds for one traced run per side")
+    ap.add_argument("--seconds", type=float, default=30.0)
+    return ap.parse_args(argv)
+
+
+def extract(rev, dest):
+    """Write the tree of ``rev`` into ``dest``; returns the full commit id."""
+    commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", rev + "^{commit}"],
+                            capture_output=True, text=True, check=True).stdout.strip()
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", commit],
+                         capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
+        tf.extractall(dest, filter="data")
+    return commit
+
+
+def run_once(tree, workload, seed, trace, seconds):
+    """One perfbench run; returns its environment and result lines merged."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S, check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
+                           f"{proc.stderr}")
+    env_line, result_line = proc.stdout.strip().splitlines()[-2:]
+    return {**json.loads(env_line), **json.loads(result_line)}
+
+
+def quartiles(values):
+    if len(values) < 2:
+        return values[0], values[0]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q3
+
+
+def summarize(runs, workloads):
+    lines = []
+    for workload in workloads:
+        paired = {}
+        for run in runs:
+            if run["workload"] == workload and run["trace"] == 0:
+                paired.setdefault(run["seed"], {})[run["side"]] = run
+        pairs = [p for p in paired.values() if len(p) == 2]
+        if not pairs:
+            continue
+        lines.append(f"{workload}: {len(pairs)} pairs")
+        for name in pairs[0]["parent"]["metrics"]:
+            cols = []
+            for side in ("parent", "change"):
+                vals = [p[side]["metrics"][name]["value"] for p in pairs]
+                q1, q3 = quartiles(vals)
+                cols.append(f"{side} {statistics.median(vals):.4g} [{q1:.4g}, {q3:.4g}]")
+            wins = sum(p["change"]["metrics"][name]["value"]
+                       < p["parent"]["metrics"][name]["value"] for p in pairs)
+            lines.append(f"  {name:12s} {cols[0]:32s} {cols[1]:32s} "
+                         f"change lower in {wins}/{len(pairs)}")
+        fails = []
+        for side in ("parent", "change"):
+            failed = sum(p[side]["failed"] for p in pairs)
+            attempted = sum(p[side]["attempted"] for p in pairs)
+            fails.append(f"{side} {failed}/{attempted}")
+        lines.append(f"  {'failed':12s} {fails[0]:32s} {fails[1]}")
+    return "\n".join(lines)
+
+
+def main(argv=None):
+    argv = sys.argv[1:] if argv is None else argv
+    args = parse_args(argv)
+    out = Path(args.out)
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        commit = extract(args.parent, tmp)
+        trees = {"parent": tmp, "change": str(ROOT)}
+        ledger = {
+            "about": (f"Result lines of perfbench/run.py (its last two stdout lines: "
+                      f"env, then the result), one per run, for the parent commit "
+                      f"{commit[:7]} and the working tree on top of it. Untraced runs "
+                      f"are pairs that alternate which side runs first (ran_first); "
+                      f"trace 1 runs are one per side per traced seed."),
+            "command": " ".join(["python3", "scripts/bench_pairs.py", *argv]),
+            "runs": [],
+        }
+        # k counts the pairs of one workload, so its sides alternate
+        schedule = [(k, seed, workload, 0) for k, seed in enumerate(args.seeds)
+                    for workload in args.workloads]
+        schedule += [(k, seed, workload, 1) for k, seed in enumerate(args.trace_seeds)
+                     for workload in args.workloads]
+        for k, seed, workload, trace in schedule:
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            for side in order:
+                run = run_once(trees[side], workload, seed, trace, args.seconds)
+                run.update(side=side, workload=workload, seed=seed, trace=trace,
+                           ran_first=order[0])
+                ledger["runs"].append(run)
+                out.write_text(json.dumps(ledger, indent=1, sort_keys=True) + "\n")
+                wall = run["metrics"].get("wall_s", run["metrics"].get("trace.wall_s", {}))
+                print(f"{workload} seed {seed} trace {trace} {side}: "
+                      f"wall {wall.get('value', float('nan')):.3f} s, "
+                      f"failed {run['failed']}/{run['attempted']}", flush=True)
+    print(summarize(ledger["runs"], args.workloads))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

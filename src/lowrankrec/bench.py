@@ -384,8 +384,9 @@ def fit_empirical_constant(result, formula_id):
 def check_floors(result, floors=None):
     """Evaluate acceptance floors against a result; returns violation strings
     (empty list = all floors met).  Supported keys: success_rate (min over
-    cells), bound_rate (min over cells), max_rel_err (max over cells),
-    ratio_spread (max/min of per-cell fitted constants)."""
+    cells), last_success_rate (the last grid cell's success rate),
+    bound_rate (min over cells), max_rel_err (max over cells), ratio_spread
+    (max/min of per-cell fitted constants)."""
     floors = result.config.get("floors", {}) if floors is None else floors
     bad = []
     for key, val in floors.items():
@@ -393,6 +394,10 @@ def check_floors(result, floors=None):
             worst = min(c.success_rate for c in result.cells)
             if worst < val:
                 bad.append(f"success_rate {worst:.4g} < floor {val:.4g}")
+        elif key == "last_success_rate":
+            last = result.cells[-1].success_rate
+            if last < val:
+                bad.append(f"last_success_rate {last:.4g} < floor {val:.4g}")
         elif key == "bound_rate":
             rates = [c.extra.get("bound_rate") for c in result.cells]
             if any(r is None for r in rates):

@@ -41,9 +41,6 @@ __all__ = [
     "optspace",
 ]
 
-INNER_RIDGE = 1e-12  # added to the normal equations when rank-deficient
-
-
 @dataclass(frozen=True)
 class OptspaceConfig:
     max_iters: int = 500
@@ -69,7 +66,7 @@ class OptspaceState:
     objective: float       # F(U, V) at this state
     iteration: int
     history: tuple = ()    # accepted objective values, F_0 included
-    used_ridge: bool = False
+    rank_deficient: bool = False   # some inner solve had a singular Gram
     grad_norm: float | None = None  # tangent gradient norm; set by the descent
 
     def estimate(self):
@@ -120,9 +117,9 @@ def spectral_init(trimmed, omega, r):
     u, sv, v = u[:, :r], s[:r], vt[:r].T
     # S starts as the scaled singular values; the objective is still the
     # inner-minimized F(U, V), which is what the descent drives down.
-    obj, _, ridge, _ = _inner_s(u, v, _OmegaIndex(omega, trimmed))
+    obj, _, deficient, _ = _inner_s(u, v, _OmegaIndex(omega, trimmed))
     return OptspaceState(u=u, s=np.diag(sv), v=v, objective=obj, iteration=0,
-                         history=(obj,), used_ridge=ridge)
+                         history=(obj,), rank_deficient=deficient)
 
 
 class _OmegaIndex:
@@ -151,12 +148,14 @@ class _OmegaIndex:
 def _inner_s(u, v, index):
     """Exact inner least squares over S at (U, V).
 
-    Returns (objective, S, used_ridge, residual), the residual being
+    Returns (objective, S, rank_deficient, residual), the residual being
     U S V^T - Y on Omega in ``index`` order.  The r^2 x r^2 normal equations
     come from row-grouped sums (see the module docstring), so one call costs
     O(m r^2 + k r^4 + r^6) for m entries in k non-empty rows; the m x r^2
     design is never formed.  A Gram matrix whose smallest eigenvalue is
-    below 1e-12 of its largest gets INNER_RIDGE on its diagonal.
+    below 1e-12 of its largest is rank-deficient: S is then the
+    minimum-norm least-squares solution of the normal equations, which
+    still fits the data exactly as far as the design allows.
     """
     r = u.shape[1]
     starts = index.row_starts
@@ -169,14 +168,14 @@ def _inner_s(u, v, index):
     # (w uu)[(b, d), (a, c)] = sum_i W_i[b, d] u_ia u_ic = G[(a, b), (c, d)]
     gram = (w @ uu).reshape(r, r, r, r).transpose(2, 0, 3, 1).reshape(r * r, r * r)
     rhs = (z @ ug).T.reshape(r * r)
-    used_ridge = False
     eigs = np.linalg.eigvalsh(gram)
-    if eigs[0] <= 1e-12 * max(eigs[-1], 1.0):
-        gram = gram + INNER_RIDGE * np.eye(r * r)
-        used_ridge = True
-    s = np.linalg.solve(gram, rhs).reshape(r, r)
+    deficient = bool(eigs[0] <= 1e-12 * max(eigs[-1], 1.0))
+    if deficient:
+        s = np.linalg.lstsq(gram, rhs, rcond=None)[0].reshape(r, r)
+    else:
+        s = np.linalg.solve(gram, rhs).reshape(r, r)
     resid = (np.take((u @ s).T, index.rows, axis=1) * vc).sum(axis=0) - index.y
-    return 0.5 * float(resid @ resid), s, used_ridge, resid
+    return 0.5 * float(resid @ resid), s, deficient, resid
 
 
 def _gradient(u, s, v, resid, index):
@@ -228,7 +227,7 @@ def optspace_descent(state, y_obs, omega, config=None):
         raise ValueError("cannot descend on an empty observation set")
     index = _OmegaIndex(omega, y_obs)
     u, v = state.u, state.v
-    obj, s, ridge, resid = _inner_s(u, v, index)
+    obj, s, deficient, resid = _inner_s(u, v, index)
     history = [obj]
     step = 1.0
     it = 0
@@ -242,7 +241,7 @@ def optspace_descent(state, y_obs, omega, config=None):
         for _ in range(60):
             u_try = _retract(u - t * grad_u)
             v_try = _retract(v - t * grad_v)
-            obj_try, s_try, ridge_try, resid_try = _inner_s(u_try, v_try, index)
+            obj_try, s_try, deficient_try, resid_try = _inner_s(u_try, v_try, index)
             if obj_try <= obj - cfg.ls_suffdec * t * gnorm2:
                 accepted = True
                 break
@@ -251,7 +250,7 @@ def optspace_descent(state, y_obs, omega, config=None):
             it -= 1
             break  # objective stall: no decrease at any step length
         u, v, s, obj, resid = u_try, v_try, s_try, obj_try, resid_try
-        ridge = ridge or ridge_try
+        deficient = deficient or deficient_try
         history.append(obj)
         step = min(t / cfg.ls_shrink, 1e6)
     else:
@@ -259,7 +258,7 @@ def optspace_descent(state, y_obs, omega, config=None):
     return OptspaceState(u=u, s=s, v=v, objective=obj,
                          iteration=state.iteration + it,
                          history=tuple(history),
-                         used_ridge=state.used_ridge or ridge,
+                         rank_deficient=state.rank_deficient or deficient,
                          grad_norm=math.sqrt(gnorm2))
 
 
@@ -307,7 +306,7 @@ def optspace(y_obs, omega, r=None, config=None):
         state = optspace_descent(state, y_obs, omega, cfg)
         est = state.estimate()
         objective, iterations = nuclear_norm(state.s), state.iteration
-        flags = ("inner-ridge",) if state.used_ridge else ()
+        flags = ("inner-rank-deficient",) if state.rank_deficient else ()
         converged = state.objective <= 1e-18 or state.grad_norm <= cfg.grad_tol
     resid = project_omega(omega, est - y_obs)
     return SolverReport(

@@ -1,10 +1,16 @@
 """Nuclear-norm recovery programs.
 
 All three programs are driven by one engine: accelerated proximal descent
-(momentum with restart on objective increase, step 1/L with L estimated by
-power iteration and doubled on backtracking failure) applied to
+(FISTA momentum, step 1/L with L estimated by power iteration and doubled on
+backtracking failure) applied to
 
     minimize_X  tau * ||X||_*  +  1/2 ||A(X) - y||_2^2 .
+
+Momentum is reset by two rules: on an objective increase (the step is retaken
+from the incumbent, so accepted iterates never increase the objective), and
+by the gradient scheme of O'Donoghue and Candes (arXiv 1204.3982) when the
+step just taken moves against its own generalized gradient.  The second rule
+cuts the slow, oscillating momentum phases of small-tau continuation stages.
 
 * solve_penalized  - the penalized problem itself at a fixed tau.
 * solve_dantzig    - residual-correlation constraint ||A*(y - A(X))||_op <= lambda;
@@ -69,6 +75,8 @@ class SolverReport:
     tau_path: tuple = ()       # penalty values visited, in visit order
     residual_path: tuple = ()  # equality residual at each visited tau
     flags: tuple = ()
+    stage_iterations: tuple = ()  # iterations at each visited tau
+    restarts: int = 0          # momentum resets, by either restart rule
 
     def to_json_dict(self):
         return {
@@ -81,6 +89,8 @@ class SolverReport:
             "tau_path": list(self.tau_path),
             "residual_path": list(self.residual_path),
             "flags": list(self.flags),
+            "stage_iterations": list(self.stage_iterations),
+            "restarts": self.restarts,
         }
 
 
@@ -124,56 +134,75 @@ def _objective(tau, nuc, ax, y):
     return tau * nuc + 0.5 * float(r @ r)
 
 
+def _prox_step(ens, y, tau, lip, z, az):
+    """One proximal gradient step from z (with A(z) = az) at step 1/lip.
+    Returns (x, A(x), objective at x)."""
+    grad = adjoint_ensemble(ens, az - y)
+    x, nuc = _prox_nuc(z - grad / lip, tau / lip)
+    ax = apply_ensemble(ens, x)
+    return x, ax, _objective(tau, nuc, ax, y)
+
+
 def _penalized_core(ens, y, tau, x0, lip, max_iters, tol,
                     require_stationarity=True):
     """Monotone accelerated proximal descent on the penalized objective.
 
-    Accepts an iterate only if the objective does not increase; on a momentum
-    overshoot the momentum is reset, and if a plain step from the incumbent
-    still increases the objective the step bound L is doubled.  Returns
-    (x, A(x), iterations, converged, flags).
+    Momentum is reset (t = 1, no momentum on that step) by either of two
+    rules.  Objective rule: a step from the momentum point that increases
+    the objective is retaken from the incumbent, and if a plain step from
+    the incumbent still increases it the step bound L is doubled, so only
+    non-increasing iterates are accepted.  Gradient rule (O'Donoghue and
+    Candes, "Adaptive restart for accelerated gradient schemes", arXiv
+    1204.3982): after an accepted step x -> x_new taken from the momentum
+    point z, momentum is reset when <z - x_new, x_new - x> > 0, i.e. when
+    the step's generalized gradient points against the direction of travel.
+    Returns (x, A(x), iterations, restarts, converged, flags), restarts
+    counting the momentum resets by either rule.
     """
     x = x0.copy()
     ax = apply_ensemble(ens, x)
     nuc = nuclear_norm(x) if np.any(x) else 0.0
     fx = _objective(tau, nuc, ax, y)
-    z, az = x, ax
+    z, az = x, ax   # z is x exactly when the next step carries no momentum
     t = 1.0
     tol_eff = tol
     flags = []
     it = 0
+    restarts = 0
     converged = False
     while it < max_iters:
         it += 1
-        grad = adjoint_ensemble(ens, az - y)
-        x_new, nuc_new = _prox_nuc(z - grad / lip, tau / lip)
-        ax_new = apply_ensemble(ens, x_new)
-        f_new = _objective(tau, nuc_new, ax_new, y)
+        x_new, ax_new, f_new = _prox_step(ens, y, tau, lip, z, az)
         slack = 1e-12 * max(1.0, abs(fx))
-        if f_new > fx + slack:
-            # overshoot: restart momentum at the incumbent
-            z, az, t = x, ax, 1.0
-            backtracks = 0
-            while True:
-                grad = adjoint_ensemble(ens, ax - y)
-                x_new, nuc_new = _prox_nuc(x - grad / lip, tau / lip)
-                ax_new = apply_ensemble(ens, x_new)
-                f_new = _objective(tau, nuc_new, ax_new, y)
-                if f_new <= fx + slack or backtracks >= 60:
-                    break
+        backtracks = 0
+        while f_new > fx + slack:
+            if z is not x:
+                # overshoot: restart momentum at the incumbent
+                z, az, t = x, ax, 1.0
+                restarts += 1
+            elif backtracks < 60:
                 lip *= 2.0  # step bound was too small
                 backtracks += 1
-            if f_new > fx + slack:
-                # numerical floor: no descent direction left
-                flags.append("objective-floor")
-                converged = _stationary(ens, y, ax, tau) if require_stationarity else True
+            else:
                 break
-        dx = np.linalg.norm(x_new - x)
-        rel = dx / max(1.0, np.linalg.norm(x_new))
+            x_new, ax_new, f_new = _prox_step(ens, y, tau, lip, z, az)
+        if f_new > fx + slack:
+            # numerical floor: no descent direction left
+            flags.append("objective-floor")
+            converged = _stationary(ens, y, ax, tau) if require_stationarity else True
+            break
+        step = x_new - x
+        rel = np.linalg.norm(step) / max(1.0, np.linalg.norm(x_new))
+        if np.vdot(z - x_new, step) > 0:
+            t = 1.0   # gradient restart
+            restarts += 1
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_new
-        z = x_new + beta * (x_new - x)
-        az = ax_new + beta * (ax_new - ax)  # A is linear; no extra measurement
+        if beta > 0.0:
+            z = x_new + beta * step
+            az = ax_new + beta * (ax_new - ax)  # A is linear; no extra measurement
+        else:
+            z, az = x_new, ax_new
         x, ax, fx, t = x_new, ax_new, f_new, t_new
         if rel < tol_eff:
             if not require_stationarity:
@@ -188,7 +217,7 @@ def _penalized_core(ens, y, tau, x0, lip, max_iters, tol,
             converged = _stationary(ens, y, ax, tau)
             if not converged:
                 flags.append("iteration-cap")
-    return x, ax, it, converged, tuple(flags)
+    return x, ax, it, restarts, converged, tuple(flags)
 
 
 def _stationary(ens, y, ax, tau):
@@ -196,24 +225,27 @@ def _stationary(ens, y, ax, tau):
     return dres <= tau * (1.0 + STATIONARITY_SLACK)
 
 
-def _report(ens, y, x, ax, iterations, converged, tau_path, residual_path, flags=()):
+def _report(ens, y, x, ax, converged, tau_path, residual_path, stage_iterations,
+            restarts, flags=()):
     res = ax - y
     return SolverReport(
         estimate=x,
         objective=nuclear_norm(x) if np.any(x) else 0.0,
         equality_residual=float(np.linalg.norm(res)),
         dual_residual=float(operator_norm(adjoint_ensemble(ens, -res))) if ens.m else 0.0,
-        iterations=int(iterations),
+        iterations=int(sum(stage_iterations)),
         converged=bool(converged),
         tau_path=tuple(float(t) for t in tau_path),
         residual_path=tuple(float(r) for r in residual_path),
         flags=tuple(flags),
+        stage_iterations=tuple(int(k) for k in stage_iterations),
+        restarts=int(restarts),
     )
 
 
 def _zero_report(ens, y, flags=()):
     x = np.zeros((ens.n1, ens.n2))
-    return _report(ens, y, x, np.zeros(ens.m), 0, True, (), (), flags)
+    return _report(ens, y, x, np.zeros(ens.m), True, (), (), (), 0, flags)
 
 
 def solve_penalized(ens, y, tau, config=None, x0=None, lipschitz=None):
@@ -230,11 +262,10 @@ def solve_penalized(ens, y, tau, config=None, x0=None, lipschitz=None):
         return _zero_report(ens, y)
     x0 = np.zeros((ens.n1, ens.n2)) if x0 is None else np.array(x0, dtype=float)
     lip = estimate_lipschitz(ens) if lipschitz is None else lipschitz
-    x, ax, it, conv, flags = _penalized_core(
+    x, ax, it, restarts, conv, flags = _penalized_core(
         ens, y, tau, x0, lip, cfg.max_iters, cfg.fista_tol)
-    rep = _report(ens, y, x, ax, it, conv, (tau,),
-                  (float(np.linalg.norm(ax - y)),), flags)
-    return rep
+    return _report(ens, y, x, ax, conv, (tau,), (float(np.linalg.norm(ax - y)),),
+                   (it,), restarts, flags)
 
 
 def choose_lambda(n, sigma, c_mult=1.5):
@@ -285,18 +316,19 @@ def solve_noiseless(ens, y, config=None):
     tau = tau0 * cfg.continuation_factor
     x = np.zeros((ens.n1, ens.n2))
     ax = np.zeros(ens.m)
-    taus, residuals = [], []
-    total_it = 0
+    taus, residuals, stage_its = [], [], []
+    restarts = 0
     converged = False
     flags = ()
     while True:
-        x, ax, it, _, _ = _penalized_core(
+        x, ax, it, rs, _, _ = _penalized_core(
             ens, y, tau, x, lip, cfg.max_iters, cfg.fista_tol,
             require_stationarity=False)
-        total_it += it
+        restarts += rs
         res = float(np.linalg.norm(ax - y))
         taus.append(tau)
         residuals.append(res)
+        stage_its.append(it)
         if res <= cfg.eq_tol * ynorm:
             converged = True
             break
@@ -304,7 +336,8 @@ def solve_noiseless(ens, y, config=None):
         if tau < tau0 * 1e-14:
             flags = ("tau-floor",)
             break
-    return _report(ens, y, x, ax, total_it, converged, taus, residuals, flags)
+    return _report(ens, y, x, ax, converged, taus, residuals, stage_its, restarts,
+                   flags)
 
 
 def solve_lasso(ens, y, delta, config=None):
@@ -336,19 +369,20 @@ def solve_lasso(ens, y, delta, config=None):
     lip = estimate_lipschitz(ens)
     tau0 = operator_norm(adjoint_ensemble(ens, y))
     feas_tol = delta * (1.0 + STATIONARITY_SLACK)
-    taus, residuals, records = [], [], []
-    total_it = 0
+    taus, residuals, stage_its, records = [], [], [], []
+    restarts = 0
     x = np.zeros((ens.n1, ens.n2))
 
     def eval_tau(tau):
-        nonlocal x, total_it
-        x, ax, it, _, _ = _penalized_core(
+        nonlocal x, restarts
+        x, ax, it, rs, _, _ = _penalized_core(
             ens, y, tau, x, lip, cfg.max_iters, cfg.fista_tol,
             require_stationarity=False)
-        total_it += it
+        restarts += rs
         res = float(np.linalg.norm(ax - y))
         taus.append(tau)
         residuals.append(res)
+        stage_its.append(it)
         records.append((tau, x.copy(), ax.copy(), res))
         return res
 
@@ -358,8 +392,8 @@ def solve_lasso(ens, y, delta, config=None):
         tau *= cfg.continuation_factor
         if tau < tau0 * 1e-14:
             best = min(records, key=lambda rec: (rec[3], rec[0]))
-            return _report(ens, y, best[1], best[2], total_it, False,
-                           taus, residuals, ("delta-unreachable",))
+            return _report(ens, y, best[1], best[2], False, taus, residuals,
+                           stage_its, restarts, ("delta-unreachable",))
     tau_feas, tau_infeas = tau, tau / cfg.continuation_factor
 
     # bisect (geometrically) toward the largest feasible tau
@@ -376,4 +410,5 @@ def solve_lasso(ens, y, delta, config=None):
     best = min(feasible,
                key=lambda rec: (nuclear_norm(rec[1]) if np.any(rec[1]) else 0.0,
                                 rec[3]))
-    return _report(ens, y, best[1], best[2], total_it, True, taus, residuals)
+    return _report(ens, y, best[1], best[2], True, taus, residuals, stage_its,
+                   restarts)

@@ -282,6 +282,18 @@ def test_check_floors_pass_and_fail():
     assert len(bad) == 1 and "success_rate" in bad[0]
 
 
+def test_check_floors_last_success_rate_pass_and_fail():
+    # only the last grid cell counts: an incomplete early cell is expected
+    res = fake_result([fake_cell(m=30, success_rate=0.0),
+                       fake_cell(m=90, success_rate=1.0)])
+    assert check_floors(res, {"last_success_rate": 1.0}) == []
+    assert check_floors(res, {"success_rate": 1.0}) != []
+    late = fake_result([fake_cell(m=30, success_rate=1.0),
+                        fake_cell(m=90, success_rate=0.95)])
+    bad = check_floors(late, {"last_success_rate": 1.0})
+    assert len(bad) == 1 and "last_success_rate 0.95" in bad[0]
+
+
 def test_check_floors_ratio_spread_and_unknown_key():
     res = fake_result([fake_cell(fitted_constant=1.0),
                        fake_cell(fitted_constant=20.0)])

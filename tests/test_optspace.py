@@ -13,7 +13,6 @@ from lowrankrec.measure import (
     sample_omega,
 )
 from lowrankrec.optspace import (
-    INNER_RIDGE,
     OptspaceConfig,
     OptspaceState,
     _OmegaIndex,
@@ -248,36 +247,50 @@ def test_inner_s_is_first_order_optimal():
         assert f_of(s_hat + 1e-6 * direction) >= obj - 1e-15 * max(obj, 1.0)
 
 
-def test_inner_s_ridge_flag_on_deficient_design():
+def test_inner_s_flags_deficient_design():
     # all observations in one column: the designs u_i v_0^T span at most r
-    # of the r^2 degrees of freedom, so the normal equations need the ridge
+    # of the r^2 degrees of freedom, so the Gram is singular
     rng = np.random.default_rng(3)
     u = np.linalg.qr(rng.normal(size=(6, 2)))[0]
     v = np.linalg.qr(rng.normal(size=(6, 2)))[0]
     omega = ObservationSet(6, 6, np.array([(i, 0) for i in range(6)]))
     y = np.zeros((6, 6))
     y[:, 0] = rng.normal(size=6)
-    _, _, used_ridge, _ = _inner_s(u, v, _OmegaIndex(omega, y))
-    assert used_ridge
+    _, _, deficient, _ = _inner_s(u, v, _OmegaIndex(omega, y))
+    assert deficient
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_inner_s_deficient_fit_matches_lstsq(seed):
+    # 7 entries of a 7 x 8 matrix at r = 3: fewer equations than the r^2 = 9
+    # unknowns, so the fit is exact whenever the design has full row rank;
+    # the singular normal equations must not leave a ridge-sized residual
+    rng = np.random.default_rng(seed)
+    lin = rng.choice(56, size=7, replace=False)
+    omega = ObservationSet(7, 8, np.column_stack(np.unravel_index(lin, (7, 8))))
+    y = project_omega(omega, rng.normal(size=(7, 8)))
+    u = np.linalg.qr(rng.normal(size=(7, 3)))[0]
+    v = np.linalg.qr(rng.normal(size=(8, 3)))[0]
+    obj, _, deficient, _ = _inner_s(u, v, _OmegaIndex(omega, y))
+    ref_obj, _, _ = dense_inner_s(u, v, y, omega)
+    assert deficient
+    assert obj <= ref_obj * (1 + 1e-8) + 1e-24
 
 
 def dense_inner_s(u, v, y_obs, omega):
-    """Reference on the explicit m x r^2 design: (objective, S, ridge flag).
-    S is the lstsq solution, or under the same eigenvalue test on the
-    design's Gram, the ridged normal-equation solution."""
+    """Reference on the explicit m x r^2 design: (objective, S, rank-deficient
+    flag).  S is the minimum-norm lstsq solution on the design; the flag is
+    the same eigenvalue test on the design's Gram."""
     pairs = omega.pairs
     r = u.shape[1]
     design = (u[pairs[:, 0], :, None] * v[pairs[:, 1], None, :]).reshape(-1, r * r)
     target = y_obs[pairs[:, 0], pairs[:, 1]]
     gram = design.T @ design
     eigs = np.linalg.eigvalsh(gram)
-    ridge = bool(eigs[0] <= 1e-12 * max(eigs[-1], 1.0))
-    if ridge:
-        svec = np.linalg.solve(gram + INNER_RIDGE * np.eye(r * r), design.T @ target)
-    else:
-        svec = np.linalg.lstsq(design, target, rcond=None)[0]
+    deficient = bool(eigs[0] <= 1e-12 * max(eigs[-1], 1.0))
+    svec = np.linalg.lstsq(design, target, rcond=None)[0]
     fit = design @ svec - target
-    return 0.5 * float(fit @ fit), svec.reshape(r, r), ridge
+    return 0.5 * float(fit @ fit), svec.reshape(r, r), deficient
 
 
 def dense_gradient(u, s, v, y_obs, omega):
@@ -311,11 +324,11 @@ def test_inner_s_and_gradient_match_dense_reference(n1, n2, r, density, empty_ro
     v = np.linalg.qr(rng.normal(size=(n2, r)))[0]
     index = _OmegaIndex(omega, y)
 
-    obj, s_hat, ridge, resid = _inner_s(u, v, index)
-    ref_obj, ref_s, ref_ridge = dense_inner_s(u, v, y, omega)
-    assert ridge == ref_ridge
+    obj, s_hat, deficient, resid = _inner_s(u, v, index)
+    ref_obj, ref_s, ref_deficient = dense_inner_s(u, v, y, omega)
+    assert deficient == ref_deficient
     assert obj == pytest.approx(ref_obj, rel=1e-8, abs=1e-12)
-    if not ridge:
+    if not deficient:
         # a full-rank design fixes S; a deficient one only fixes the fit
         np.testing.assert_allclose(s_hat, ref_s, rtol=1e-6, atol=1e-8)
     np.testing.assert_allclose(resid, on_omega(u, s_hat, v, y, omega), atol=1e-12)

@@ -63,6 +63,51 @@ def test_penalized_matches_independent_descent_oracle():
     assert abs(solver_obj - oracle_obj) <= 1e-4 * abs(oracle_obj)
 
 
+GAUSSIAN_CASES = [
+    # (n1, n2, r, m, seed); r (n1 + n2 - r) = 36, 40, 44 degrees of freedom
+    pytest.param(10, 10, 2, 80, 0, id="square"),
+    pytest.param(8, 14, 2, 70, 1, id="rectangular"),
+    pytest.param(12, 12, 2, 40, 2, id="below-transition"),
+]
+
+
+def gaussian_instance(n1, n2, r, m, seed):
+    truth, _ = gen_low_rank(LowRankSpec(n1, n2, r, equal_spectrum(r, 1.0),
+                                        "random-orthogonal", seed))
+    ens = gaussian_ensemble(n1, n2, m, seed=40 + seed)
+    return truth, ens, apply_ensemble(ens, truth)
+
+
+@pytest.mark.parametrize("n1, n2, r, m, seed", GAUSSIAN_CASES)
+def test_penalized_gaussian_matches_oracle(n1, n2, r, m, seed):
+    _, ens, y = gaussian_instance(n1, n2, r, m, seed)
+    tau = 0.1
+    rep = solve_penalized(ens, y, tau)
+    assert rep.converged
+    assert rep.stage_iterations == (rep.iterations,)
+    oracle_obj = prox_descent_nuclear_penalized(
+        lambda x: apply_ensemble(ens, x),
+        lambda v: adjoint_ensemble(ens, v),
+        (n1, n2), y, tau, estimate_lipschitz(ens),
+        iters=10 * max(rep.iterations, 200))
+    solver_obj = tau * rep.objective + 0.5 * rep.equality_residual ** 2
+    assert abs(solver_obj - oracle_obj) <= 1e-4 * abs(oracle_obj)
+
+
+@pytest.mark.parametrize("n1, n2, r, m, seed", GAUSSIAN_CASES)
+def test_noiseless_answer_independent_of_stage_budget(n1, n2, r, m, seed):
+    # the minimizer must not depend on how far the intermediate continuation
+    # stages got; below the transition one stage runs into the default cap
+    _, ens, y = gaussian_instance(n1, n2, r, m, seed)
+    cfg = SolverConfig()
+    rep = solve_noiseless(ens, y, cfg)
+    long = solve_noiseless(ens, y, SolverConfig(max_iters=10 * cfg.max_iters))
+    assert rep.converged and long.converged
+    assert rep.objective == pytest.approx(long.objective, rel=1e-6)
+    assert rep.equality_residual <= cfg.eq_tol * np.linalg.norm(y)
+    assert len(rep.stage_iterations) == len(rep.tau_path)
+
+
 def test_penalized_rejects_bad_tau():
     ens = vectorization_ensemble(3, 3)
     with pytest.raises(ValueError):
@@ -305,8 +350,10 @@ def test_report_json_dict_fields():
     d = rep.to_json_dict()
     assert set(d) == {"estimate", "objective", "equality_residual",
                       "dual_residual", "iterations", "converged", "tau_path",
-                      "residual_path", "flags"}
+                      "residual_path", "flags", "stage_iterations", "restarts"}
     assert np.array_equal(np.array(d["estimate"]), rep.estimate)
+    assert len(d["stage_iterations"]) == len(d["tau_path"])
+    assert sum(d["stage_iterations"]) == d["iterations"]
 
 
 def test_solver_config_validation():
