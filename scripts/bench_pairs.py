@@ -15,7 +15,17 @@ added, and the output file is rewritten after every run.  Traced runs
 At the end it prints, per workload and end-to-end metric, each side's median
 and quartiles over the untraced runs and the number of pairs in which the
 change read lower, then the share of failed operations on each side.
-Standard library only.
+
+With ``--claim WORKLOAD:METRIC`` it then prints a verdict by the benchmark's
+rule.  The claim holds when the change reads better (as BENCHMARK.json's
+``better`` says) in at least 9/10 of the pairs, ties counting for neither
+side, and the two medians differ by more than the distance between the
+parent's quartiles.  Every other workload and end-to-end metric is "within
+bound" when the change's median is worse than the parent's by no more than
+the metric's ``bound`` in BENCHMARK.json, "over bound" when it is worse by
+more, and "unresolved" when the parent's own spread (quartile distance over
+median) is wider than the bound and not every change run reads better than
+every parent run.  Standard library only.
 """
 
 import argparse
@@ -30,6 +40,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
+CLAIM_WIN_SHARE = 0.9   # the change must read better in this share of pairs
 
 
 def parse_seeds(text):
@@ -51,7 +62,18 @@ def parse_args(argv):
     ap.add_argument("--trace-seeds", type=parse_seeds, default=[],
                     help="seeds for one traced run per side")
     ap.add_argument("--seconds", type=float, default=30.0)
+    ap.add_argument("--claim", type=parse_claim, default=None, metavar="WORKLOAD:METRIC",
+                    help="end-to-end metric the change claims to improve, e.g. "
+                         "sensing-gaussian:wall_s; prints a verdict at the end")
     return ap.parse_args(argv)
+
+
+def parse_claim(text):
+    """'sensing-gaussian:wall_s' -> ('sensing-gaussian', 'wall_s')."""
+    workload, sep, metric = text.partition(":")
+    if not (sep and workload and metric):
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD:METRIC, got {text!r}")
+    return workload, metric
 
 
 def extract(rev, dest):
@@ -85,21 +107,30 @@ def quartiles(values):
     return q1, q3
 
 
+def pairs_of(runs, workload):
+    """The untraced runs of ``workload`` as [{"parent": run, "change": run}]."""
+    paired = {}
+    for run in runs:
+        if run["workload"] == workload and run["trace"] == 0:
+            paired.setdefault(run["seed"], {})[run["side"]] = run
+    return [p for p in paired.values() if len(p) == 2]
+
+
+def values(pairs, side, name):
+    return [p[side]["metrics"][name]["value"] for p in pairs]
+
+
 def summarize(runs, workloads):
     lines = []
     for workload in workloads:
-        paired = {}
-        for run in runs:
-            if run["workload"] == workload and run["trace"] == 0:
-                paired.setdefault(run["seed"], {})[run["side"]] = run
-        pairs = [p for p in paired.values() if len(p) == 2]
+        pairs = pairs_of(runs, workload)
         if not pairs:
             continue
         lines.append(f"{workload}: {len(pairs)} pairs")
         for name in pairs[0]["parent"]["metrics"]:
             cols = []
             for side in ("parent", "change"):
-                vals = [p[side]["metrics"][name]["value"] for p in pairs]
+                vals = values(pairs, side, name)
                 q1, q3 = quartiles(vals)
                 cols.append(f"{side} {statistics.median(vals):.4g} [{q1:.4g}, {q3:.4g}]")
             wins = sum(p["change"]["metrics"][name]["value"]
@@ -115,9 +146,61 @@ def summarize(runs, workloads):
     return "\n".join(lines)
 
 
+def verdict(runs, workloads, claim, end_to_end):
+    """Lines judging ``claim`` = (workload, metric) and every other workload x
+    end-to-end metric by the rule in the module docstring.  ``end_to_end`` is
+    BENCHMARK.json's list of {name, better, bound}.  Returns (lines, ok), ok
+    when the claim holds, nothing is over bound or unresolved, and no side
+    has a failed operation."""
+    lines, ok = [], True
+    for workload in workloads:
+        pairs = pairs_of(runs, workload)
+        if not pairs:
+            lines.append(f"{workload}: no pairs")
+            ok = False
+            continue
+        for metric in end_to_end:
+            name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
+            parent = [sign * v for v in values(pairs, "parent", name)]
+            change = [sign * v for v in values(pairs, "change", name)]
+            p_med, c_med = statistics.median(parent), statistics.median(change)
+            q1, q3 = quartiles(parent)
+            if (workload, name) == claim:
+                wins = sum(c < p for c, p in zip(change, parent))
+                holds = (wins >= CLAIM_WIN_SHARE * len(pairs)
+                         and p_med - c_med > q3 - q1)
+                status = (f"claim {'holds' if holds else 'not met'}: better in "
+                          f"{wins}/{len(pairs)} pairs, medians differ by "
+                          f"{abs(p_med - c_med):.4g}, parent quartile distance "
+                          f"{q3 - q1:.4g}")
+                ok &= holds
+            else:
+                worse = (c_med - p_med) / abs(p_med) if p_med else 0.0
+                if worse > metric["bound"]:
+                    status = "over bound"
+                elif (q3 - q1) / abs(p_med) > metric["bound"] and max(change) >= min(parent):
+                    status = "unresolved"
+                else:
+                    status = "within bound"
+                status += f": change {worse:+.1%} against a bound of {metric['bound']:.0%}"
+                ok &= status.startswith("within")
+            lines.append(f"{workload} {name}: {status}")
+        failed = sum(p[side]["failed"] for p in pairs for side in ("parent", "change"))
+        if failed:
+            lines.append(f"{workload}: {failed} failed operations")
+            ok = False
+    return lines, ok
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     args = parse_args(argv)
+    end_to_end = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    if args.claim and (args.claim[0] not in args.workloads
+                       or args.claim[1] not in {m["name"] for m in end_to_end}):
+        print(f"--claim {':'.join(args.claim)} names no workload in --workloads "
+              f"and end-to-end metric in BENCHMARK.json", file=sys.stderr)
+        return 2
     out = Path(args.out)
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         commit = extract(args.parent, tmp)
@@ -149,7 +232,11 @@ def main(argv=None):
                       f"wall {wall.get('value', float('nan')):.3f} s, "
                       f"failed {run['failed']}/{run['attempted']}", flush=True)
     print(summarize(ledger["runs"], args.workloads))
-    return 0
+    if args.claim is None:
+        return 0
+    lines, ok = verdict(ledger["runs"], args.workloads, args.claim, end_to_end)
+    print("\n".join(lines))
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

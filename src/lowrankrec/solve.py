@@ -1,10 +1,20 @@
 """Nuclear-norm recovery programs.
 
 All three programs are driven by one engine: accelerated proximal descent
-(FISTA momentum, step 1/L with L estimated by power iteration and doubled on
-backtracking failure) applied to
+(FISTA momentum) applied to
 
     minimize_X  tau * ||X||_*  +  1/2 ||A(X) - y||_2^2 .
+
+The step is 1/L with L set by a local curvature test, not by a global bound
+on ||A||^2.  Each iteration computes the gradient at the momentum point z
+once, first tries L <- 0.95 L, and accepts x = prox_{tau/L}(z - grad/L) when
+||A(x - z)||^2 <= L ||x - z||^2; otherwise it doubles L and redoes only the
+prox and A(x).  The smooth part is quadratic, so the test is exact, and it
+costs nothing: the engine already holds A(x) and A(z).  L starts at 1.0, the
+scale at which every ensemble is normalised (E ||A(X)||^2 = ||X||^2), and the
+continuation and bisection drivers hand the last accepted L to the next stage
+(Beck and Teboulle, SIAM J. Imaging Sci. 2009; Scheinberg, Goldfarb and Bai,
+Found. Comput. Math. 2014).
 
 Momentum is reset by two rules: on an objective increase (the step is retaken
 from the incumbent, so accepted iterates never increase the objective), and
@@ -13,9 +23,10 @@ step just taken moves against its own generalized gradient.  The second rule
 cuts the slow, oscillating momentum phases of small-tau continuation stages.
 
 * solve_penalized  - the penalized problem itself at a fixed tau.
-* solve_dantzig    - residual-correlation constraint ||A*(y - A(X))||_op <= lambda;
-                     solved as the penalized problem at tau = lambda, whose
-                     stationary points satisfy the constraint.
+* solve_dantzig    - the penalized problem at tau = lambda, whose stationary
+                     point satisfies the residual-correlation constraint
+                     ||A*(y - A(X))||_op <= lambda; it is not certified to be
+                     the constrained program's nuclear-norm minimizer.
 * solve_noiseless  - equality constraint A(X) = y via continuation: shrink tau
                      geometrically, warm-starting, until the residual passes
                      the feasibility tolerance.
@@ -45,6 +56,8 @@ __all__ = [
 ]
 
 STATIONARITY_SLACK = 1e-6   # converged iff dual_residual <= tau * (1 + slack)
+LIP_SHRINK = 0.95           # each iteration first tries the step bound L <- 0.95 L
+CURVATURE_SLACK = 1e-20     # curvature test passes when ||A(x - z)||^2 <= 1e-20 ||y||^2
 
 
 @dataclass(frozen=True)
@@ -77,6 +90,7 @@ class SolverReport:
     flags: tuple = ()
     stage_iterations: tuple = ()  # iterations at each visited tau
     restarts: int = 0          # momentum resets, by either restart rule
+    prox_steps: int = 0        # prox evaluations (SVDs), curvature retries included
 
     def to_json_dict(self):
         return {
@@ -91,6 +105,7 @@ class SolverReport:
             "flags": list(self.flags),
             "stage_iterations": list(self.stage_iterations),
             "restarts": self.restarts,
+            "prox_steps": self.prox_steps,
         }
 
 
@@ -106,7 +121,10 @@ def _check_y(ens, y):
 def estimate_lipschitz(ens, iters=120, seed=0):
     """Largest eigenvalue of A*A (the gradient Lipschitz constant), by power
     iteration, with a 5% safety margin.  Exact 1.0 for the vectorization and
-    entry-sampling kinds, whose A*A is an orthogonal projector."""
+    entry-sampling kinds, whose A*A is an orthogonal projector.
+
+    A diagnostic: the solvers do not call it, since their step rule finds a
+    local bound along the iterates (see the module docstring)."""
     if ens.kind in ("vectorization", "entry"):
         return 1.0
     rng = spawn_rng(seed, 977)
@@ -134,30 +152,63 @@ def _objective(tau, nuc, ax, y):
     return tau * nuc + 0.5 * float(r @ r)
 
 
-def _prox_step(ens, y, tau, lip, z, az):
-    """One proximal gradient step from z (with A(z) = az) at step 1/lip.
-    Returns (x, A(x), objective at x)."""
-    grad = adjoint_ensemble(ens, az - y)
-    x, nuc = _prox_nuc(z - grad / lip, tau / lip)
-    ax = apply_ensemble(ens, x)
+class _Stages:
+    """The penalized stages of one solve, in visit order, and what one stage
+    hands the next: the last accepted step bound L and the running counts."""
+
+    def __init__(self, lip=1.0):
+        self.lip = lip
+        self.taus, self.residuals, self.iterations = [], [], []
+        self.restarts = 0
+        self.prox_steps = 0     # prox evaluations, curvature retries included
+        self.capped = False     # a continuation or bisection stage stopped at
+                                # max_iters short of its stop rule
+
+
+def _prox_step(ens, y, tau, z, az, grad, stages):
+    """One proximal gradient step from z, where A(z) = az and grad is the
+    gradient there, at the first of L, 2L, 4L, ... (L = stages.lip) that
+    passes the local curvature test ||A(x - z)||^2 <= L ||x - z||^2.  The
+    smooth part is quadratic, so the test is exactly the condition that the
+    step's quadratic model bounds it.  Sets stages.lip to the accepted L and
+    returns (x, A(x), objective at x)."""
+    floor = CURVATURE_SLACK * float(y @ y)   # rounding in A(x) - A(z)
+    lip = stages.lip
+    while True:
+        x, nuc = _prox_nuc(z - grad / lip, tau / lip)
+        ax = apply_ensemble(ens, x)
+        stages.prox_steps += 1
+        ad = ax - az
+        if float(ad @ ad) <= lip * float(np.vdot(x - z, x - z)) + floor:
+            break
+        lip *= 2.0
+    stages.lip = lip
     return x, ax, _objective(tau, nuc, ax, y)
 
 
-def _penalized_core(ens, y, tau, x0, lip, max_iters, tol,
+def _penalized_core(ens, y, tau, x0, stages, max_iters, tol,
                     require_stationarity=True):
     """Monotone accelerated proximal descent on the penalized objective.
 
+    Step rule: each iteration computes the gradient at the momentum point z
+    once, first tries the step bound L <- LIP_SHRINK * L, and doubles L
+    (recomputing only the prox and A(x)) until the local curvature test
+    passes; the accepted L carries over to the next iteration and, through
+    ``stages``, to the next stage.
+
     Momentum is reset (t = 1, no momentum on that step) by either of two
     rules.  Objective rule: a step from the momentum point that increases
-    the objective is retaken from the incumbent, and if a plain step from
-    the incumbent still increases it the step bound L is doubled, so only
-    non-increasing iterates are accepted.  Gradient rule (O'Donoghue and
-    Candes, "Adaptive restart for accelerated gradient schemes", arXiv
-    1204.3982): after an accepted step x -> x_new taken from the momentum
-    point z, momentum is reset when <z - x_new, x_new - x> > 0, i.e. when
-    the step's generalized gradient points against the direction of travel.
-    Returns (x, A(x), iterations, restarts, converged, flags), restarts
-    counting the momentum resets by either rule.
+    the objective is retaken from the incumbent; a step from the incumbent
+    that passes the curvature test cannot increase it, so if it still does
+    the numerical floor is reached and the solve stops.  Gradient rule
+    (O'Donoghue and Candes, "Adaptive restart for accelerated gradient
+    schemes", arXiv 1204.3982): after an accepted step x -> x_new taken from
+    the momentum point z, momentum is reset when <z - x_new, x_new - x> > 0,
+    i.e. when the step's generalized gradient points against the direction
+    of travel.
+
+    Records the stage (tau, residual, iterations) and its restarts in
+    ``stages``.  Returns (x, A(x), converged, flags).
     """
     x = x0.copy()
     ax = apply_ensemble(ens, x)
@@ -168,24 +219,19 @@ def _penalized_core(ens, y, tau, x0, lip, max_iters, tol,
     tol_eff = tol
     flags = []
     it = 0
-    restarts = 0
     converged = False
     while it < max_iters:
         it += 1
-        x_new, ax_new, f_new = _prox_step(ens, y, tau, lip, z, az)
+        stages.lip *= LIP_SHRINK
+        grad = adjoint_ensemble(ens, az - y)
+        x_new, ax_new, f_new = _prox_step(ens, y, tau, z, az, grad, stages)
         slack = 1e-12 * max(1.0, abs(fx))
-        backtracks = 0
-        while f_new > fx + slack:
-            if z is not x:
-                # overshoot: restart momentum at the incumbent
-                z, az, t = x, ax, 1.0
-                restarts += 1
-            elif backtracks < 60:
-                lip *= 2.0  # step bound was too small
-                backtracks += 1
-            else:
-                break
-            x_new, ax_new, f_new = _prox_step(ens, y, tau, lip, z, az)
+        if f_new > fx + slack and z is not x:
+            # overshoot: restart momentum at the incumbent
+            z, az, t = x, ax, 1.0
+            stages.restarts += 1
+            grad = adjoint_ensemble(ens, ax - y)
+            x_new, ax_new, f_new = _prox_step(ens, y, tau, z, az, grad, stages)
         if f_new > fx + slack:
             # numerical floor: no descent direction left
             flags.append("objective-floor")
@@ -195,7 +241,7 @@ def _penalized_core(ens, y, tau, x0, lip, max_iters, tol,
         rel = np.linalg.norm(step) / max(1.0, np.linalg.norm(x_new))
         if np.vdot(z - x_new, step) > 0:
             t = 1.0   # gradient restart
-            restarts += 1
+            stages.restarts += 1
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_new
         if beta > 0.0:
@@ -217,7 +263,12 @@ def _penalized_core(ens, y, tau, x0, lip, max_iters, tol,
             converged = _stationary(ens, y, ax, tau)
             if not converged:
                 flags.append("iteration-cap")
-    return x, ax, it, restarts, converged, tuple(flags)
+        else:
+            stages.capped = True
+    stages.taus.append(tau)
+    stages.residuals.append(float(np.linalg.norm(ax - y)))
+    stages.iterations.append(it)
+    return x, ax, converged, tuple(flags)
 
 
 def _stationary(ens, y, ax, tau):
@@ -225,31 +276,37 @@ def _stationary(ens, y, ax, tau):
     return dres <= tau * (1.0 + STATIONARITY_SLACK)
 
 
-def _report(ens, y, x, ax, converged, tau_path, residual_path, stage_iterations,
-            restarts, flags=()):
+def _report(ens, y, x, ax, converged, stages, flags=()):
     res = ax - y
+    if stages.capped:
+        flags = (*flags, "stage-iteration-cap")
     return SolverReport(
         estimate=x,
         objective=nuclear_norm(x) if np.any(x) else 0.0,
         equality_residual=float(np.linalg.norm(res)),
         dual_residual=float(operator_norm(adjoint_ensemble(ens, -res))) if ens.m else 0.0,
-        iterations=int(sum(stage_iterations)),
+        iterations=int(sum(stages.iterations)),
         converged=bool(converged),
-        tau_path=tuple(float(t) for t in tau_path),
-        residual_path=tuple(float(r) for r in residual_path),
+        tau_path=tuple(float(t) for t in stages.taus),
+        residual_path=tuple(float(r) for r in stages.residuals),
         flags=tuple(flags),
-        stage_iterations=tuple(int(k) for k in stage_iterations),
-        restarts=int(restarts),
+        stage_iterations=tuple(int(k) for k in stages.iterations),
+        restarts=int(stages.restarts),
+        prox_steps=int(stages.prox_steps),
     )
 
 
 def _zero_report(ens, y, flags=()):
     x = np.zeros((ens.n1, ens.n2))
-    return _report(ens, y, x, np.zeros(ens.m), True, (), (), (), 0, flags)
+    return _report(ens, y, x, np.zeros(ens.m), True, _Stages(), flags)
 
 
 def solve_penalized(ens, y, tau, config=None, x0=None, lipschitz=None):
     """Minimize tau * ||X||_* + 1/2 ||A(X) - y||^2.
+
+    ``lipschitz`` is the starting step bound L (default 1.0, the scale at
+    which every ensemble is normalised); the engine lowers or raises it by
+    its local curvature test, so it need not bound ||A||^2.
 
     converged means first-order stationarity was certified:
     ||A*(y - A(X))||_op <= tau * (1 + 1e-6).
@@ -261,11 +318,10 @@ def solve_penalized(ens, y, tau, config=None, x0=None, lipschitz=None):
     if not np.any(y):
         return _zero_report(ens, y)
     x0 = np.zeros((ens.n1, ens.n2)) if x0 is None else np.array(x0, dtype=float)
-    lip = estimate_lipschitz(ens) if lipschitz is None else lipschitz
-    x, ax, it, restarts, conv, flags = _penalized_core(
-        ens, y, tau, x0, lip, cfg.max_iters, cfg.fista_tol)
-    return _report(ens, y, x, ax, conv, (tau,), (float(np.linalg.norm(ax - y)),),
-                   (it,), restarts, flags)
+    stages = _Stages(1.0 if lipschitz is None else lipschitz)
+    x, ax, conv, flags = _penalized_core(
+        ens, y, tau, x0, stages, cfg.max_iters, cfg.fista_tol)
+    return _report(ens, y, x, ax, conv, stages, flags)
 
 
 def choose_lambda(n, sigma, c_mult=1.5):
@@ -284,11 +340,15 @@ def choose_lambda(n, sigma, c_mult=1.5):
 
 
 def solve_dantzig(ens, y, lam, config=None):
-    """Minimize ||X||_* subject to ||A*(y - A(X))||_op <= lambda.
+    """Residual-correlation (Dantzig-type) estimate at level lambda.
 
-    Solved as the penalized problem at tau = lambda: its stationary points
-    satisfy the constraint, and stationarity is certified before reporting
-    converged.
+    Returns the stationary point of the penalized problem at tau = lambda,
+    i.e. solve_penalized(ens, y, lambda).  Stationarity, certified before
+    reporting converged, makes it feasible for ||A*(y - A(X))||_op <= lambda,
+    but it is not certified to have the smallest nuclear norm among feasible
+    points, so it is not in general the solution of min ||X||_* subject to
+    that constraint.  The two coincide for the vectorization ensemble, where
+    both are the singular-value soft threshold of A*(y) at lambda.
     """
     if lam <= 0:
         raise ValueError(f"lambda must be positive, got {lam}")
@@ -311,33 +371,24 @@ def solve_noiseless(ens, y, config=None):
     if not np.any(y):
         return _zero_report(ens, y)
     ynorm = float(np.linalg.norm(y))
-    lip = estimate_lipschitz(ens)
     tau0 = operator_norm(adjoint_ensemble(ens, y))
     tau = tau0 * cfg.continuation_factor
     x = np.zeros((ens.n1, ens.n2))
-    ax = np.zeros(ens.m)
-    taus, residuals, stage_its = [], [], []
-    restarts = 0
+    stages = _Stages()
     converged = False
     flags = ()
     while True:
-        x, ax, it, rs, _, _ = _penalized_core(
-            ens, y, tau, x, lip, cfg.max_iters, cfg.fista_tol,
+        x, ax, _, _ = _penalized_core(
+            ens, y, tau, x, stages, cfg.max_iters, cfg.fista_tol,
             require_stationarity=False)
-        restarts += rs
-        res = float(np.linalg.norm(ax - y))
-        taus.append(tau)
-        residuals.append(res)
-        stage_its.append(it)
-        if res <= cfg.eq_tol * ynorm:
+        if stages.residuals[-1] <= cfg.eq_tol * ynorm:
             converged = True
             break
         tau *= cfg.continuation_factor
         if tau < tau0 * 1e-14:
             flags = ("tau-floor",)
             break
-    return _report(ens, y, x, ax, converged, taus, residuals, stage_its, restarts,
-                   flags)
+    return _report(ens, y, x, ax, converged, stages, flags)
 
 
 def solve_lasso(ens, y, delta, config=None):
@@ -366,23 +417,18 @@ def solve_lasso(ens, y, delta, config=None):
     if delta == 0:
         return solve_noiseless(ens, y, config=cfg)
 
-    lip = estimate_lipschitz(ens)
     tau0 = operator_norm(adjoint_ensemble(ens, y))
     feas_tol = delta * (1.0 + STATIONARITY_SLACK)
-    taus, residuals, stage_its, records = [], [], [], []
-    restarts = 0
+    stages = _Stages()
+    records = []
     x = np.zeros((ens.n1, ens.n2))
 
     def eval_tau(tau):
-        nonlocal x, restarts
-        x, ax, it, rs, _, _ = _penalized_core(
-            ens, y, tau, x, lip, cfg.max_iters, cfg.fista_tol,
+        nonlocal x
+        x, ax, _, _ = _penalized_core(
+            ens, y, tau, x, stages, cfg.max_iters, cfg.fista_tol,
             require_stationarity=False)
-        restarts += rs
-        res = float(np.linalg.norm(ax - y))
-        taus.append(tau)
-        residuals.append(res)
-        stage_its.append(it)
+        res = stages.residuals[-1]
         records.append((tau, x.copy(), ax.copy(), res))
         return res
 
@@ -392,8 +438,8 @@ def solve_lasso(ens, y, delta, config=None):
         tau *= cfg.continuation_factor
         if tau < tau0 * 1e-14:
             best = min(records, key=lambda rec: (rec[3], rec[0]))
-            return _report(ens, y, best[1], best[2], False, taus, residuals,
-                           stage_its, restarts, ("delta-unreachable",))
+            return _report(ens, y, best[1], best[2], False, stages,
+                           ("delta-unreachable",))
     tau_feas, tau_infeas = tau, tau / cfg.continuation_factor
 
     # bisect (geometrically) toward the largest feasible tau
@@ -410,5 +456,4 @@ def solve_lasso(ens, y, delta, config=None):
     best = min(feasible,
                key=lambda rec: (nuclear_norm(rec[1]) if np.any(rec[1]) else 0.0,
                                 rec[3]))
-    return _report(ens, y, best[1], best[2], True, taus, residuals, stage_its,
-                   restarts)
+    return _report(ens, y, best[1], best[2], True, stages)

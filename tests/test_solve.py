@@ -48,19 +48,38 @@ def test_penalized_full_shrinkage_returns_zero():
 
 
 def test_penalized_matches_independent_descent_oracle():
-    # reference: plain proximal descent run with a 10x iteration budget
+    # reference: plain proximal descent run with a 10x iteration budget; the
+    # local step rule reaches it from the default start and from a starting
+    # bound far below or far above the power-iteration bound
     truth = low_rank(8, 2, 5)
     ens = gaussian_ensemble(8, 8, 64, seed=6)
     y = apply_ensemble(ens, truth)
     tau = 0.1
-    rep = solve_penalized(ens, y, tau)
     lip = estimate_lipschitz(ens)
-    oracle_obj = prox_descent_nuclear_penalized(
-        lambda x: apply_ensemble(ens, x),
-        lambda v: adjoint_ensemble(ens, v),
-        (8, 8), y, tau, lip, iters=10 * max(rep.iterations, 200))
-    solver_obj = tau * rep.objective + 0.5 * rep.equality_residual ** 2
-    assert abs(solver_obj - oracle_obj) <= 1e-4 * abs(oracle_obj)
+    for start in (None, 1e-3 * lip, 1e3 * lip):
+        rep = solve_penalized(ens, y, tau, lipschitz=start)
+        assert rep.converged
+        oracle_obj = prox_descent_nuclear_penalized(
+            lambda x: apply_ensemble(ens, x),
+            lambda v: adjoint_ensemble(ens, v),
+            (8, 8), y, tau, lip, iters=10 * max(rep.iterations, 200))
+        solver_obj = tau * rep.objective + 0.5 * rep.equality_residual ** 2
+        assert abs(solver_obj - oracle_obj) <= 1e-4 * abs(oracle_obj)
+
+
+def test_solvers_do_not_need_the_power_iteration_bound(monkeypatch):
+    import lowrankrec.solve as solve_mod
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("estimate_lipschitz called")
+
+    monkeypatch.setattr(solve_mod, "estimate_lipschitz", refuse)
+    truth = low_rank(8, 1, 17)
+    ens = gaussian_ensemble(8, 8, 48, seed=5)
+    y = add_noise(apply_ensemble(ens, truth), NoiseModel(0.01, 3))
+    assert solve_mod.solve_noiseless(ens, y).converged
+    assert solve_mod.solve_dantzig(ens, y, choose_lambda(8, 0.01)).converged
+    assert solve_mod.solve_lasso(ens, y, 0.1 * np.linalg.norm(y)).converged
 
 
 GAUSSIAN_CASES = [
@@ -106,6 +125,21 @@ def test_noiseless_answer_independent_of_stage_budget(n1, n2, r, m, seed):
     assert rep.objective == pytest.approx(long.objective, rel=1e-6)
     assert rep.equality_residual <= cfg.eq_tol * np.linalg.norm(y)
     assert len(rep.stage_iterations) == len(rep.tau_path)
+
+
+def test_capped_stages_are_flagged():
+    # below the transition a 50-iteration budget cannot finish the stages
+    _, ens, y = gaussian_instance(12, 12, 2, 40, 2)
+    cfg = SolverConfig(max_iters=50)
+    for rep in (solve_noiseless(ens, y, cfg),
+                solve_lasso(ens, y, 1e-3 * np.linalg.norm(y), cfg)):
+        assert "stage-iteration-cap" in rep.flags
+        assert max(rep.stage_iterations) == cfg.max_iters
+    ens = vectorization_ensemble(12, 12)
+    y = apply_ensemble(ens, low_rank(12, 2, 2))
+    for rep in (solve_noiseless(ens, y, cfg),
+                solve_lasso(ens, y, 1e-3 * np.linalg.norm(y), cfg)):
+        assert rep.converged and "stage-iteration-cap" not in rep.flags
 
 
 def test_penalized_rejects_bad_tau():
@@ -350,10 +384,12 @@ def test_report_json_dict_fields():
     d = rep.to_json_dict()
     assert set(d) == {"estimate", "objective", "equality_residual",
                       "dual_residual", "iterations", "converged", "tau_path",
-                      "residual_path", "flags", "stage_iterations", "restarts"}
+                      "residual_path", "flags", "stage_iterations", "restarts",
+                      "prox_steps"}
     assert np.array_equal(np.array(d["estimate"]), rep.estimate)
     assert len(d["stage_iterations"]) == len(d["tau_path"])
     assert sum(d["stage_iterations"]) == d["iterations"]
+    assert d["prox_steps"] >= d["iterations"]
 
 
 def test_solver_config_validation():
