@@ -22,6 +22,16 @@ by the gradient scheme of O'Donoghue and Candes (arXiv 1204.3982) when the
 step just taken moves against its own generalized gradient.  The second rule
 cuts the slow, oscillating momentum phases of small-tau continuation stages.
 
+Stop rules.  Every solve stops when the iterate moves less than fista_tol
+relative to ||X||.  A continuation or bisection stage, whose result only
+warm-starts the next stage, also stops at the first accepted step
+x = prox_{tau/L}(z - grad/L) with L ||x - z||_F <= 1e-3 tau: L (z - x) is the
+prox-gradient mapping, zero exactly at a minimizer, and both sides scale
+with y, so the test is unit-free (the relative KKT test of Toh and Yun, Pac.
+J. Optim. 2010; inexact continuation stages as in Ma, Goldfarb and Chen,
+arXiv 0905.1643).  solve_penalized and solve_dantzig report converged only
+once stationarity is certified, ||A*(y - A(X))||_op <= tau (1 + 1e-6).
+
 * solve_penalized  - the penalized problem itself at a fixed tau.
 * solve_dantzig    - the penalized problem at tau = lambda, whose stationary
                      point satisfies the residual-correlation constraint
@@ -58,12 +68,13 @@ __all__ = [
 STATIONARITY_SLACK = 1e-6   # converged iff dual_residual <= tau * (1 + slack)
 LIP_SHRINK = 0.95           # each iteration first tries the step bound L <- 0.95 L
 CURVATURE_SLACK = 1e-20     # curvature test passes when ||A(x - z)||^2 <= 1e-20 ||y||^2
+STAGE_STATIONARITY = 1e-3   # a stage stops when L ||x - z||_F <= 1e-3 tau
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     max_iters: int = 2000            # proximal iterations per penalized solve
-    fista_tol: float = 1e-8          # relative iterate-change stopping threshold
+    fista_tol: float = 1e-8          # stop when ||x_new - x|| < fista_tol ||x_new||
     eq_tol: float = 1e-6             # relative feasibility target, noiseless program
     continuation_factor: float = 0.25  # geometric tau shrink per stage
     bisection_iters: int = 40        # max bisection steps, lasso program
@@ -207,6 +218,16 @@ def _penalized_core(ens, y, tau, x0, stages, max_iters, tol,
     i.e. when the step's generalized gradient points against the direction
     of travel.
 
+    Stop rule: the iterate moves less than ``tol`` relative to ||x||; then,
+    with ``require_stationarity``, the certificate
+    ||A*(y - A(x))||_op <= tau (1 + STATIONARITY_SLACK) must also hold, or
+    the threshold is cut fourfold and descent goes on.  Without it (a
+    continuation or bisection stage) the solve also stops at the first
+    accepted step x_new from z with L ||x_new - z||_F <= STAGE_STATIONARITY
+    * tau, the norm of the prox-gradient mapping at z measured against the
+    penalty level.  The objective comparisons and both tests are relative,
+    so scaling y scales the iterates and nothing else.
+
     Records the stage (tau, residual, iterations) and its restarts in
     ``stages``.  Returns (x, A(x), converged, flags).
     """
@@ -225,7 +246,7 @@ def _penalized_core(ens, y, tau, x0, stages, max_iters, tol,
         stages.lip *= LIP_SHRINK
         grad = adjoint_ensemble(ens, az - y)
         x_new, ax_new, f_new = _prox_step(ens, y, tau, z, az, grad, stages)
-        slack = 1e-12 * max(1.0, abs(fx))
+        slack = 1e-12 * fx   # fx > 0: y is not zero here
         if f_new > fx + slack and z is not x:
             # overshoot: restart momentum at the incumbent
             z, az, t = x, ax, 1.0
@@ -238,7 +259,12 @@ def _penalized_core(ens, y, tau, x0, stages, max_iters, tol,
             converged = _stationary(ens, y, ax, tau) if require_stationarity else True
             break
         step = x_new - x
-        rel = np.linalg.norm(step) / max(1.0, np.linalg.norm(x_new))
+        snorm, xnorm = np.linalg.norm(step), np.linalg.norm(x_new)
+        rel = snorm / xnorm if xnorm else (math.inf if snorm else 0.0)
+        # a stage is done once the prox-gradient mapping at z, L (z - x_new),
+        # is small against tau; taken before the momentum update moves z
+        stage_done = (not require_stationarity and stages.lip * np.linalg.norm(x_new - z)
+                      <= STAGE_STATIONARITY * tau)
         if np.vdot(z - x_new, step) > 0:
             t = 1.0   # gradient restart
             stages.restarts += 1
@@ -250,11 +276,8 @@ def _penalized_core(ens, y, tau, x0, stages, max_iters, tol,
         else:
             z, az = x_new, ax_new
         x, ax, fx, t = x_new, ax_new, f_new, t_new
-        if rel < tol_eff:
-            if not require_stationarity:
-                converged = True
-                break
-            if _stationary(ens, y, ax, tau):
+        if rel < tol_eff or stage_done:
+            if not require_stationarity or _stationary(ens, y, ax, tau):
                 converged = True
                 break
             tol_eff = max(tol_eff * 0.25, 1e-15)  # demand more progress

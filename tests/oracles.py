@@ -77,6 +77,36 @@ def prox_descent_nuclear_penalized(apply_fn, adjoint_fn, shape, y, tau,
     return tau * float(s.sum()) + 0.5 * float(np.sum((apply_fn(x) - y) ** 2))
 
 
+def douglas_rachford_nuclear_equality(apply_fn, shape, y, iters=3000):
+    """min ||X||_* subject to A(X) = y by Douglas-Rachford splitting.
+
+    Independent of the package's penalized continuation: A is laid out as an
+    explicit m x (n1 n2) matrix from apply_fn on the basis matrices, the
+    affine set is projected onto exactly (np.linalg.solve on the m x m Gram
+    A A^T, which must be invertible), and the nuclear norm enters through
+    singular-value shrinkage at gamma = 0.1 ||y||.  Iterates
+    x = P(z), w = shrink(2x - z), z += w - x; returns the nuclear norm of the
+    feasible point P(z) and the fixed-point residual ||w - x||_F.
+    """
+    n = shape[0] * shape[1]
+    a = np.column_stack([apply_fn(e.reshape(shape)) for e in np.eye(n)])
+    gram = a @ a.T
+    gamma = 0.1 * float(np.linalg.norm(y))
+
+    def project(z):
+        corr = a.T @ np.linalg.solve(gram, a @ z.ravel() - y)
+        return z - corr.reshape(shape)
+
+    z = np.zeros(shape)
+    for _ in range(iters):
+        x = project(z)
+        u, s, vt = _dense_svd(2.0 * x - z)
+        w = (u * np.maximum(s - gamma, 0.0)) @ vt
+        z = z + w - x
+    x = project(z)
+    return float(_dense_svd(x)[1].sum()), float(np.linalg.norm(w - x))
+
+
 def _dense_svd(x):
     # these oracles check the solvers, not the SVD; numpy's SVD is allowed
     # here (the SVD itself is checked by jacobi_singular_values)

@@ -1,0 +1,69 @@
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+import same_answers  # noqa: E402  (a script, importable from scripts/)
+
+
+def record(kind, seed, nuclear=2.0, rel_err=0.1, ok=True, digest="d",
+           prox_steps=10, capped=False, workload="w"):
+    return {"workload": workload, "kind": kind, "seed": seed, "pass": 0,
+            "valid": True, "ok": ok, "nuclear": nuclear, "rel_err": rel_err,
+            "digest": digest, "iterations": prox_steps - 1,
+            "prox_steps": prox_steps, "capped": capped}
+
+
+def block(lines, kind):
+    """The lines of one (workload, kind) block, joined."""
+    start = lines.index(f"w {kind}: 2 operations")
+    return "\n".join(lines[start:start + 4])
+
+
+def test_parse_seeds_ranges_and_singles():
+    assert same_answers.parse_seeds("1-3,424242") == [1, 2, 3, 424242]
+    assert same_answers.parse_seeds("5") == [5]
+
+
+def test_identical_records_are_the_same_answers():
+    recs = [record("a", 1), record("a", 2), record("b", 1), record("b", 2)]
+    lines, ok = same_answers.compare(recs, [dict(r) for r in recs])
+    assert ok
+    text = block(lines, "a")
+    assert "outcomes differ in 0" in text
+    assert "bit-identical in 2/2" in text
+    assert "max rel nuclear-norm diff 0;" in text
+    assert "prox steps 20 -> 20" in text
+
+
+def test_differences_are_measured_but_only_gates_fail():
+    parent = [record("a", 1, nuclear=2.0, rel_err=0.1, prox_steps=100, capped=True),
+              record("a", 2, nuclear=4.0, rel_err=0.2, prox_steps=50)]
+    change = [record("a", 1, nuclear=2.0 * (1 + 3e-7), rel_err=0.1 + 5e-5,
+                     digest="e", prox_steps=30),
+              record("a", 2, nuclear=4.0, rel_err=0.2, prox_steps=20)]
+    lines, ok = same_answers.compare(parent, change)
+    assert ok
+    text = block(lines, "a")
+    assert "bit-identical in 1/2" in text
+    assert "max rel nuclear-norm diff 3e-07" in text
+    assert "max |d rel_err| 5e-05" in text
+    assert "prox steps 150 -> 50" in text
+    assert "stage-iteration-cap 1 -> 0" in text
+
+
+def test_a_changed_gate_outcome_fails():
+    parent = [record("a", 1), record("a", 2)]
+    change = [record("a", 1), record("a", 2, ok=False)]
+    lines, ok = same_answers.compare(parent, change)
+    assert not ok
+    assert "outcomes differ in 1" in block(lines, "a")
+    assert "passed 1/2" in block(lines, "a")
+
+
+def test_operations_on_one_side_only_fail():
+    parent = [record("a", 1), record("a", 2), record("a", 3)]
+    change = [record("a", 1), record("a", 2)]
+    lines, ok = same_answers.compare(parent, change)
+    assert not ok
+    assert lines[0].startswith("1 operations ran on one side only")
+    assert "outcomes differ in 0" in block(lines, "a")

@@ -12,7 +12,8 @@ from lowrankrec.solve import (SolverConfig, choose_lambda, estimate_lipschitz,
                               solve_dantzig, solve_lasso, solve_noiseless,
                               solve_penalized)
 
-from oracles import prox_descent_nuclear_penalized
+from oracles import (douglas_rachford_nuclear_equality,
+                     prox_descent_nuclear_penalized)
 
 
 def low_rank(n, r, seed, top=1.0):
@@ -125,6 +126,60 @@ def test_noiseless_answer_independent_of_stage_budget(n1, n2, r, m, seed):
     assert rep.objective == pytest.approx(long.objective, rel=1e-6)
     assert rep.equality_residual <= cfg.eq_tol * np.linalg.norm(y)
     assert len(rep.stage_iterations) == len(rep.tau_path)
+
+
+@pytest.mark.parametrize("n1, n2, r, m, seed", GAUSSIAN_CASES)
+def test_noiseless_scales_with_y(n1, n2, r, m, seed):
+    # no test in the engine may depend on the units of y
+    _, ens, y = gaussian_instance(n1, n2, r, m, seed)
+    base = solve_noiseless(ens, y)
+    for c in (1e-3, 1e3):
+        rep = solve_noiseless(ens, c * y)
+        assert len(rep.tau_path) == len(base.tau_path)
+        assert rep.objective == pytest.approx(c * base.objective, rel=1e-8)
+    # a power of two scales every floating-point operation exactly, so the
+    # run must repeat step for step (below the transition, rounding y by one
+    # ulp already moves the estimate by ~1e-6, inside eq_tol)
+    for c in (2.0 ** -10, 2.0 ** 10):
+        rep = solve_noiseless(ens, c * y)
+        assert rep.stage_iterations == base.stage_iterations
+        assert np.array_equal(rep.estimate, c * base.estimate)
+
+
+def entry_instance(n1, n2, r, m, seed):
+    truth, _ = gen_low_rank(LowRankSpec(n1, n2, r, equal_spectrum(r, 1.0),
+                                        "random-orthogonal", seed))
+    ens = entry_sampling_ensemble(sample_omega(n1, n2, m, seed=seed))
+    return truth, ens, apply_ensemble(ens, truth)
+
+
+@pytest.mark.parametrize("make, args", [
+    *(pytest.param(gaussian_instance, case.values, id=case.id)
+      for case in GAUSSIAN_CASES),
+    pytest.param(entry_instance, (10, 14, 2, 90, 3), id="entry-rectangular"),
+])
+def test_noiseless_matches_douglas_rachford_oracle(make, args):
+    # the oracle's answer is exactly feasible and exact to about 1e-15; the
+    # solver stops at a residual of eq_tol ||y||, which moves its norm by less
+    _, ens, y = make(*args)
+    rep = solve_noiseless(ens, y)
+    oracle_nuc, fixed_point_res = douglas_rachford_nuclear_equality(
+        lambda x: apply_ensemble(ens, x), (ens.n1, ens.n2), y)
+    assert fixed_point_res <= 1e-12
+    assert rep.converged
+    assert rep.objective == pytest.approx(oracle_nuc, rel=2e-6)
+
+
+def test_continuation_stages_stop_short_of_the_cap():
+    # an intermediate stage ends on its tau-relative stationarity test; it
+    # ran into the 2000-iteration cap when only the iterate-change test ended
+    # stages
+    _, ens, y = gaussian_instance(20, 20, 2, 100, 5)
+    cfg = SolverConfig()
+    rep = solve_noiseless(ens, y, cfg)
+    assert rep.converged
+    assert "stage-iteration-cap" not in rep.flags
+    assert max(rep.stage_iterations) < cfg.max_iters
 
 
 def test_capped_stages_are_flagged():
