@@ -12,15 +12,21 @@ pair to the next which side runs first.  Each run's last two stdout lines
 added, and the output file is rewritten after every run.  Traced runs
 (``--trace 1``) are made once per side for each ``--trace-seeds`` seed.
 
+A run whose last line is not a JSON object with the keys correct, attempted,
+failed and metrics, or that reports a metric as null or non-finite (the
+traced run's sign of a hook target that is gone), stops the script with an
+error naming the tree, workload and seed.
+
 At the end it prints, per workload and end-to-end metric, each side's median
 and quartiles over the untraced runs and the number of pairs in which the
 change read lower, then the share of failed operations on each side.
 
-With ``--claim WORKLOAD:METRIC`` it then prints a verdict by the benchmark's
-rule.  The claim holds when the change reads better (as BENCHMARK.json's
-``better`` says) in at least 9/10 of the pairs, ties counting for neither
-side, and the two medians differ by more than the distance between the
-parent's quartiles.  Every other workload and end-to-end metric is "within
+It then prints a verdict by the benchmark's rule, and exits 1 unless every
+line of it passes.  With ``--claim WORKLOAD:METRIC``, the claim holds when
+the change reads better (as BENCHMARK.json's ``better`` says) in at least
+9/10 of the pairs, ties counting for neither side, and the two medians
+differ by more than the distance between the parent's quartiles.  Every
+other workload and end-to-end metric is "within
 bound" when the change's median is worse than the parent's by no more than
 the metric's ``bound`` in BENCHMARK.json, "over bound" when it is worse by
 more, and "unresolved" when the parent's own spread (quartile distance over
@@ -31,6 +37,7 @@ every parent run.  Standard library only.
 import argparse
 import io
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -41,6 +48,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 RUN_TIMEOUT_S = 900
 CLAIM_WIN_SHARE = 0.9   # the change must read better in this share of pairs
+RESULT_KEYS = ("correct", "attempted", "failed", "metrics")
 
 
 def parse_seeds(text):
@@ -93,11 +101,27 @@ def run_once(tree, workload, seed, trace, seconds):
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True,
                           timeout=RUN_TIMEOUT_S, check=False)
+    where = f"{tree}: {workload} seed {seed} trace {trace}"
     if proc.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} in {tree} exited {proc.returncode}:\n"
+        raise RuntimeError(f"{where}: {' '.join(cmd)} exited {proc.returncode}:\n"
                            f"{proc.stderr}")
-    env_line, result_line = proc.stdout.strip().splitlines()[-2:]
-    return {**json.loads(env_line), **json.loads(result_line)}
+    try:
+        env, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
+    except ValueError:   # fewer than two lines, or one that is not JSON
+        env = result = None
+    if (not isinstance(result, dict) or any(k not in result for k in RESULT_KEYS)
+            or not isinstance(result["metrics"], dict)):
+        raise RuntimeError(f"{where}: stdout does not end in an environment line and "
+                           f"a result with keys {', '.join(RESULT_KEYS)}")
+    bad = [name for name, m in result["metrics"].items()
+           if not isinstance(m, dict) or not _finite(m.get("value"))]
+    if bad:
+        raise RuntimeError(f"{where}: null or non-finite metrics: {', '.join(bad)}")
+    return {**env, **result}
+
+
+def _finite(value):
+    return isinstance(value, (int, float)) and math.isfinite(value)
 
 
 def quartiles(values):
@@ -232,8 +256,6 @@ def main(argv=None):
                       f"wall {wall.get('value', float('nan')):.3f} s, "
                       f"failed {run['failed']}/{run['attempted']}", flush=True)
     print(summarize(ledger["runs"], args.workloads))
-    if args.claim is None:
-        return 0
     lines, ok = verdict(ledger["runs"], args.workloads, args.claim, end_to_end)
     print("\n".join(lines))
     return 0 if ok else 1

@@ -2,64 +2,19 @@
 spectral completion pipeline, diagnostics, and error bounds."""
 
 from ._version import VERSION as __version__
-from .rand import spawn_rng
-from .matcore import (RANK_RTOL, SvdFactors, LowRankSpec, check_matrix, svd,
-                      nuclear_norm, operator_norm, soft_threshold_svals,
-                      project_rank, equal_spectrum, geometric_spectrum,
-                      gen_low_rank, write_lrm, read_lrm)
-from .measure import (ObservationSet, MeasurementEnsemble, NoiseModel,
-                      RecoveryProblem, sample_omega, project_omega,
-                      gaussian_ensemble, rademacher_ensemble,
-                      entry_sampling_ensemble, vectorization_ensemble,
-                      apply_ensemble, adjoint_ensemble, add_noise,
-                      make_problem, write_omega, read_omega, write_vector,
-                      read_vector)
-from .diagnostics import (CoherenceReport, RipEstimate, AdvisorRow, coherence,
-                          rip_probe, concentration_bound, concentration_probe,
-                          theory_advisor)
-from .solve import (SolverConfig, SolverReport, estimate_lipschitz,
-                    solve_penalized, choose_lambda, solve_dantzig,
-                    solve_noiseless, solve_lasso)
-from .optspace import (OptspaceConfig, OptspaceState, trim, spectral_init,
-                       optspace_descent, estimate_rank, optspace)
-from .oracle import (BoundReport, oracle_fit, ideal_risk, oracle_risk_scan,
-                     minimax_bound, instance_optimal_bound,
-                     completion_stability_bound, optspace_noisy_bound,
-                     gaussian_noise_opnorm)
-from .bench import (GridCell, ExperimentConfig, CellResult, ExperimentResult,
-                    parse_config_text, build_experiment_config,
-                    run_experiment, fit_empirical_constant, check_floors,
-                    emit)
+from . import (rand as _rand, matcore as _matcore, measure as _measure,
+               diagnostics as _diagnostics, solve as _solve, optspace as _optspace,
+               oracle as _oracle, bench as _bench)
+from .rand import *          # noqa: F401,F403
+from .matcore import *       # noqa: F401,F403
+from .measure import *       # noqa: F401,F403
+from .diagnostics import *   # noqa: F401,F403
+from .solve import *         # noqa: F401,F403
+from .optspace import *      # noqa: F401,F403
+from .oracle import *        # noqa: F401,F403
+from .bench import *         # noqa: F401,F403
 
-__all__ = [
-    "__version__", "spawn_rng",
-    # matcore
-    "RANK_RTOL", "SvdFactors", "LowRankSpec", "check_matrix", "svd",
-    "nuclear_norm", "operator_norm", "soft_threshold_svals", "project_rank",
-    "equal_spectrum", "geometric_spectrum", "gen_low_rank", "write_lrm",
-    "read_lrm",
-    # measure
-    "ObservationSet", "MeasurementEnsemble", "NoiseModel", "RecoveryProblem",
-    "sample_omega", "project_omega", "gaussian_ensemble",
-    "rademacher_ensemble", "entry_sampling_ensemble",
-    "vectorization_ensemble", "apply_ensemble", "adjoint_ensemble",
-    "add_noise", "make_problem", "write_omega", "read_omega", "write_vector",
-    "read_vector",
-    # diagnostics
-    "CoherenceReport", "RipEstimate", "AdvisorRow", "coherence", "rip_probe",
-    "concentration_bound", "concentration_probe", "theory_advisor",
-    # solve
-    "SolverConfig", "SolverReport", "estimate_lipschitz", "solve_penalized",
-    "choose_lambda", "solve_dantzig", "solve_noiseless", "solve_lasso",
-    # optspace
-    "OptspaceConfig", "OptspaceState", "trim", "spectral_init",
-    "optspace_descent", "estimate_rank", "optspace",
-    # oracle
-    "BoundReport", "oracle_fit", "ideal_risk", "oracle_risk_scan",
-    "minimax_bound", "instance_optimal_bound", "completion_stability_bound",
-    "optspace_noisy_bound", "gaussian_noise_opnorm",
-    # bench
-    "GridCell", "ExperimentConfig", "CellResult", "ExperimentResult",
-    "parse_config_text", "build_experiment_config", "run_experiment",
-    "fit_empirical_constant", "check_floors", "emit",
-]
+__all__ = ["__version__"] + [
+    name for mod in (_rand, _matcore, _measure, _diagnostics, _solve, _optspace,
+                     _oracle, _bench)
+    for name in mod.__all__]

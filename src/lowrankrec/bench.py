@@ -33,6 +33,7 @@ from .measure import (NoiseModel, add_noise, apply_ensemble, entry_sampling_ense
 from .oracle import (completion_stability_bound, ideal_risk,
                      instance_optimal_bound)
 from .optspace import OptspaceConfig, optspace
+from .rand import spawn_seeds
 from .solve import (SolverConfig, choose_lambda, solve_dantzig, solve_lasso,
                     solve_noiseless)
 
@@ -57,9 +58,6 @@ EXPERIMENTS = ("phase-transition", "dantzig-scaling", "bias-variance",
 CSV_COLUMNS = ["n", "r", "m", "p", "sigma", "kappa", "trials", "success_rate",
                "median_rel_err", "median_sq_err", "fitted_constant",
                "failures", "seconds"]
-
-_MASK64 = (1 << 64) - 1
-
 
 @dataclass(frozen=True)
 class GridCell:
@@ -152,12 +150,6 @@ class FitResult:
     cells: int
 
 
-def _trial_seeds(master, cell_idx, trial_idx, count=4):
-    ss = np.random.SeedSequence(int(master) & _MASK64,
-                                spawn_key=(int(cell_idx), int(trial_idx)))
-    return [int(x) for x in ss.generate_state(count, np.uint64)]
-
-
 def _kappa_spectrum(r, kappa):
     """Spectrum interpolating geometrically from kappa down to 1."""
     if r == 1:
@@ -165,12 +157,15 @@ def _kappa_spectrum(r, kappa):
     return tuple(float(kappa) ** ((r - 1 - i) / (r - 1)) for i in range(r))
 
 
-def _truth(cell, cfg, seed):
+def _spectrum_of(cell, cfg):
     if cfg.experiment in ("bias-variance", "instance-optimal"):
-        spectrum = geometric_spectrum(cell.r, cfg.spectrum_top, cfg.spectrum_ratio)
-    else:
-        spectrum = _kappa_spectrum(cell.r, cell.kappa)
-    spec = LowRankSpec(n1=cell.n, n2=cell.n, r=cell.r, spectrum=spectrum,
+        return geometric_spectrum(cell.r, cfg.spectrum_top, cfg.spectrum_ratio)
+    return _kappa_spectrum(cell.r, cell.kappa)
+
+
+def _truth(cell, cfg, seed):
+    spec = LowRankSpec(n1=cell.n, n2=cell.n, r=cell.r,
+                       spectrum=_spectrum_of(cell, cfg),
                        model="random-orthogonal", seed=seed)
     return gen_low_rank(spec)
 
@@ -182,7 +177,7 @@ def _cell_m(cell):
 def _run_trial(cfg, cell_idx, trial_idx):
     """One (cell, trial) evaluation; returns a plain record dict."""
     cell = cfg.cells[cell_idx]
-    s_truth, s_meas, s_noise, _ = _trial_seeds(cfg.seed, cell_idx, trial_idx)
+    s_truth, s_meas, s_noise, _ = spawn_seeds(cfg.seed, cell_idx, trial_idx, count=4)
     t0 = time.perf_counter()
     truth, _ = _truth(cell, cfg, s_truth)
     tnorm = float(np.linalg.norm(truth))
@@ -263,12 +258,6 @@ def _run_trial(cfg, cell_idx, trial_idx):
         "seconds": time.perf_counter() - t0,
     })
     return record
-
-
-def _spectrum_of(cell, cfg):
-    if cfg.experiment in ("bias-variance", "instance-optimal"):
-        return geometric_spectrum(cell.r, cfg.spectrum_top, cfg.spectrum_ratio)
-    return _kappa_spectrum(cell.r, cell.kappa)
 
 
 def _pool_task(args):

@@ -190,8 +190,14 @@ def _cmd_bench(args):
     for path in written:
         print(f"wrote {path}")
     for c in result.cells:
-        print(f"cell n={c.n} r={c.r} m={c.m}: success {c.successes}/{c.trials}, "
-              f"median rel err {c.median_rel_err:.3g}")
+        kappa = f" kappa={c.kappa:g}" if c.kappa != 1.0 else ""
+        line = (f"cell n={c.n} r={c.r} m={c.m}{kappa}: success {c.successes}/"
+                f"{c.trials}, median rel err {c.median_rel_err:.3g}")
+        if c.fitted_constant is not None:
+            line += f", fitted constant {c.fitted_constant:.3g}"
+        for key, value in c.extra.items():
+            line += f", {key} {value:.3g}"
+        print(line)
     violations = bench_mod.check_floors(result)
     for v in violations:
         print(f"FLOOR VIOLATION: {v}")

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import RANK_RTOL, check_matrix
-from .measure import apply_ensemble
-from .rand import spawn_rng
+from .measure import MeasurementEnsemble, apply_ensemble, apply_stack
+from .rand import spawn_rng, spawn_seeds
 
 __all__ = [
     "CoherenceReport",
@@ -129,13 +129,12 @@ def rip_probe(ens, r, probes=500, seed=0):
         return RipEstimate(r=int(r), delta_hat=float(value), probes=int(probes),
                            seed=int(seed))
 
-    # Kinds whose probe supremum is known in closed form skip the numerics
-    # entirely, so exact isometries report exactly zero.
-    if ens.kind == "vectorization":
-        return done(0.0)
-    if ens.kind == "entry":
+    # A selection of entries (entry sampling, vectorization) has its probe
+    # supremum in closed form unless it is large and partial; the closed form
+    # skips the numerics, so exact isometries report exactly zero.
+    if ens.rows is None:
         if ens.m == ens.n1 * ens.n2:
-            return done(0.0)  # full observation: a permutation isometry
+            return done(0.0)  # every entry observed: a permutation isometry
         if ens.n1 * ens.n2 <= BASIS_PROBE_LIMIT:
             # some e_i e_j^T is unobserved, giving |0 - 1| = 1; no probe of a
             # contraction can exceed that, so 1 is the family supremum
@@ -148,16 +147,11 @@ def rip_probe(ens, r, probes=500, seed=0):
             rng = spawn_rng(seed, t, k)
             stack.append(_random_probe(rng, ens.n1, ens.n2, k))
     if stack:
-        from .measure import _apply_stack
-        vals = _apply_stack(ens, np.stack(stack))
+        vals = apply_stack(ens, np.stack(stack))
         energies = (vals * vals).sum(axis=1)
         delta = float(np.abs(energies - 1.0).max())
 
-    if ens.kind == "entry":
-        # large partial omega without the basis family: random probes only
-        return done(delta)
-
-    if ens.n1 * ens.n2 <= BASIS_PROBE_LIMIT:
+    if ens.rows is not None and ens.n1 * ens.n2 <= BASIS_PROBE_LIMIT:
         # exact maximum of |1 - ||A(e_i e_j^T)||^2| over all basis matrices
         energies = (ens.rows * ens.rows).sum(axis=0)
         delta = max(delta, float(np.abs(energies - 1.0).max()))
@@ -180,8 +174,6 @@ def concentration_probe(kind, n, m, t, trials=1000, seed=0):
     unit-Frobenius matrix, and returns the fraction of trials with
     | ||A(X)||^2 - 1 | > t.
     """
-    from .measure import MeasurementEnsemble
-
     if kind not in ("gaussian", "rademacher", "vectorization"):
         raise ValueError(f"unsupported kind {kind!r} for concentration probe")
     if not (0 < t < 1):
@@ -197,9 +189,7 @@ def concentration_probe(kind, n, m, t, trials=1000, seed=0):
             ens = MeasurementEnsemble(kind="vectorization", n1=n, n2=n, m=n * n)
         else:
             # fresh draw per trial, keyed deterministically off (seed, trial)
-            child = int(np.random.SeedSequence(int(seed) & ((1 << 64) - 1),
-                                               spawn_key=(1, i))
-                        .generate_state(1, np.uint64)[0])
+            child, = spawn_seeds(seed, 1, i, count=1)
             ens = MeasurementEnsemble(kind=kind, n1=n, n2=n, m=m, seed=child)
         e = apply_ensemble(ens, x)
         if abs(float(e @ e) - 1.0) > t:

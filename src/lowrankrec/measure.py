@@ -9,9 +9,17 @@ A(X) = (<A_1, X>, ..., <A_m, X>).  Supported kinds:
 * entry        - A_i = e_{a_i} e_{b_i}^T over a fixed observed set Omega,
 * vectorization- m = n1*n2 and A(X) is row-major vec(X), so A* A = identity.
 
-gaussian / rademacher rows are materialized explicitly, which is the point of
-this package's scale (n <= 100, m <= 20000); larger problems are refused
-rather than silently paged.
+The kind only decides how A is stored, once, at construction: gaussian /
+rademacher keep the m x n1n2 matrix ``rows``; entry / vectorization keep
+``index``, the row-major linear indices of vec(X) that A reads.
+``apply_ensemble``, ``adjoint_ensemble`` and ``apply_stack`` branch on that
+storage and nothing else.  Rows are materialized explicitly, which is the
+point of this package's scale (n <= 100, m <= 20000); larger problems are
+refused rather than silently paged.
+
+Finiteness is checked where data enters: ``RecoveryProblem``, the file
+readers and each solver's inputs.  A and A* check only shapes, so a NaN or
+inf handed to them propagates into their output.
 """
 
 from dataclasses import dataclass, field
@@ -32,6 +40,7 @@ __all__ = [
     "vectorization_ensemble",
     "apply_ensemble",
     "adjoint_ensemble",
+    "apply_stack",
     "sample_omega",
     "project_omega",
     "add_noise",
@@ -127,7 +136,10 @@ class MeasurementEnsemble:
     m: int
     seed: int = 0
     omega: ObservationSet = None
-    rows: np.ndarray = field(default=None, repr=False, compare=False)
+    # exactly one of these is set: the m x n1n2 matrix of a dense kind, or
+    # the linear indices of vec(X) that a selection kind reads
+    rows: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    index: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
@@ -153,10 +165,13 @@ class MeasurementEnsemble:
                 raise ValueError("Omega dimensions do not match ensemble")
             if self.m != self.omega.m:
                 raise ValueError(f"m={self.m} does not match |Omega|={self.omega.m}")
+            pairs = self.omega.pairs
+            object.__setattr__(self, "index", pairs[:, 0] * self.n2 + pairs[:, 1])
         elif self.kind == "vectorization":
             if self.m != self.n1 * self.n2:
                 raise ValueError(
                     f"vectorization requires m = n1*n2 = {self.n1 * self.n2}, got {self.m}")
+            object.__setattr__(self, "index", np.arange(self.m))
         else:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
 
@@ -179,48 +194,40 @@ def vectorization_ensemble(n1, n2):
 
 
 def apply_ensemble(ens, x):
-    """A(X): measure the matrix x, returning a length-m vector."""
-    x = check_matrix(x)
+    """A(X): measure the matrix x, returning a length-m vector.
+
+    Checks the shape only; a non-finite entry of x propagates into A(x)."""
+    x = np.asarray(x, dtype=float)
     if x.shape != (ens.n1, ens.n2):
         raise ValueError(f"shape {x.shape} does not match ensemble {ens.n1}x{ens.n2}")
-    if ens.kind == "vectorization":
-        return x.ravel().copy()
-    if ens.kind == "entry":
-        if ens.m == 0:
-            return np.zeros(0)
-        return x[ens.omega.pairs[:, 0], ens.omega.pairs[:, 1]].copy()
-    return ens.rows @ x.ravel()
+    flat = x.ravel()
+    return flat[ens.index] if ens.rows is None else ens.rows @ flat
 
 
 def adjoint_ensemble(ens, v):
-    """A*(v) = sum_i v_i A_i, a matrix of the ensemble's shape."""
+    """A*(v) = sum_i v_i A_i, a matrix of the ensemble's shape.
+
+    Checks the length only; a non-finite entry of v propagates into A*(v)."""
     v = np.asarray(v, dtype=float).ravel()
     if v.shape[0] != ens.m:
         raise ValueError(f"vector length {v.shape[0]} does not match m={ens.m}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("measurement vector must be finite")
-    if ens.kind == "vectorization":
-        return v.reshape(ens.n1, ens.n2).copy()
-    if ens.kind == "entry":
-        out = np.zeros((ens.n1, ens.n2))
-        if ens.m:
-            out[ens.omega.pairs[:, 0], ens.omega.pairs[:, 1]] = v
-        return out
-    return (ens.rows.T @ v).reshape(ens.n1, ens.n2)
+    if ens.rows is not None:
+        return (ens.rows.T @ v).reshape(ens.n1, ens.n2)
+    out = np.zeros(ens.n1 * ens.n2)
+    out[ens.index] = v
+    return out.reshape(ens.n1, ens.n2)
 
 
-def _apply_stack(ens, xs):
-    # Batched A() over a (count, n1, n2) stack; same numbers as apply_ensemble
-    # row by row, just one BLAS call for materialized kinds.
+def apply_stack(ens, xs):
+    """A() over a (count, n1, n2) stack, returning a (count, m) array: the
+    same numbers as apply_ensemble row by row, in one BLAS call for a dense
+    kind."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.shape[1:] != (ens.n1, ens.n2):
+        raise ValueError(f"stack shape {xs.shape} does not match ensemble "
+                         f"{ens.n1}x{ens.n2}")
     flat = xs.reshape(xs.shape[0], -1)
-    if ens.kind == "vectorization":
-        return flat.copy()
-    if ens.kind == "entry":
-        if ens.m == 0:
-            return np.zeros((xs.shape[0], 0))
-        lin = ens.omega.pairs[:, 0] * ens.n2 + ens.omega.pairs[:, 1]
-        return flat[:, lin].copy()
-    return flat @ ens.rows.T
+    return flat[:, ens.index] if ens.rows is None else flat @ ens.rows.T
 
 
 @dataclass(frozen=True)

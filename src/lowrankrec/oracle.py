@@ -39,8 +39,6 @@ def oracle_fit(u, ens, y):
     """Least squares over {U R : R r x n2}: the best fit whose columns live in
     the span of U.  Returns U @ R_hat; rank-deficient designs fall back to
     the minimum-norm solution with a warning."""
-    from .measure import apply_ensemble  # local import to avoid cycles
-
     u = np.asarray(u, dtype=float)
     if u.ndim != 2 or u.shape[0] != ens.n1:
         raise ValueError(f"frame shape {u.shape} does not match ensemble rows {ens.n1}")
@@ -49,22 +47,17 @@ def oracle_fit(u, ens, y):
     if y.shape[0] != ens.m:
         raise ValueError(f"y has length {y.shape[0]}, ensemble m={ens.m}")
 
-    if ens.kind == "vectorization":
-        # A is the identity on entries, so the fit is orthogonal projection
-        return u @ (u.T @ y.reshape(ens.n1, ens.n2))
-
-    if ens.kind == "entry":
-        # measurements touch one column each: solve column by column
+    if ens.rows is None:
+        # each measurement reads one entry, so one column: solve column by column
+        rows, cols = divmod(ens.index, ens.n2)
         rmat = np.zeros((r, ens.n2))
-        pairs = ens.omega.pairs
         deficient = False
         for j in range(ens.n2):
-            sel = pairs[:, 1] == j
+            sel = cols == j
             if not sel.any():
                 deficient = True
                 continue
-            design = u[pairs[sel, 0]]
-            sol, _, rank, _ = np.linalg.lstsq(design, y[sel], rcond=None)
+            sol, _, rank, _ = np.linalg.lstsq(u[rows[sel]], y[sel], rcond=None)
             deficient = deficient or rank < r
             rmat[:, j] = sol
         if deficient:

@@ -13,7 +13,6 @@ from lowrankrec.bench import (
     ExperimentConfig,
     ExperimentResult,
     GridCell,
-    _trial_seeds,
     build_experiment_config,
     check_floors,
     emit,
@@ -171,23 +170,6 @@ def test_experiment_config_validation():
         tiny_config(trials=0)
     with pytest.raises(ValueError, match="ensemble"):
         tiny_config(ensemble="fourier")
-
-
-# ------------------------------------------------------------ seeds
-
-def test_trial_seeds_distinct_across_cells_and_trials():
-    seen = set()
-    for cell in range(6):
-        for trial in range(8):
-            key = tuple(_trial_seeds(123, cell, trial))
-            assert key not in seen
-            seen.add(key)
-    assert len(seen) == 48
-
-
-def test_trial_seeds_deterministic():
-    assert _trial_seeds(9, 2, 3) == _trial_seeds(9, 2, 3)
-    assert _trial_seeds(9, 2, 3) != _trial_seeds(10, 2, 3)
 
 
 # --------------------------------------------------------- run_experiment

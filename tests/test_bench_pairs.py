@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -105,3 +107,58 @@ def test_failed_operations_and_traced_runs():
     assert "absent: no pairs" in lines
     assert statuses(lines)["w wall_s"].startswith("within bound")
     assert not ok
+
+
+def finished(stdout, returncode=0):
+    def fake_run(cmd, **kwargs):
+        return subprocess.CompletedProcess(cmd, returncode, stdout=stdout, stderr="")
+    return fake_run
+
+
+RESULT = {"correct": True, "attempted": 4, "failed": 0,
+          "metrics": {"wall_s": {"value": 1.25, "unit": "s"}}}
+
+
+def test_run_once_merges_env_and_result(monkeypatch):
+    env = json.dumps({"env": {"nproc": 2}})
+    monkeypatch.setattr(bench_pairs.subprocess, "run",
+                        finished(f"# table\n{env}\n{json.dumps(RESULT)}\n"))
+    run = bench_pairs.run_once("/tree", "w", 3, 0, 1.0)
+    assert run["env"] == {"nproc": 2} and run["metrics"] == RESULT["metrics"]
+
+
+@pytest.mark.parametrize("last", [
+    "# wall_s 1.25 s",                                         # not JSON
+    json.dumps([1, 2]),                                        # not an object
+    json.dumps({k: v for k, v in RESULT.items() if k != "failed"}),
+    json.dumps({**RESULT, "metrics": {"wall_s": {"value": None, "unit": "s"}}}),
+    json.dumps({**RESULT, "metrics": {"x.s": {"value": float("nan"), "unit": "s"}}}),
+    json.dumps({**RESULT, "metrics": {"x.s": {"value": float("inf"), "unit": "s"}}}),
+])
+def test_run_once_rejects_a_malformed_result(monkeypatch, last):
+    env = json.dumps({"env": {}})
+    monkeypatch.setattr(bench_pairs.subprocess, "run", finished(f"{env}\n{last}\n"))
+    with pytest.raises(RuntimeError) as err:
+        bench_pairs.run_once("/tree", "sensing-gaussian", 16, 1, 1.0)
+    assert "/tree: sensing-gaussian seed 16" in str(err.value)
+
+
+@pytest.mark.parametrize("change_wall, status, verdict_line", [
+    (5.0, 0, "w wall_s: within bound"),
+    (7.0, 1, "w wall_s: over bound"),
+])
+def test_main_without_claim_prints_verdict_and_exit_status(
+        monkeypatch, tmp_path, capsys, change_wall, status, verdict_line):
+    # a run that claims nothing still gets a verdict, and any case not within
+    # bound makes the exit status 1
+    def fake_run_once(tree, workload, seed, trace, seconds):
+        wall = change_wall if tree == str(bench_pairs.ROOT) else 5.0
+        return {"correct": True, "attempted": 4, "failed": 0, "metrics": {
+            m: {"value": wall} for m in ("setup_s", "wall_s", "op_s.p50", "peak_rss_mb")}}
+
+    monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    rc = bench_pairs.main(["--out", str(tmp_path / "b.json"), "--workloads", "w",
+                           "--seeds", "1-3"])
+    assert rc == status
+    assert verdict_line in capsys.readouterr().out

@@ -243,6 +243,21 @@ def test_bench_subcommand_writes_outputs(tmp_path, capsys):
     assert "cell n=10 r=1 m=60" in out
 
 
+def test_bench_cell_line_carries_kappa_fitted_constant_and_extras(tmp_path, capsys):
+    cfg = tmp_path / "stab.cfg"
+    cfg.write_text("experiment = completion-stability\ntrials = 2\nseed = 1\n"
+                   "[grid]\nn = 8\nr = 1\np = 0.7\nsigma = 1e-3\nkappa = 2\n")
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "s"),
+                 "--format", "json"]) == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("cell "))
+    payload = json.loads((tmp_path / "s" / "completion-stability.json").read_text())
+    cell = payload["cells"][0]
+    assert line.startswith("cell n=8 r=1 m=45 kappa=2: success ")
+    assert f"fitted constant {cell['fitted_constant']:.3g}" in line
+    assert f"bound_rate {cell['extra']['bound_rate']:.3g}" in line
+
+
 def test_bench_floor_violation_sets_exit_code(tmp_path, capsys):
     cfg = tmp_path / "exp.cfg"
     # 12 measurements for a 10x10 rank-1 matrix cannot reach exact recovery

@@ -203,6 +203,28 @@ def test_penalized_rejects_bad_tau():
         solve_penalized(ens, np.ones(9), 0.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solvers_reject_non_finite_inputs(bad):
+    # A and A* do not scan for non-finite values; each solver does, once,
+    # on entry, before any shortcut
+    ens = gaussian_ensemble(5, 5, 12, seed=0)
+    y = np.ones(12)
+    y[3] = bad
+    for solve in (lambda: solve_noiseless(ens, y),
+                  lambda: solve_penalized(ens, y, 0.1),
+                  lambda: solve_dantzig(ens, y, 0.1),
+                  lambda: solve_lasso(ens, y, 0.1)):
+        with pytest.raises(ValueError, match="finite"):
+            solve()
+    x0 = np.zeros((5, 5))
+    x0[1, 2] = bad
+    for data in (np.ones(12), np.zeros(12)):
+        with pytest.raises(ValueError, match="finite"):
+            solve_penalized(ens, data, 0.1, x0=x0)
+    with pytest.raises(ValueError, match="shape"):
+        solve_penalized(ens, np.ones(12), 0.1, x0=np.zeros((4, 5)))
+
+
 def test_penalized_zero_data_short_circuits():
     ens = gaussian_ensemble(5, 5, 10, seed=0)
     rep = solve_penalized(ens, np.zeros(10), 1.0)
