@@ -17,8 +17,8 @@ Per workload and operation kind it prints:
   * the largest relative difference of the estimate's nuclear norm;
   * the largest |change rel_err - parent rel_err|, rel_err being
     ||X^ - X||_F / ||X||_F against the instance's truth;
-  * iterations, prox steps (engine SVDs) and `stage-iteration-cap` flags
-    summed on each side.
+  * iterations, prox steps (SVDs), and the `stage-iteration-cap` and
+    `iteration-cap` flags summed on each side.
 
 Exits 1 when any gate outcome differs or the two sides did not run the same
 operations.  harness-jobs2 is left out: its operation is a whole bench run
@@ -42,6 +42,7 @@ WORKLOADS = ("sensing-gaussian", "completion-optspace")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 COLLECT_TIMEOUT_S = 3600
 CAP_FLAG = "stage-iteration-cap"
+ITER_CAP_FLAG = "iteration-cap"
 
 
 def parse_args(argv):
@@ -82,6 +83,7 @@ def collect(tree, seeds, passes):
                         "iterations": int(result.iterations),
                         "prox_steps": int(getattr(result, "prox_steps", 0)),
                         "capped": CAP_FLAG in result.flags,
+                        "iter_capped": ITER_CAP_FLAG in result.flags,
                     })
     return records
 
@@ -139,7 +141,8 @@ def compare(parent, change):
             f"{d_nuc:.2g}; max |d rel_err| {d_err:.2g}",
             f"  work         iterations {total('iterations', 0)} -> {total('iterations', 1)}, "
             f"prox steps {total('prox_steps', 0)} -> {total('prox_steps', 1)}, "
-            f"{CAP_FLAG} {total('capped', 0)} -> {total('capped', 1)}",
+            f"{CAP_FLAG} {total('capped', 0)} -> {total('capped', 1)}, "
+            f"{ITER_CAP_FLAG} {total('iter_capped', 0)} -> {total('iter_capped', 1)}",
         ]
     return lines, ok
 

@@ -20,7 +20,6 @@ import io
 import json
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -274,6 +273,9 @@ def run_experiment(cfg, jobs=1):
     tasks = [(ci, ti) for ci in range(len(cfg.cells)) for ti in range(cfg.trials)]
     records = {}
     if jobs > 1:
+        # imported here: concurrent.futures and multiprocessing would add
+        # about 40 ms to every import of the package
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             for key, rec in pool.map(_pool_task,
                                      [(cfg, ci, ti) for ci, ti in tasks]):

@@ -1,7 +1,9 @@
 """Nuclear-norm recovery programs.
 
-All three programs are driven by one engine: accelerated proximal descent
-(FISTA momentum) applied to
+The equality program min ||X||_* s.t. A(X) = y runs Douglas-Rachford
+splitting on its own (see solve_noiseless).  The penalized, Dantzig-type and
+residual-ball programs are driven by one engine: accelerated proximal
+descent (FISTA momentum) applied to
 
     minimize_X  tau * ||X||_*  +  1/2 ||A(X) - y||_2^2 .
 
@@ -31,15 +33,18 @@ with y, so the test is unit-free (the relative KKT test of Toh and Yun, Pac.
 J. Optim. 2010; inexact continuation stages as in Ma, Goldfarb and Chen,
 arXiv 0905.1643).  solve_penalized and solve_dantzig report converged only
 once stationarity is certified, ||A*(y - A(X))||_op <= tau (1 + 1e-6).
+Only the lasso's continuation and bisection run such stages.
 
 * solve_penalized  - the penalized problem itself at a fixed tau.
 * solve_dantzig    - the penalized problem at tau = lambda, whose stationary
                      point satisfies the residual-correlation constraint
                      ||A*(y - A(X))||_op <= lambda; it is not certified to be
                      the constrained program's nuclear-norm minimizer.
-* solve_noiseless  - equality constraint A(X) = y via continuation: shrink tau
-                     geometrically, warm-starting, until the residual passes
-                     the feasibility tolerance.
+* solve_noiseless  - equality constraint A(X) = y by Douglas-Rachford:
+                     the exact projection onto {A(X) = y} alternates with the
+                     nuclear-norm prox at gamma = 0.1 ||y||; the projection
+                     is free for a selection ensemble (A A* = I) and runs
+                     conjugate gradients on the Gram A A* for a dense one.
 * solve_lasso      - residual-ball constraint ||A(X) - y||_2 <= delta via
                      bisection on tau (the residual is monotone in tau).
 """
@@ -69,14 +74,21 @@ STATIONARITY_SLACK = 1e-6   # converged iff dual_residual <= tau * (1 + slack)
 LIP_SHRINK = 0.95           # each iteration first tries the step bound L <- 0.95 L
 CURVATURE_SLACK = 1e-20     # curvature test passes when ||A(x - z)||^2 <= 1e-20 ||y||^2
 STAGE_STATIONARITY = 1e-3   # a stage stops when L ||x - z||_F <= 1e-3 tau
+DR_GAMMA = 0.1              # Douglas-Rachford prox step gamma = 0.1 ||y||
+DR_TOL = 1e-7               # DR stops when ||w - x||_F <= 1e-7 ||x||_F
+CG_REL = 1e-2               # a projection inside DR cuts its CG residual 100-fold;
+CG_FLOOR = 1e-14            # none goes below 1e-14 ||y||, the final projection's target
+CG_NULL_CURVATURE = 1e-12   # p'(A A*)p <= 1e-12 (mean eigenvalue) ||p||^2: a null direction
+GRAM_BLOCK = 64             # rows per block when forming the Gram A A*
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    max_iters: int = 2000            # proximal iterations per penalized solve
+    max_iters: int = 2000            # proximal iterations per penalized solve;
+                                     # Douglas-Rachford iterations, noiseless program
     fista_tol: float = 1e-8          # stop when ||x_new - x|| < fista_tol ||x_new||
     eq_tol: float = 1e-6             # relative feasibility target, noiseless program
-    continuation_factor: float = 0.25  # geometric tau shrink per stage
+    continuation_factor: float = 0.25  # geometric tau shrink per lasso stage
     bisection_iters: int = 40        # max bisection steps, lasso program
 
     def __post_init__(self):
@@ -176,8 +188,8 @@ class _Stages:
         self.taus, self.residuals, self.iterations = [], [], []
         self.restarts = 0
         self.prox_steps = 0     # prox evaluations, curvature retries included
-        self.capped = False     # a continuation or bisection stage stopped at
-                                # max_iters short of its stop rule
+        self.capped = False     # a lasso continuation or bisection stage
+                                # stopped at max_iters short of its stop rule
 
 
 def _prox_step(ens, y, tau, z, az, grad, stages):
@@ -385,36 +397,139 @@ def solve_dantzig(ens, y, lam, config=None):
     return solve_penalized(ens, y, lam, config=config)
 
 
-def solve_noiseless(ens, y, config=None):
-    """Minimize ||X||_* subject to A(X) = y, by penalty continuation.
+def _gram(rows):
+    """A A* of a dense ensemble, m x m, built GRAM_BLOCK rows at a time into
+    one preallocated array (one rows @ rows.T holds more scratch memory)."""
+    m = rows.shape[0]
+    gram = np.empty((m, m))
+    for i in range(0, m, GRAM_BLOCK):
+        np.matmul(rows[i:i + GRAM_BLOCK], rows.T, out=gram[i:i + GRAM_BLOCK])
+    return gram
 
-    tau shrinks geometrically from just below ||A*(y)||_op (where the zero
-    matrix is optimal), warm-starting each stage, until the equality residual
-    drops below eq_tol * ||y||_2.  Hitting the tau floor first reports
-    converged = False.
+
+def _cg(gram_times, b, mu, rel, floor, null_curv):
+    """Conjugate gradients on (A A*) mu = b, with gram_times(p) = A A* p, from
+    the warm start mu.  Stops when the residual norm is at most
+    max(rel ||r0||, floor), r0 being the starting residual; after 4m steps
+    (m in exact arithmetic, with room for the loss of orthogonality on an
+    ill-conditioned Gram); or at a search direction p with
+    p' A A* p <= null_curv ||p||^2, numerically in the Gram's null space,
+    which a residual reaches only when b has a part outside the Gram's range
+    (inconsistent data).  CG diverges soon after such a direction, so the
+    iterate of least residual is the one returned.
+    Returns (mu, ||b - A A* mu|| by the recurrence, whether it stopped at a
+    null direction)."""
+    r = b - gram_times(mu)
+    rr = float(r @ r)
+    target = max(rel * rel * rr, floor * floor)
+    best_rr, best_mu = rr, mu
+    p = r
+    for _ in range(4 * b.shape[0]):
+        if rr <= target:
+            break
+        gp = gram_times(p)
+        curv = float(p @ gp)
+        if not curv > null_curv * float(p @ p):
+            return best_mu, math.sqrt(best_rr), True
+        alpha = rr / curv
+        mu = mu + alpha * p
+        r = r - alpha * gp
+        rr_new = float(r @ r)
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+        if rr < best_rr:
+            best_rr, best_mu = rr, mu
+    return best_mu, math.sqrt(best_rr), False
+
+
+def _affine_projection(ens, y):
+    """P(z) = z - A*(mu) with (A A*) mu = A(z) - y, the nearest point to z of
+    {X : A(X) = y}, as a function project(z, rel) -> (P(z), ||A(P(z)) - y||,
+    whether CG stopped at a null direction); CG runs to max(rel ||r0||,
+    CG_FLOOR ||y||), see _cg.
+
+    One formula for both storages.  A selection ensemble has A A* = I, so mu
+    is A(z) - y and the projection is exact.  For a dense ensemble mu comes
+    from conjugate gradients, warm-started from the previous call's mu.  Its
+    products with A A* use the m x m Gram, formed here once, when m <= n1 n2
+    (the Gram is then no larger than the rows), and rows @ (rows.T @ p)
+    otherwise.  The Gram is never factorised: at the harness's m = 480 a
+    LAPACK factorisation's copies and workspace cost several megabytes of
+    peak memory, where CG needs a few m x m products."""
+    if ens.rows is None:
+        def project(z, rel):
+            return z - adjoint_ensemble(ens, apply_ensemble(ens, z) - y), 0.0, False
+        return project
+    rows = ens.rows
+    if ens.m <= rows.shape[1]:
+        gram = _gram(rows)
+
+        def gram_times(p):
+            return gram @ p
+    else:
+        def gram_times(p):
+            return rows @ (rows.T @ p)
+    # the mean eigenvalue of A A*, trace / m, sets the scale of "no curvature"
+    null_curv = CG_NULL_CURVATURE * float(np.vdot(rows, rows)) / ens.m
+    floor = CG_FLOOR * float(np.linalg.norm(y))
+    mu = np.zeros(ens.m)
+
+    def project(z, rel):
+        nonlocal mu
+        mu, res, null = _cg(gram_times, apply_ensemble(ens, z) - y, mu, rel, floor,
+                            null_curv)
+        return z - adjoint_ensemble(ens, mu), res, null
+    return project
+
+
+def solve_noiseless(ens, y, config=None):
+    """Minimize ||X||_* subject to A(X) = y, by Douglas-Rachford splitting.
+
+    With P the projection onto {A(X) = y} and gamma = 0.1 ||y||, each
+    iteration takes x = P(z), w = prox_{gamma ||.||_*}(2x - z) and
+    z <- z + w - x (Eckstein and Bertsekas, Math. Program. 1992), and the
+    solve stops once ||w - x||_F <= 1e-7 ||x||_F.  It returns the projected
+    point P(z), its projection solved tightly, so the estimate is feasible
+    to rounding; converged also requires the recomputed
+    ||A(X) - y||_2 <= eq_tol ||y||_2.  max_iters caps the iterations
+    (flag ``iteration-cap``).  When a projection's CG meets the null space of
+    A A* with its residual still above that target, y lies outside the range
+    of A, no X is feasible, and the solve stops at once (flag
+    ``infeasible``).
+
+    The report describes one stage: tau_path = (gamma,), one SVD per
+    iteration in prox_steps, no restarts.
     """
     cfg = config or SolverConfig()
     y = _check_y(ens, y)
     if not np.any(y):
         return _zero_report(ens, y)
     ynorm = float(np.linalg.norm(y))
-    tau0 = operator_norm(adjoint_ensemble(ens, y))
-    tau = tau0 * cfg.continuation_factor
-    x = np.zeros((ens.n1, ens.n2))
+    gamma = DR_GAMMA * ynorm
+    feas = cfg.eq_tol * ynorm
+    project = _affine_projection(ens, y)
+    z = np.zeros((ens.n1, ens.n2))
+    flags = ("iteration-cap",)
+    it = 0
+    while it < cfg.max_iters:
+        x, res, null = project(z, CG_REL)
+        if null and res > feas:
+            flags = ("infeasible",)
+            break
+        w, _ = _prox_nuc(2.0 * x - z, gamma)
+        it += 1
+        step = w - x
+        z += step
+        if np.linalg.norm(step) <= DR_TOL * np.linalg.norm(x):
+            flags = ()
+            break
+    x, _, _ = project(z, 0.0)
+    ax = apply_ensemble(ens, x)
+    res = float(np.linalg.norm(ax - y))
     stages = _Stages()
-    converged = False
-    flags = ()
-    while True:
-        x, ax, _, _ = _penalized_core(
-            ens, y, tau, x, stages, cfg.max_iters, cfg.fista_tol,
-            require_stationarity=False)
-        if stages.residuals[-1] <= cfg.eq_tol * ynorm:
-            converged = True
-            break
-        tau *= cfg.continuation_factor
-        if tau < tau0 * 1e-14:
-            flags = ("tau-floor",)
-            break
+    stages.taus, stages.residuals, stages.iterations = [gamma], [res], [it]
+    stages.prox_steps = it
+    converged = not flags and res <= feas
     return _report(ens, y, x, ax, converged, stages, flags)
 
 

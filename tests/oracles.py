@@ -107,6 +107,46 @@ def douglas_rachford_nuclear_equality(apply_fn, shape, y, iters=3000):
     return float(_dense_svd(x)[1].sum()), float(np.linalg.norm(w - x))
 
 
+def nuclear_equality_dual_bound(adjoint_fn, m, y, est, rel_gap, iters=1000):
+    """Lower bound on min ||X||_* subject to A(X) = y, by weak duality: for
+    every lam in R^m and every feasible X, <y, lam> = <X, A*(lam)> <=
+    ||X||_* ||A*(lam)||_op, so <y, lam> / ||A*(lam)||_op bounds the minimum.
+
+    lam starts from least squares on P_T(A*(lam)) = U V^T, with U, V the
+    singular vectors of ``est`` at its numerical rank and T their tangent
+    space.  That least-squares certificate needs more measurements than
+    recovery does, so lam is then refined by alternating projections between
+    range(A*) (least squares on A* laid out from adjoint_fn on the basis
+    vectors) and the subdifferential of ||.||_* at est,
+    {U V^T + W : P_T(W) = 0, ||W||_op <= 1}, until the bound is within
+    rel_gap of ||est||_* or ``iters`` are spent.  Returns the largest bound
+    seen; any lam gives a valid one, so only a suboptimal est can fail it.
+    """
+    u, s, vt = _dense_svd(est)
+    r = int(np.sum(s > 1e-6 * s[0]))
+    u, v = u[:, :r], vt[:r].T
+    nuc = float(s.sum())
+
+    def p_perp(x):   # the part of x in the orthogonal complement of T
+        return x - u @ (u.T @ x) - (x @ v) @ v.T + u @ (u.T @ x @ v) @ v.T
+
+    basis = [adjoint_fn(e) for e in np.eye(m)]
+    a_star = np.column_stack([b.ravel() for b in basis])
+    tangent = np.column_stack([(b - p_perp(b)).ravel() for b in basis])
+    uv = u @ v.T
+    lam = np.linalg.lstsq(tangent, uv.ravel(), rcond=None)[0]
+    to_range = np.linalg.pinv(a_star)
+    best = -math.inf
+    for _ in range(iters):
+        dual = (a_star @ lam).reshape(est.shape)
+        best = max(best, float(y @ lam) / float(_dense_svd(dual)[1][0]))
+        if nuc - best <= rel_gap * nuc:
+            break
+        a, sw, b = _dense_svd(p_perp(dual))
+        lam = to_range @ (uv + (a * np.minimum(sw, 1.0)) @ b).ravel()
+    return best
+
+
 def _dense_svd(x):
     # these oracles check the solvers, not the SVD; numpy's SVD is allowed
     # here (the SVD itself is checked by jacobi_singular_values)

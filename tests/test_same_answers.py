@@ -6,11 +6,12 @@ import same_answers  # noqa: E402  (a script, importable from scripts/)
 
 
 def record(kind, seed, nuclear=2.0, rel_err=0.1, ok=True, digest="d",
-           prox_steps=10, capped=False, workload="w"):
+           prox_steps=10, capped=False, iter_capped=False, workload="w"):
     return {"workload": workload, "kind": kind, "seed": seed, "pass": 0,
             "valid": True, "ok": ok, "nuclear": nuclear, "rel_err": rel_err,
             "digest": digest, "iterations": prox_steps - 1,
-            "prox_steps": prox_steps, "capped": capped}
+            "prox_steps": prox_steps, "capped": capped,
+            "iter_capped": iter_capped}
 
 
 def block(lines, kind):
@@ -40,7 +41,8 @@ def test_differences_are_measured_but_only_gates_fail():
               record("a", 2, nuclear=4.0, rel_err=0.2, prox_steps=50)]
     change = [record("a", 1, nuclear=2.0 * (1 + 3e-7), rel_err=0.1 + 5e-5,
                      digest="e", prox_steps=30),
-              record("a", 2, nuclear=4.0, rel_err=0.2, prox_steps=20)]
+              record("a", 2, nuclear=4.0, rel_err=0.2, prox_steps=20,
+                     iter_capped=True)]
     lines, ok = same_answers.compare(parent, change)
     assert ok
     text = block(lines, "a")
@@ -49,6 +51,7 @@ def test_differences_are_measured_but_only_gates_fail():
     assert "max |d rel_err| 5e-05" in text
     assert "prox steps 150 -> 50" in text
     assert "stage-iteration-cap 1 -> 0" in text
+    assert "iteration-cap 0 -> 1" in text.split("stage-iteration-cap 1 -> 0")[1]
 
 
 def test_a_changed_gate_outcome_fails():

@@ -7,12 +7,14 @@ from lowrankrec.matcore import (LowRankSpec, equal_spectrum, gen_low_rank,
 from lowrankrec.measure import (NoiseModel, ObservationSet, add_noise,
                                 adjoint_ensemble, apply_ensemble,
                                 entry_sampling_ensemble, gaussian_ensemble,
-                                sample_omega, vectorization_ensemble)
+                                rademacher_ensemble, sample_omega,
+                                vectorization_ensemble)
 from lowrankrec.solve import (SolverConfig, choose_lambda, estimate_lipschitz,
                               solve_dantzig, solve_lasso, solve_noiseless,
                               solve_penalized)
 
 from oracles import (douglas_rachford_nuclear_equality,
+                     nuclear_equality_dual_bound,
                      prox_descent_nuclear_penalized)
 
 
@@ -116,8 +118,8 @@ def test_penalized_gaussian_matches_oracle(n1, n2, r, m, seed):
 
 @pytest.mark.parametrize("n1, n2, r, m, seed", GAUSSIAN_CASES)
 def test_noiseless_answer_independent_of_stage_budget(n1, n2, r, m, seed):
-    # the minimizer must not depend on how far the intermediate continuation
-    # stages got; below the transition one stage runs into the default cap
+    # the minimizer must not depend on the iteration budget: Douglas-Rachford
+    # stops on its fixed-point residual, well inside the default cap
     _, ens, y = gaussian_instance(n1, n2, r, m, seed)
     cfg = SolverConfig()
     rep = solve_noiseless(ens, y, cfg)
@@ -170,14 +172,33 @@ def test_noiseless_matches_douglas_rachford_oracle(make, args):
     assert rep.objective == pytest.approx(oracle_nuc, rel=2e-6)
 
 
+@pytest.mark.parametrize("make, args", [
+    *(pytest.param(gaussian_instance, case.values, id=case.id)
+      for case in GAUSSIAN_CASES[:2]),
+    pytest.param(entry_instance, (10, 14, 2, 90, 3), id="entry-rectangular"),
+])
+def test_noiseless_closes_the_dual_gap(make, args):
+    # weak duality bounds the minimum from below for any multiplier; the
+    # oracle's comes from least squares and alternating projections, not
+    # from the solver's splitting
+    _, ens, y = make(*args)
+    rep = solve_noiseless(ens, y)
+    assert rep.converged
+    assert rep.equality_residual <= 1e-12 * np.linalg.norm(y)
+    bound = nuclear_equality_dual_bound(
+        lambda v: adjoint_ensemble(ens, v), ens.m, y, rep.estimate, 1e-6)
+    assert rep.objective - bound <= 1e-6 * rep.objective
+
+
 def test_continuation_stages_stop_short_of_the_cap():
-    # an intermediate stage ends on its tau-relative stationarity test; it
-    # ran into the 2000-iteration cap when only the iterate-change test ended
-    # stages
+    # an intermediate lasso stage ends on its tau-relative stationarity test;
+    # it ran into the 2000-iteration cap when only the iterate-change test
+    # ended stages
     _, ens, y = gaussian_instance(20, 20, 2, 100, 5)
     cfg = SolverConfig()
-    rep = solve_noiseless(ens, y, cfg)
+    rep = solve_lasso(ens, y, 1e-4 * np.linalg.norm(y), cfg)
     assert rep.converged
+    assert len(rep.stage_iterations) > 1
     assert "stage-iteration-cap" not in rep.flags
     assert max(rep.stage_iterations) < cfg.max_iters
 
@@ -186,15 +207,29 @@ def test_capped_stages_are_flagged():
     # below the transition a 50-iteration budget cannot finish the stages
     _, ens, y = gaussian_instance(12, 12, 2, 40, 2)
     cfg = SolverConfig(max_iters=50)
-    for rep in (solve_noiseless(ens, y, cfg),
-                solve_lasso(ens, y, 1e-3 * np.linalg.norm(y), cfg)):
-        assert "stage-iteration-cap" in rep.flags
-        assert max(rep.stage_iterations) == cfg.max_iters
+    rep = solve_lasso(ens, y, 1e-3 * np.linalg.norm(y), cfg)
+    assert "stage-iteration-cap" in rep.flags
+    assert max(rep.stage_iterations) == cfg.max_iters
     ens = vectorization_ensemble(12, 12)
     y = apply_ensemble(ens, low_rank(12, 2, 2))
-    for rep in (solve_noiseless(ens, y, cfg),
-                solve_lasso(ens, y, 1e-3 * np.linalg.norm(y), cfg)):
-        assert rep.converged and "stage-iteration-cap" not in rep.flags
+    rep = solve_lasso(ens, y, 1e-3 * np.linalg.norm(y), cfg)
+    assert rep.converged and "stage-iteration-cap" not in rep.flags
+
+
+def test_noiseless_iteration_cap_is_flagged():
+    _, ens, y = gaussian_instance(12, 12, 2, 40, 2)
+    cfg = SolverConfig(max_iters=50)
+    rep = solve_noiseless(ens, y, cfg)
+    assert rep.flags == ("iteration-cap",)
+    assert not rep.converged
+    assert rep.iterations == cfg.max_iters == rep.prox_steps
+    assert rep.stage_iterations == (cfg.max_iters,)
+    # the capped estimate is still the projected point, feasible to rounding
+    assert rep.equality_residual <= 1e-12 * np.linalg.norm(y)
+    ens = vectorization_ensemble(12, 12)
+    y = apply_ensemble(ens, low_rank(12, 2, 2))
+    rep = solve_noiseless(ens, y, cfg)
+    assert rep.converged and rep.flags == ()
 
 
 def test_penalized_rejects_bad_tau():
@@ -315,12 +350,59 @@ def test_noiseless_unobserved_spike_returns_zero():
 
 
 def test_noiseless_tau_path_recorded():
+    # one Douglas-Rachford stage at gamma = 0.1 ||y||, one SVD per iteration
     truth = low_rank(8, 1, 2)
     ens = gaussian_ensemble(8, 8, 40, seed=3)
-    rep = solve_noiseless(ens, apply_ensemble(ens, truth))
-    assert len(rep.tau_path) >= 1
-    assert all(a > b for a, b in zip(rep.tau_path, rep.tau_path[1:]))
-    assert len(rep.residual_path) == len(rep.tau_path)
+    y = apply_ensemble(ens, truth)
+    rep = solve_noiseless(ens, y)
+    assert rep.tau_path == pytest.approx((0.1 * np.linalg.norm(y),), rel=1e-15)
+    assert rep.residual_path == (rep.equality_residual,)
+    assert rep.stage_iterations == (rep.iterations,)
+    assert rep.prox_steps == rep.iterations and rep.restarts == 0
+
+
+def overdetermined_instance(kind, n, m, seed, sigma=0.0):
+    truth = low_rank(n, 1, seed)
+    ens = kind(n, n, m, seed=seed)
+    return truth, ens, add_noise(apply_ensemble(ens, truth), NoiseModel(sigma, seed))
+
+
+def test_noiseless_inconsistent_overdetermined_is_flagged():
+    # m > n1 n2: the Gram A A* is singular and noisy y lies outside range(A),
+    # so no X meets A(X) = y; the solve must stay finite and say so
+    truth, ens, y = overdetermined_instance(gaussian_ensemble, 4, 20, 3, sigma=1e-3)
+    cfg = SolverConfig()
+    rep = solve_noiseless(ens, y, cfg)
+    assert not rep.converged
+    assert rep.flags == ("infeasible",)
+    assert rep.iterations < cfg.max_iters
+    assert np.all(np.isfinite(rep.estimate))
+    assert rel_err(rep.estimate, truth) <= 0.1
+
+
+@pytest.mark.parametrize("kind, n, m, seed", [
+    pytest.param(gaussian_ensemble, 4, 20, 3, id="gaussian-overdetermined"),
+    pytest.param(rademacher_ensemble, 8, 48, 2, id="rademacher"),
+])
+def test_noiseless_consistent_ensembles_recover(kind, n, m, seed):
+    truth, ens, y = overdetermined_instance(kind, n, m, seed)
+    rep = solve_noiseless(ens, y)
+    assert rep.converged and rep.flags == ()
+    assert rel_err(rep.estimate, truth) <= 1e-6
+
+
+def test_noiseless_never_factorises_the_gram(monkeypatch):
+    # at the harness's n = 30, m = 480 a LAPACK factorisation of the 480 x 480
+    # Gram adds megabytes of peak memory; the projection runs on CG alone
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.linalg factorisation called")
+
+    truth, ens, y = gaussian_instance(30, 30, 2, 480, 7)
+    for name in ("eigh", "inv", "cholesky", "solve", "qr", "lstsq", "pinv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    rep = solve_noiseless(ens, y)
+    assert rep.converged
+    assert rel_err(rep.estimate, truth) <= 1e-6
 
 
 # --------------------------------------------------------------- solve_dantzig

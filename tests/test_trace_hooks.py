@@ -44,7 +44,8 @@ def test_engine_calls_the_operator_through_the_hooked_names(monkeypatch):
     ens = gaussian_ensemble(8, 8, 40, seed=4)
     rep = solve_mod.solve_noiseless(ens, apply_ensemble(ens, truth))
     assert rep.converged and rep.prox_steps > 0
-    # every prox step measures its candidate; every iteration takes a gradient
+    # every Douglas-Rachford iteration projects once, measuring z with A and
+    # correcting it with A*, and takes one prox step
     assert calls["apply"] >= rep.prox_steps
     assert calls["adjoint"] >= rep.iterations
     assert np.isfinite(rep.estimate).all()
