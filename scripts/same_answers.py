@@ -17,8 +17,9 @@ Per workload and operation kind it prints:
   * the largest relative difference of the estimate's nuclear norm;
   * the largest |change rel_err - parent rel_err|, rel_err being
     ||X^ - X||_F / ||X||_F against the instance's truth;
-  * iterations, prox steps (SVDs), and the `stage-iteration-cap` and
-    `iteration-cap` flags summed on each side.
+  * iterations, prox steps (SVDs), the `stage-iteration-cap` and
+    `iteration-cap` flags and the `converged=False` reports summed on each
+    side, and in how many operations `converged` differs.
 
 Exits 1 when any gate outcome differs or the two sides did not run the same
 operations.  harness-jobs2 is left out: its operation is a whole bench run
@@ -84,6 +85,7 @@ def collect(tree, seeds, passes):
                         "prox_steps": int(getattr(result, "prox_steps", 0)),
                         "capped": CAP_FLAG in result.flags,
                         "iter_capped": ITER_CAP_FLAG in result.flags,
+                        "unconverged": not result.converged,
                     })
     return records
 
@@ -128,6 +130,7 @@ def compare(parent, change):
         same = sum(p["digest"] == c["digest"] for p, c in pairs)
         d_nuc = max(_rel_diff(p["nuclear"], c["nuclear"]) for p, c in pairs)
         d_err = max(abs(c["rel_err"] - p["rel_err"]) for p, c in pairs)
+        flips = sum(p["unconverged"] != c["unconverged"] for p, c in pairs)
 
         def total(field, side):   # side 0: parent, 1: change
             return sum(pair[side][field] for pair in pairs)
@@ -142,7 +145,9 @@ def compare(parent, change):
             f"  work         iterations {total('iterations', 0)} -> {total('iterations', 1)}, "
             f"prox steps {total('prox_steps', 0)} -> {total('prox_steps', 1)}, "
             f"{CAP_FLAG} {total('capped', 0)} -> {total('capped', 1)}, "
-            f"{ITER_CAP_FLAG} {total('iter_capped', 0)} -> {total('iter_capped', 1)}",
+            f"{ITER_CAP_FLAG} {total('iter_capped', 0)} -> {total('iter_capped', 1)}, "
+            f"converged=False {total('unconverged', 0)} -> {total('unconverged', 1)} "
+            f"(differs in {flips})",
         ]
     return lines, ok
 

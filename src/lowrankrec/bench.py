@@ -20,7 +20,7 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -425,8 +425,9 @@ def check_floors(result, floors=None):
 #   r = 2
 #   m = 300                   exactly one of m / m_per_nr / p
 #   sigma = 0
-#   [solver] / [optspace]     optional overrides of solver knob defaults
+#   [solver] / [optspace]     optional overrides of SolverConfig / OptspaceConfig fields
 #   [floors]                  optional acceptance floors for exit status
+# plus the top-level keys success_threshold, ensemble, spectrum_top, spectrum_ratio
 
 
 def _parse_scalar(tok):
@@ -478,9 +479,24 @@ def _as_list(v):
     return list(v) if isinstance(v, list) else [v]
 
 
+# top-level keys passed through to ExperimentConfig as they are
+PASSED_KEYS = ("success_threshold", "ensemble", "spectrum_top", "spectrum_ratio")
+MAIN_KEYS = ("experiment", "trials", "seed", *PASSED_KEYS)
+SECTIONS = ("", "grid", "solver", "optspace", "floors")
+
+
+def _reject_unknown(keys, allowed, what):
+    unknown = set(keys) - set(allowed)
+    if unknown:
+        raise ValueError(f"unknown {what}: {sorted(unknown)}")
+
+
 def build_experiment_config(sections, seed_override=None):
-    """Turn parsed config sections into an ExperimentConfig."""
+    """Turn parsed config sections into an ExperimentConfig.  An unknown
+    section or key is a ValueError naming it (check_floors checks [floors])."""
+    _reject_unknown(sections, SECTIONS, "sections")
     main = dict(sections.get("", {}))
+    _reject_unknown(main, MAIN_KEYS, "top-level keys")
     grid = dict(sections.get("grid", {}))
     if "experiment" not in main:
         raise ValueError("config must set 'experiment'")
@@ -490,9 +506,7 @@ def build_experiment_config(sections, seed_override=None):
     m_per_nr = grid.pop("m_per_nr", None)
 
     names = [k for k in ("n", "r", "m", "p", "sigma", "kappa") if k in grid]
-    unknown = set(grid) - set(names)
-    if unknown:
-        raise ValueError(f"unknown grid keys: {sorted(unknown)}")
+    _reject_unknown(grid, names, "grid keys")
     if "n" not in grid or "r" not in grid:
         raise ValueError("grid must set n and r")
     lists = {k: _as_list(grid[k]) for k in names}
@@ -522,15 +536,14 @@ def build_experiment_config(sections, seed_override=None):
                               sigma=float(c.get("sigma", 0.0)),
                               kappa=float(c.get("kappa", 1.0))))
 
-    solver = SolverConfig(**sections.get("solver", {}))
-    opts = OptspaceConfig(**sections.get("optspace", {}))
+    solver_keys, opt_keys = sections.get("solver", {}), sections.get("optspace", {})
+    _reject_unknown(solver_keys, [f.name for f in fields(SolverConfig)], "[solver] keys")
+    _reject_unknown(opt_keys, [f.name for f in fields(OptspaceConfig)], "[optspace] keys")
+    solver, opts = SolverConfig(**solver_keys), OptspaceConfig(**opt_keys)
     floors = dict(sections.get("floors", {}))
     seed = int(main.get("seed", 0)) if seed_override is None else int(seed_override)
 
-    kwargs = {}
-    for key in ("success_threshold", "ensemble", "spectrum_top", "spectrum_ratio"):
-        if key in main:
-            kwargs[key] = main[key]
+    kwargs = {key: main[key] for key in PASSED_KEYS if key in main}
     return ExperimentConfig(
         experiment=str(main["experiment"]), cells=tuple(cells),
         trials=int(main.get("trials", 20)), seed=seed,

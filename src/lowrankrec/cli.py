@@ -45,12 +45,9 @@ def _report_summary(rep):
 
 
 def _solver_config(args):
-    kw = {}
-    if args.max_iters is not None:
-        kw["max_iters"] = args.max_iters
-    if args.fista_tol is not None:
-        kw["fista_tol"] = args.fista_tol
-    return SolverConfig(**kw)
+    if args.max_iters is None:
+        return SolverConfig()
+    return SolverConfig(max_iters=args.max_iters)
 
 
 def _cmd_diagnose(args):
@@ -236,7 +233,6 @@ def build_parser():
                    help="with --sigma > 0, add synthetic noise to the "
                         "measurements before solving")
     s.add_argument("--max-iters", type=int, default=None)
-    s.add_argument("--fista-tol", type=float, default=None)
     s.add_argument("--out", default=None, help="write the full report as JSON")
     s.set_defaults(func=_cmd_solve)
 

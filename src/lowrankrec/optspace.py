@@ -287,7 +287,8 @@ def optspace(y_obs, omega, r=None, config=None):
     spectral initialization.  Returns a SolverReport whose estimate is
     U S V^T at the final state; its objective, the nuclear norm of that
     estimate, is the sum of the singular values of S since U and V have
-    orthonormal columns.
+    orthonormal columns.  A descent that reaches max_iters with its gradient
+    norm above grad_tol is flagged ``iteration-cap``.
     """
     cfg = config or OptspaceConfig()
     y_obs = check_matrix(y_obs)
@@ -308,6 +309,9 @@ def optspace(y_obs, omega, r=None, config=None):
         objective, iterations = nuclear_norm(state.s), state.iteration
         flags = ("inner-rank-deficient",) if state.rank_deficient else ()
         converged = state.objective <= 1e-18 or state.grad_norm <= cfg.grad_tol
+        # from iteration 0, only a run to the cap counts max_iters iterations
+        if not converged and iterations == cfg.max_iters:
+            flags += ("iteration-cap",)
     resid = project_omega(omega, est - y_obs)
     return SolverReport(
         estimate=est,

@@ -138,6 +138,29 @@ def test_build_config_rejects_unknown_keys_and_modes():
             "experiment = nosuch\n[grid]\nn = 10\nr = 1\nm = 50\n"))
 
 
+BASE_CFG = "experiment = phase-transition\n[grid]\nn = 10\nr = 1\nm = 50\n"
+
+
+@pytest.mark.parametrize("head, tail, named", [
+    pytest.param("trails = 1\n", "", "trails", id="top-level"),
+    pytest.param("", "[floor]\nsuccess_rate = 1\n", "floor", id="section"),
+    pytest.param("", "[solver]\nbogus = 3\n", "bogus", id="solver"),
+    pytest.param("", "[solver]\nfista_tol = 1e-9\n", "fista_tol", id="removed-solver-knob"),
+    pytest.param("", "[optspace]\ngrad_toll = 1e-6\n", "grad_toll", id="optspace"),
+])
+def test_build_config_rejects_unknown_sections_and_keys(head, tail, named):
+    with pytest.raises(ValueError, match=f"unknown .*'{named}'"):
+        build_experiment_config(parse_config_text(head + BASE_CFG + tail))
+
+
+def test_build_config_reads_solver_and_optspace_sections():
+    cfg = build_experiment_config(parse_config_text(
+        BASE_CFG + "[solver]\nmax_iters = 30\neq_tol = 1e-5\n"
+        "[optspace]\ngrad_tol = 1e-6\n"))
+    assert cfg.solver.max_iters == 30 and cfg.solver.eq_tol == 1e-5
+    assert cfg.optspace.grad_tol == 1e-6
+
+
 def test_build_config_seed_override_and_floors():
     sections = parse_config_text(
         "experiment = phase-transition\nseed = 5\n[grid]\nn = 10\nr = 1\np = 0.5\n"

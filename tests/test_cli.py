@@ -286,6 +286,21 @@ def test_bench_missing_config_returns_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("head, tail, named", [
+    pytest.param("trails = 1\nsede = 5\n", "", ("trails", "sede"), id="top-level"),
+    pytest.param("", "[solver]\nbogus = 3\n", ("bogus",), id="solver"),
+])
+def test_bench_unknown_config_key_returns_2(tmp_path, capsys, head, tail, named):
+    # a misspelt key must neither run with defaults nor end in a traceback
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(head + BENCH_CFG.format(m=60, floor=0.0) + tail)
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: unknown")
+    assert all(key in err for key in named)
+    assert not (tmp_path / "r").exists()
+
+
 # ----------------------------------------------------------------- version
 
 def test_version_flag(capsys):

@@ -420,8 +420,10 @@ def test_optspace_report_from_final_state(n1, n2, m, kappa, max_iters):
     assert rep.converged == (dense_norm <= cfg.grad_tol)
     if max_iters < 500:
         assert rep.iterations == max_iters and not rep.converged
+        assert "iteration-cap" in rep.flags
     else:
         assert rep.iterations < max_iters and rep.converged
+        assert "iteration-cap" not in rep.flags
 
 
 def test_optspace_estimates_rank_when_absent():

@@ -6,12 +6,13 @@ import same_answers  # noqa: E402  (a script, importable from scripts/)
 
 
 def record(kind, seed, nuclear=2.0, rel_err=0.1, ok=True, digest="d",
-           prox_steps=10, capped=False, iter_capped=False, workload="w"):
+           prox_steps=10, capped=False, iter_capped=False, unconverged=False,
+           workload="w"):
     return {"workload": workload, "kind": kind, "seed": seed, "pass": 0,
             "valid": True, "ok": ok, "nuclear": nuclear, "rel_err": rel_err,
             "digest": digest, "iterations": prox_steps - 1,
             "prox_steps": prox_steps, "capped": capped,
-            "iter_capped": iter_capped}
+            "iter_capped": iter_capped, "unconverged": unconverged}
 
 
 def block(lines, kind):
@@ -34,15 +35,17 @@ def test_identical_records_are_the_same_answers():
     assert "bit-identical in 2/2" in text
     assert "max rel nuclear-norm diff 0;" in text
     assert "prox steps 20 -> 20" in text
+    assert "converged=False 0 -> 0 (differs in 0)" in text
 
 
 def test_differences_are_measured_but_only_gates_fail():
-    parent = [record("a", 1, nuclear=2.0, rel_err=0.1, prox_steps=100, capped=True),
+    parent = [record("a", 1, nuclear=2.0, rel_err=0.1, prox_steps=100, capped=True,
+                     unconverged=True),
               record("a", 2, nuclear=4.0, rel_err=0.2, prox_steps=50)]
     change = [record("a", 1, nuclear=2.0 * (1 + 3e-7), rel_err=0.1 + 5e-5,
                      digest="e", prox_steps=30),
               record("a", 2, nuclear=4.0, rel_err=0.2, prox_steps=20,
-                     iter_capped=True)]
+                     iter_capped=True, unconverged=True)]
     lines, ok = same_answers.compare(parent, change)
     assert ok
     text = block(lines, "a")
@@ -52,6 +55,8 @@ def test_differences_are_measured_but_only_gates_fail():
     assert "prox steps 150 -> 50" in text
     assert "stage-iteration-cap 1 -> 0" in text
     assert "iteration-cap 0 -> 1" in text.split("stage-iteration-cap 1 -> 0")[1]
+    # equal totals on each side still show the two flips
+    assert "converged=False 1 -> 1 (differs in 2)" in text
 
 
 def test_a_changed_gate_outcome_fails():

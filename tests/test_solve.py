@@ -190,6 +190,22 @@ def test_noiseless_closes_the_dual_gap(make, args):
     assert rep.objective - bound <= 1e-6 * rep.objective
 
 
+@pytest.mark.parametrize("make, args", [
+    *(pytest.param(gaussian_instance, case.values, id=case.id)
+      for case in GAUSSIAN_CASES),
+    pytest.param(entry_instance, (10, 14, 2, 90, 3), id="entry-rectangular"),
+])
+def test_converged_reports_meet_the_certificate(make, args):
+    # penalized and Dantzig solves stop on eps = 1e-7: a converged report
+    # certifies stationarity to tau (1 + 1e-7)
+    _, ens, y = make(*args)
+    y = add_noise(y, NoiseModel(0.01, 4))
+    for solve, tau in ((solve_penalized, 0.1), (solve_dantzig, 0.05)):
+        rep = solve(ens, y, tau)
+        assert rep.converged
+        assert rep.dual_residual <= tau * (1 + 1e-7)
+
+
 def test_continuation_stages_stop_short_of_the_cap():
     # an intermediate lasso stage ends on its tau-relative stationarity test;
     # it ran into the 2000-iteration cap when only the iterate-change test
@@ -555,6 +571,9 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
-        SolverConfig(continuation_factor=1.5)
-    with pytest.raises(ValueError):
-        SolverConfig(fista_tol=-1.0)
+        SolverConfig(eq_tol=1.0)
+    # the engine's stop rule, the continuation factor and the bisection's
+    # end are constants, not settings
+    for removed in ("fista_tol", "continuation_factor", "bisection_iters"):
+        with pytest.raises(TypeError):
+            SolverConfig(**{removed: 1})
