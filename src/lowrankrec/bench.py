@@ -26,15 +26,15 @@ import numpy as np
 
 from ._version import VERSION
 from .matcore import LowRankSpec, gen_low_rank, geometric_spectrum
-from .measure import (NoiseModel, add_noise, apply_ensemble, entry_sampling_ensemble,
-                      gaussian_ensemble, rademacher_ensemble, sample_omega,
-                      vectorization_ensemble)
+from .measure import (NoiseModel, add_noise, adjoint_ensemble, apply_ensemble,
+                      entry_sampling_ensemble, gaussian_ensemble, rademacher_ensemble,
+                      sample_omega, vectorization_ensemble)
 from .oracle import (completion_stability_bound, ideal_risk,
                      instance_optimal_bound)
 from .optspace import OptspaceConfig, optspace
 from .rand import spawn_seeds
-from .solve import (SolverConfig, choose_lambda, solve_dantzig, solve_lasso,
-                    solve_noiseless)
+from .solve import (SolverConfig, choose_delta, choose_lambda, solve_dantzig,
+                    solve_lasso, solve_noiseless)
 
 __all__ = [
     "EXPERIMENTS",
@@ -53,6 +53,9 @@ __all__ = [
 
 EXPERIMENTS = ("phase-transition", "dantzig-scaling", "bias-variance",
                "instance-optimal", "completion-stability", "optspace-compare")
+
+FLOORS = ("success_rate", "last_success_rate", "bound_rate", "max_rel_err",
+          "ratio_spread")
 
 CSV_COLUMNS = ["n", "r", "m", "p", "sigma", "kappa", "trials", "success_rate",
                "median_rel_err", "median_sq_err", "fitted_constant",
@@ -84,10 +87,10 @@ class GridCell:
 class ExperimentConfig:
     experiment: str
     cells: tuple
-    trials: int
-    seed: int
+    trials: int = 20
+    seed: int = 0
     success_threshold: float = 1e-3
-    ensemble: str = "gaussian"      # phase-transition measurement kind
+    ensemble: str = "gaussian"      # measurement kind, see _ensemble
     spectrum_top: float = 1.0       # full-rank truth experiments
     spectrum_ratio: float = 0.8
     solver: SolverConfig = field(default_factory=SolverConfig)
@@ -173,6 +176,35 @@ def _cell_m(cell):
     return cell.m if cell.m is not None else int(round(cell.p * cell.n * cell.n))
 
 
+def _entry_sampled(cell, cfg):
+    """Whether a cell samples entries: always in the two completion families,
+    in any family with ensemble = entry, and in phase-transition for a cell
+    given by p.  It sets the p column; bias-variance observes every entry
+    whatever it says (see _ensemble)."""
+    return (cfg.experiment in ("completion-stability", "optspace-compare")
+            or cfg.ensemble == "entry"
+            or (cfg.experiment == "phase-transition" and cell.p is not None))
+
+
+def _cell_p(cell, cfg):
+    """The p column: the cell's own p, else m / n^2 when it samples entries."""
+    if cell.p is None and _entry_sampled(cell, cfg):
+        return _cell_m(cell) / cell.n ** 2
+    return cell.p
+
+
+def _ensemble(cell, cfg, seed):
+    """The measurement operator of one trial of ``cell``."""
+    n, m = cell.n, _cell_m(cell)
+    if cfg.experiment == "bias-variance":
+        return vectorization_ensemble(n, n)
+    if _entry_sampled(cell, cfg):
+        return entry_sampling_ensemble(sample_omega(n, n, m, seed))
+    if cfg.ensemble == "rademacher":
+        return rademacher_ensemble(n, n, m, seed)
+    return gaussian_ensemble(n, n, m, seed)
+
+
 def _run_trial(cfg, cell_idx, trial_idx):
     """One (cell, trial) evaluation; returns a plain record dict."""
     cell = cfg.cells[cell_idx]
@@ -180,73 +212,39 @@ def _run_trial(cfg, cell_idx, trial_idx):
     t0 = time.perf_counter()
     truth, _ = _truth(cell, cfg, s_truth)
     tnorm = float(np.linalg.norm(truth))
+    ens = _ensemble(cell, cfg, s_meas)
+    y = add_noise(apply_ensemble(ens, truth), NoiseModel(cell.sigma, s_noise))
     record = {"cell": cell_idx, "trial": trial_idx}
     exp = cfg.experiment
 
-    if exp in ("phase-transition", "dantzig-scaling", "instance-optimal"):
-        m = _cell_m(cell)
-        if cfg.ensemble == "entry" or (exp == "phase-transition" and cell.p is not None):
-            omega = sample_omega(cell.n, cell.n, m, s_meas)
-            ens = entry_sampling_ensemble(omega)
-        elif cfg.ensemble == "rademacher":
-            ens = rademacher_ensemble(cell.n, cell.n, m, s_meas)
-        else:
-            ens = gaussian_ensemble(cell.n, cell.n, m, s_meas)
-        y = add_noise(apply_ensemble(ens, truth), NoiseModel(cell.sigma, s_noise))
-        if exp == "phase-transition":
-            rep = solve_noiseless(ens, y, cfg.solver)
-        else:
-            lam = choose_lambda(cell.n, cell.sigma)
-            rep = solve_dantzig(ens, y, lam, cfg.solver)
-        err = float(np.linalg.norm(rep.estimate - truth))
+    if exp == "phase-transition":
+        rep = solve_noiseless(ens, y, cfg.solver)
+    elif exp == "completion-stability":
+        delta = record["delta"] = choose_delta(ens.m, cell.sigma)
+        rep = solve_lasso(ens, y, delta, cfg.solver)
+        record["formula_value"] = completion_stability_bound(
+            cell.n, ens.m / cell.n ** 2, delta).value
+    elif exp == "optspace-compare":
+        # A*(y) of entry sampling: the observed entries, zero elsewhere
+        rep = optspace(adjoint_ensemble(ens, y), ens.omega, r=cell.r, config=cfg.optspace)
+        rep_nuc = solve_noiseless(ens, y, cfg.solver)
+        record["rel_err_nuclear"] = float(np.linalg.norm(rep_nuc.estimate - truth)) / tnorm
+        record["nuclear_converged"] = bool(rep_nuc.converged)
+    else:   # dantzig-scaling, bias-variance, instance-optimal
+        rep = solve_dantzig(ens, y, choose_lambda(cell.n, cell.sigma), cfg.solver)
+        spectrum = np.asarray(_spectrum_of(cell, cfg))
         if exp == "dantzig-scaling":
             record["formula_value"] = cell.n * cell.r * cell.sigma ** 2
-        elif exp == "instance-optimal":
-            r_bar = max(0, min(cell.r, int(0.1 * m / cell.n)))
-            bound = instance_optimal_bound(
-                np.asarray(_spectrum_of(cell, cfg)), cell.n, cell.sigma, r_bar)
-            record["formula_value"] = bound.value
-            record["r_bar"] = r_bar
+        elif exp == "bias-variance":
+            record["formula_value"] = ideal_risk(spectrum, cell.n, cell.sigma).value
+        else:
+            r_bar = record["r_bar"] = max(0, min(cell.r, int(0.1 * ens.m / cell.n)))
+            record["formula_value"] = instance_optimal_bound(
+                spectrum, cell.n, cell.sigma, r_bar).value
 
-    elif exp == "bias-variance":
-        ens = vectorization_ensemble(cell.n, cell.n)
-        y = add_noise(apply_ensemble(ens, truth), NoiseModel(cell.sigma, s_noise))
-        lam = choose_lambda(cell.n, cell.sigma)
-        rep = solve_dantzig(ens, y, lam, cfg.solver)
-        err = float(np.linalg.norm(rep.estimate - truth))
-        record["formula_value"] = ideal_risk(
-            np.asarray(_spectrum_of(cell, cfg)), cell.n, cell.sigma).value
-
-    elif exp == "completion-stability":
-        m = _cell_m(cell)
-        omega = sample_omega(cell.n, cell.n, m, s_meas)
-        ens = entry_sampling_ensemble(omega)
-        y = add_noise(apply_ensemble(ens, truth), NoiseModel(cell.sigma, s_noise))
-        delta = math.sqrt((m + math.sqrt(8.0 * m)) * cell.sigma ** 2)
-        rep = solve_lasso(ens, y, delta, cfg.solver)
-        err = float(np.linalg.norm(rep.estimate - truth))
-        bound = completion_stability_bound(cell.n, m / cell.n ** 2, delta)
-        record["formula_value"] = bound.value
-        record["bound_satisfied"] = bool(err <= bound.value)
-        record["delta"] = delta
-
-    elif exp == "optspace-compare":
-        m = _cell_m(cell)
-        omega = sample_omega(cell.n, cell.n, m, s_meas)
-        ens = entry_sampling_ensemble(omega)
-        y = add_noise(apply_ensemble(ens, truth), NoiseModel(cell.sigma, s_noise))
-        y_mat = np.zeros_like(truth)
-        y_mat[omega.pairs[:, 0], omega.pairs[:, 1]] = y
-        rep = optspace(y_mat, omega, r=cell.r, config=cfg.optspace)
-        err = float(np.linalg.norm(rep.estimate - truth))
-        rep_nuc = solve_noiseless(ens, y, cfg.solver)
-        err_nuc = float(np.linalg.norm(rep_nuc.estimate - truth))
-        record["rel_err_nuclear"] = err_nuc / tnorm
-        record["nuclear_converged"] = bool(rep_nuc.converged)
-
-    else:  # pragma: no cover - guarded by config validation
-        raise ValueError(f"unknown experiment {exp!r}")
-
+    err = float(np.linalg.norm(rep.estimate - truth))
+    if exp == "completion-stability":
+        record["bound_satisfied"] = bool(err <= record["formula_value"])
     rel = err / tnorm if tnorm > 0 else math.inf
     record.update({
         "rel_err": rel,
@@ -289,19 +287,13 @@ def run_experiment(cfg, jobs=1):
     for ci, cell in enumerate(cfg.cells):
         recs = [records[(ci, ti)] for ti in range(cfg.trials)]
         rels = np.array([r["rel_err"] for r in recs])
-        sqs = np.array([r["sq_err"] for r in recs])
-        abss = np.array([r["abs_err"] for r in recs])
         successes = sum(r["success"] for r in recs)
         nonconv = sum(not r["converged"] for r in recs)
         failures = cfg.trials - successes - nonconv
         formula = recs[0].get("formula_value")
-        med_sq = float(np.median(sqs))
-        med_abs = float(np.median(abss))
-        if formula:
-            measured = med_abs if cfg.experiment == "completion-stability" else med_sq
-            fitted = measured / formula
-        else:
-            fitted = None
+        med_sq = float(np.median([r["sq_err"] for r in recs]))
+        med_abs = float(np.median([r["abs_err"] for r in recs]))
+        fitted = _fitted_error(cfg.experiment, med_abs, med_sq) / formula if formula else None
         extra = {}
         if cfg.experiment == "completion-stability":
             extra["bound_rate"] = sum(r["bound_satisfied"] for r in recs) / cfg.trials
@@ -309,15 +301,8 @@ def run_experiment(cfg, jobs=1):
             nuc = np.array([r["rel_err_nuclear"] for r in recs])
             extra["median_rel_err_nuclear"] = float(np.median(nuc))
             extra["median_err_ratio"] = float(np.median(rels / np.maximum(nuc, 1e-300)))
-        if cell.p is not None:
-            p_val = cell.p
-        elif (cfg.ensemble == "entry"
-              or cfg.experiment in ("completion-stability", "optspace-compare")):
-            p_val = _cell_m(cell) / cell.n ** 2
-        else:
-            p_val = None
         cells.append(CellResult(
-            n=cell.n, r=cell.r, m=_cell_m(cell), p=p_val,
+            n=cell.n, r=cell.r, m=_cell_m(cell), p=_cell_p(cell, cfg),
             sigma=cell.sigma, kappa=cell.kappa,
             trials=cfg.trials, successes=int(successes), failures=int(failures),
             non_convergences=int(nonconv),
@@ -332,38 +317,26 @@ def run_experiment(cfg, jobs=1):
 
     return ExperimentResult(
         experiment=cfg.experiment, seed=cfg.seed, version=VERSION,
-        config=_config_echo(cfg), cells=tuple(cells), detail=tuple(detail))
+        config=asdict(cfg), cells=tuple(cells), detail=tuple(detail))
 
 
-def _config_echo(cfg):
-    echo = asdict(cfg)
-    echo["cells"] = [asdict(c) for c in cfg.cells]
-    echo["solver"] = asdict(cfg.solver)
-    echo["optspace"] = asdict(cfg.optspace)
-    return echo
+def _fitted_error(experiment, median_abs_err, median_sq_err):
+    """The median error a fitted constant sets against the cell's formula
+    value: the absolute error for completion-stability, whose guarantee
+    bounds ||X^ - X||_F, and the squared error for every other family."""
+    return median_abs_err if experiment == "completion-stability" else median_sq_err
 
 
-def fit_empirical_constant(result, formula_id):
-    """Through-origin least-squares slope of measured error against the
-    formula value, across cells; needs at least 3 cells."""
-    known = ("nrsigma2", "ideal-risk", "instance-optimal", "stability",
-             "optspace-noisy")
-    if formula_id not in known:
-        raise ValueError(f"unknown formula {formula_id!r}; choose from {known}")
-    xs, ys = [], []
-    for c in result.cells:
-        if formula_id == "nrsigma2":
-            x = c.n * c.r * c.sigma ** 2
-        else:
-            x = c.formula_value
-        if x is None:
-            continue
-        y = c.median_abs_err if formula_id == "stability" else c.median_sq_err
-        xs.append(float(x))
-        ys.append(float(y))
-    if len(xs) < 3:
-        raise ValueError(f"need at least 3 cells with formula values, have {len(xs)}")
-    xs, ys = np.array(xs), np.array(ys)
+def fit_empirical_constant(result):
+    """Through-origin least-squares slope of each cell's fitted error (see
+    _fitted_error) against its formula value, across the cells that record
+    one; needs at least 3 such cells."""
+    cells = [c for c in result.cells if c.formula_value is not None]
+    if len(cells) < 3:
+        raise ValueError(f"need at least 3 cells with formula values, have {len(cells)}")
+    xs = np.array([float(c.formula_value) for c in cells])
+    ys = np.array([float(_fitted_error(result.experiment, c.median_abs_err,
+                                       c.median_sq_err)) for c in cells])
     if np.any(xs <= 0):
         raise ValueError("formula values must be positive to fit a constant")
     slope = float((xs * ys).sum() / (xs * xs).sum())
@@ -374,10 +347,12 @@ def fit_empirical_constant(result, formula_id):
 
 def check_floors(result, floors=None):
     """Evaluate acceptance floors against a result; returns violation strings
-    (empty list = all floors met).  Supported keys: success_rate (min over
+    (empty list = all floors met).  The FLOORS names: success_rate (min over
     cells), last_success_rate (the last grid cell's success rate),
     bound_rate (min over cells), max_rel_err (max over cells), ratio_spread
-    (max/min of per-cell fitted constants)."""
+    (max/min of per-cell fitted constants).  A config names no other floor
+    (build_experiment_config rejects it); a direct caller that does gets an
+    "unknown floor" violation."""
     floors = result.config.get("floors", {}) if floors is None else floors
     bad = []
     for key, val in floors.items():
@@ -426,8 +401,10 @@ def check_floors(result, floors=None):
 #   m = 300                   exactly one of m / m_per_nr / p
 #   sigma = 0
 #   [solver] / [optspace]     optional overrides of SolverConfig / OptspaceConfig fields
-#   [floors]                  optional acceptance floors for exit status
-# plus the top-level keys success_threshold, ensemble, spectrum_top, spectrum_ratio
+#   [floors]                  optional acceptance floors for exit status (FLOORS)
+# plus the top-level keys success_threshold, ensemble, spectrum_top, spectrum_ratio.
+# All is checked at load: an unknown section, key or floor name is an error, and
+# so is a top-level, [solver], [optspace] or [floors] value not of its field's type.
 
 
 def _parse_scalar(tok):
@@ -479,9 +456,6 @@ def _as_list(v):
     return list(v) if isinstance(v, list) else [v]
 
 
-# top-level keys passed through to ExperimentConfig as they are
-PASSED_KEYS = ("success_threshold", "ensemble", "spectrum_top", "spectrum_ratio")
-MAIN_KEYS = ("experiment", "trials", "seed", *PASSED_KEYS)
 SECTIONS = ("", "grid", "solver", "optspace", "floors")
 
 
@@ -491,12 +465,43 @@ def _reject_unknown(keys, allowed, what):
         raise ValueError(f"unknown {what}: {sorted(unknown)}")
 
 
+def _typed(key, value, kind):
+    """``value`` as a value of a field of type ``kind`` (int, float or str):
+    an integral float becomes an int, an int stays as written in a float
+    field, and anything else (a list too) is a ValueError naming ``key``."""
+    if kind is str:
+        ok = isinstance(value, str)
+    else:
+        ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and (kind is float or isinstance(value, int) or value.is_integer()))
+    if not ok:
+        raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
+    return int(value) if kind is int else value
+
+
+def _kinds(cls, skip=()):
+    """{field name: type} of the dataclass ``cls``, less the names in ``skip``."""
+    return {f.name: f.type for f in fields(cls) if f.name not in skip}
+
+
+def _section(sections, name, kinds):
+    """Section ``name`` checked against ``kinds`` (key -> type) by _typed."""
+    values = sections.get(name, {})
+    where = f"[{name}] " if name else ""
+    _reject_unknown(values, kinds, f"{where}keys" if name else "top-level keys")
+    return {k: _typed(where + k, v, kinds[k]) for k, v in values.items()}
+
+
 def build_experiment_config(sections, seed_override=None):
     """Turn parsed config sections into an ExperimentConfig.  An unknown
-    section or key is a ValueError naming it (check_floors checks [floors])."""
+    section, key or floor name, or a value of the wrong type, is a
+    ValueError naming it."""
     _reject_unknown(sections, SECTIONS, "sections")
-    main = dict(sections.get("", {}))
-    _reject_unknown(main, MAIN_KEYS, "top-level keys")
+    main = _section(sections, "", _kinds(ExperimentConfig,
+                                         skip=("cells", "solver", "optspace", "floors")))
+    solver = SolverConfig(**_section(sections, "solver", _kinds(SolverConfig)))
+    opts = OptspaceConfig(**_section(sections, "optspace", _kinds(OptspaceConfig)))
+    floors = _section(sections, "floors", dict.fromkeys(FLOORS, float))
     grid = dict(sections.get("grid", {}))
     if "experiment" not in main:
         raise ValueError("config must set 'experiment'")
@@ -536,18 +541,10 @@ def build_experiment_config(sections, seed_override=None):
                               sigma=float(c.get("sigma", 0.0)),
                               kappa=float(c.get("kappa", 1.0))))
 
-    solver_keys, opt_keys = sections.get("solver", {}), sections.get("optspace", {})
-    _reject_unknown(solver_keys, [f.name for f in fields(SolverConfig)], "[solver] keys")
-    _reject_unknown(opt_keys, [f.name for f in fields(OptspaceConfig)], "[optspace] keys")
-    solver, opts = SolverConfig(**solver_keys), OptspaceConfig(**opt_keys)
-    floors = dict(sections.get("floors", {}))
-    seed = int(main.get("seed", 0)) if seed_override is None else int(seed_override)
-
-    kwargs = {key: main[key] for key in PASSED_KEYS if key in main}
-    return ExperimentConfig(
-        experiment=str(main["experiment"]), cells=tuple(cells),
-        trials=int(main.get("trials", 20)), seed=seed,
-        solver=solver, optspace=opts, floors=floors, **kwargs)
+    if seed_override is not None:
+        main["seed"] = int(seed_override)
+    return ExperimentConfig(cells=tuple(cells), solver=solver, optspace=opts,
+                            floors=floors, **main)
 
 
 # --- emission ---------------------------------------------------------------
@@ -567,12 +564,7 @@ def result_csv(result):
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(CSV_COLUMNS)
     for c in result.cells:
-        w.writerow([_csv_cell(getattr(c, "n")), _csv_cell(c.r), _csv_cell(c.m),
-                    _csv_cell(c.p), _csv_cell(c.sigma), _csv_cell(c.kappa),
-                    _csv_cell(c.trials), _csv_cell(c.success_rate),
-                    _csv_cell(c.median_rel_err), _csv_cell(c.median_sq_err),
-                    _csv_cell(c.fitted_constant), _csv_cell(c.failures),
-                    _csv_cell(c.seconds)])
+        w.writerow([_csv_cell(getattr(c, k)) for k in CSV_COLUMNS])
     return buf.getvalue()
 
 

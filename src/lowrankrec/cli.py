@@ -24,8 +24,8 @@ from .oracle import (completion_stability_bound, gaussian_noise_opnorm,
                      ideal_risk, instance_optimal_bound, minimax_bound,
                      optspace_noisy_bound)
 from .optspace import OptspaceConfig, optspace
-from .solve import (SolverConfig, choose_lambda, solve_dantzig, solve_lasso,
-                    solve_noiseless)
+from .solve import (SolverConfig, choose_delta, choose_lambda, solve_dantzig,
+                    solve_lasso, solve_noiseless)
 
 __all__ = ["main"]
 
@@ -118,10 +118,7 @@ def _cmd_solve(args):
         lam = args.lam if args.lam is not None else choose_lambda(n, args.sigma)
         rep = solve_dantzig(ens, y, lam, cfg)
     else:
-        delta = args.delta
-        if delta is None:
-            m = y.size
-            delta = float(np.sqrt((m + np.sqrt(8.0 * m)) * args.sigma ** 2))
+        delta = args.delta if args.delta is not None else choose_delta(y.size, args.sigma)
         rep = solve_lasso(ens, y, delta, cfg)
     print(f"{args.program}: {_report_summary(rep)}")
     _write_report(rep, args.out)
@@ -129,20 +126,11 @@ def _cmd_solve(args):
 
 
 def _cmd_optspace(args):
-    matrix = read_lrm(args.matrix)
-    omega = read_omega(args.omega)
-    if (omega.n1, omega.n2) != matrix.shape:
-        raise SystemExit(f"omega is {omega.n1} x {omega.n2} but matrix is "
-                         f"{matrix.shape[0]} x {matrix.shape[1]}")
-    y_obs = matrix * omega.mask()
-    kw = {}
-    if args.max_iters is not None:
-        kw["max_iters"] = args.max_iters
-    if args.grad_tol is not None:
-        kw["grad_tol"] = args.grad_tol
-    if args.trim_mult is not None:
-        kw["trim_multiplier"] = args.trim_mult
-    rep = optspace(y_obs, omega, r=args.rank, config=OptspaceConfig(**kw))
+    matrix, ens, _ = _load_problem(args)
+    knobs = (("max_iters", args.max_iters), ("grad_tol", args.grad_tol),
+             ("trim_multiplier", args.trim_mult))
+    config = OptspaceConfig(**{k: v for k, v in knobs if v is not None})
+    rep = optspace(matrix * ens.omega.mask(), ens.omega, r=args.rank, config=config)
     print(f"optspace: {_report_summary(rep)}")
     _write_report(rep, args.out)
     return 0

@@ -2,7 +2,8 @@
 singular-value soft thresholding, best rank-r approximation, low-rank test
 matrix generation, and the ``lrm`` text format for matrices.
 
-Matrices are plain float64 2-d numpy arrays throughout.
+Matrices are plain float64 2-d numpy arrays throughout, validated by
+check_matrix everywhere but in prox_nuclear, the solvers' per-iteration prox.
 """
 
 from dataclasses import dataclass
@@ -19,6 +20,7 @@ __all__ = [
     "svd",
     "nuclear_norm",
     "operator_norm",
+    "prox_nuclear",
     "soft_threshold_svals",
     "project_rank",
     "equal_spectrum",
@@ -125,17 +127,23 @@ def operator_norm(m):
     return float(_svdvals(check_matrix(m))[0])
 
 
+def prox_nuclear(g, thresh):
+    """soft_threshold_svals without its checks (g a finite float64 2-d array,
+    thresh >= 0); returns the shrunk matrix and its nuclear norm."""
+    u, s, vt = np.linalg.svd(g, full_matrices=False)
+    s = np.maximum(s - thresh, 0.0)
+    return (u * s) @ vt, float(s.sum())
+
+
 def soft_threshold_svals(m, lam):
     """Shrink every singular value by ``lam`` (clipping at zero).
 
     This is the proximal map of ``lam * nuclear_norm`` and is nonexpansive in
-    the Frobenius norm.
+    the Frobenius norm: prox_nuclear after the input checks.
     """
     if lam < 0:
         raise ValueError(f"threshold must be nonnegative, got {lam}")
-    f = svd(m)
-    s = np.maximum(f.sigma - lam, 0.0)
-    return (f.u * s) @ f.v.T
+    return prox_nuclear(check_matrix(m), lam)[0]
 
 
 def project_rank(m, r):

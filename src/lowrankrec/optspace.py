@@ -41,21 +41,21 @@ __all__ = [
     "optspace",
 ]
 
+LS_SHRINK = 0.5     # line-search step shrink factor
+LS_SUFFDEC = 1e-4   # Armijo sufficient-decrease constant
+
+
 @dataclass(frozen=True)
 class OptspaceConfig:
     max_iters: int = 500
     grad_tol: float = 1e-8       # stop when the projected gradient norm falls below
     trim_multiplier: float = 2.0  # degree cap = multiplier * m / n
-    ls_shrink: float = 0.5       # line-search step shrink factor
-    ls_suffdec: float = 1e-4     # Armijo sufficient-decrease constant
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
         if self.grad_tol <= 0 or self.trim_multiplier <= 0:
             raise ValueError("grad_tol and trim_multiplier must be positive")
-        if not (0 < self.ls_shrink < 1) or not (0 < self.ls_suffdec < 1):
-            raise ValueError("line-search constants must be in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -242,17 +242,17 @@ def optspace_descent(state, y_obs, omega, config=None):
             u_try = _retract(u - t * grad_u)
             v_try = _retract(v - t * grad_v)
             obj_try, s_try, deficient_try, resid_try = _inner_s(u_try, v_try, index)
-            if obj_try <= obj - cfg.ls_suffdec * t * gnorm2:
+            if obj_try <= obj - LS_SUFFDEC * t * gnorm2:
                 accepted = True
                 break
-            t *= cfg.ls_shrink
+            t *= LS_SHRINK
         if not accepted:
             it -= 1
             break  # objective stall: no decrease at any step length
         u, v, s, obj, resid = u_try, v_try, s_try, obj_try, resid_try
         deficient = deficient or deficient_try
         history.append(obj)
-        step = min(t / cfg.ls_shrink, 1e6)
+        step = min(t / LS_SHRINK, 1e6)
     else:
         gnorm2 = _gradient(u, s, v, resid, index)[2]   # at the iteration cap
     return OptspaceState(u=u, s=s, v=v, objective=obj,

@@ -46,6 +46,9 @@ in Ma, Goldfarb and Chen, arXiv 0905.1643).
                      conjugate gradients on the Gram A A* for a dense one.
 * solve_lasso      - residual-ball constraint ||A(X) - y||_2 <= delta via
                      bisection on tau (the residual is monotone in tau).
+
+Both prox steps are matcore.prox_nuclear; choose_lambda and choose_delta give
+the noise-scaled Dantzig threshold and residual radius.
 """
 
 import math
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import check_matrix, nuclear_norm, operator_norm
+from .matcore import check_matrix, nuclear_norm, operator_norm, prox_nuclear
 from .measure import (MeasurementEnsemble, ObservationSet, adjoint_ensemble,
                       apply_ensemble, entry_sampling_ensemble)
 from .rand import spawn_rng
@@ -63,6 +66,7 @@ __all__ = [
     "SolverReport",
     "estimate_lipschitz",
     "choose_lambda",
+    "choose_delta",
     "solve_penalized",
     "solve_noiseless",
     "solve_dantzig",
@@ -165,12 +169,6 @@ def estimate_lipschitz(ens, iters=120, seed=0):
     return 1.05 * lam
 
 
-def _prox_nuc(g, thresh):
-    u, s, vt = np.linalg.svd(g, full_matrices=False)
-    s = np.maximum(s - thresh, 0.0)
-    return (u * s) @ vt, float(s.sum())
-
-
 def _objective(tau, nuc, ax, y):
     r = ax - y
     return tau * nuc + 0.5 * float(r @ r)
@@ -197,7 +195,7 @@ def _prox_step(ens, y, tau, z, az, grad, stages):
     floor = CURVATURE_SLACK * float(y @ y)   # rounding in A(x) - A(z)
     lip = stages.lip
     while True:
-        x, nuc = _prox_nuc(z - grad / lip, tau / lip)
+        x, nuc = prox_nuclear(z - grad / lip, tau / lip)
         ax = apply_ensemble(ens, x)
         stages.prox_steps += 1
         ad = ax - az
@@ -362,6 +360,18 @@ def choose_lambda(n, sigma, c_mult=1.5):
     return float(c_mult * math.sqrt(2.0 * n) * sigma)
 
 
+def choose_delta(m, sigma):
+    """Residual radius sqrt(m + sqrt(8 m)) * sigma for m measurements: for
+    iid N(0, sigma^2) noise z, ||z||^2 has mean m sigma^2 and standard
+    deviation sqrt(2 m) sigma^2, so delta^2 sits two deviations above the mean
+    (Candes and Plan, "Matrix completion with noise", arXiv 0903.3131)."""
+    if m < 1:
+        raise ValueError(f"m must be positive, got {m}")
+    if sigma < 0:
+        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    return math.sqrt((m + math.sqrt(8.0 * m)) * sigma ** 2)
+
+
 def solve_dantzig(ens, y, lam, config=None):
     """Residual-correlation (Dantzig-type) estimate at level lambda.
 
@@ -498,7 +508,7 @@ def solve_noiseless(ens, y, config=None):
         if null and res > feas:
             flags = ("infeasible",)
             break
-        w, _ = _prox_nuc(2.0 * x - z, gamma)
+        w, _ = prox_nuclear(2.0 * x - z, gamma)
         it += 1
         step = w - x
         z += step

@@ -119,7 +119,7 @@ def _criterion_3():
     cfg = ExperimentConfig(experiment="dantzig-scaling", cells=cells,
                            trials=5, seed=MASTER_SEED)
     result = run_experiment(cfg)
-    fit = fit_empirical_constant(result, "nrsigma2")
+    fit = fit_empirical_constant(result)
     constants = [c.fitted_constant for c in result.cells]
     return {"constants": constants, "ratio": fit.ratio_max / fit.ratio_min,
             "slope": fit.slope}

@@ -21,6 +21,9 @@ from lowrankrec.bench import (
     result_csv,
     result_json,
     run_experiment,
+    _cell_p,
+    _ensemble,
+    _entry_sampled,
 )
 
 
@@ -35,8 +38,8 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
-def fake_result(cells):
-    return ExperimentResult(experiment="phase-transition", seed=0,
+def fake_result(cells, experiment="phase-transition"):
+    return ExperimentResult(experiment=experiment, seed=0,
                             version="x", config={}, cells=tuple(cells),
                             detail=tuple(() for _ in cells))
 
@@ -153,6 +156,28 @@ def test_build_config_rejects_unknown_sections_and_keys(head, tail, named):
         build_experiment_config(parse_config_text(head + BASE_CFG + tail))
 
 
+def test_build_config_types_values_at_load():
+    cfg = build_experiment_config(parse_config_text(
+        "trials = 3.0\n" + BASE_CFG + "[solver]\nmax_iters = 30.0\n"
+        "[floors]\nratio_spread = 10\n"))
+    assert cfg.trials == 3 and isinstance(cfg.trials, int)
+    assert cfg.solver.max_iters == 30 and isinstance(cfg.solver.max_iters, int)
+    assert cfg.floors == {"ratio_spread": 10}   # an int is kept in a float field
+    for head, tail, named in [
+            ("trials = 2.5\n", "", "trials"),
+            ("ensemble = 3\n", "", "ensemble"),
+            ("seed = true\n", "", "seed"),
+            ("spectrum_top = 1, 2\n", "", "spectrum_top"),
+            ("", "[solver]\nmax_iters = 2.5\n", "max_iters"),
+            ("", "[optspace]\ntrim_multiplier = big\n", "trim_multiplier"),
+            ("", "[floors]\nbound_rate = high\n", "bound_rate")]:
+        with pytest.raises(ValueError, match=f"{named} must be"):
+            build_experiment_config(parse_config_text(head + BASE_CFG + tail))
+    with pytest.raises(ValueError, match="unknown .*'sucess_rate'"):
+        build_experiment_config(parse_config_text(
+            BASE_CFG + "[floors]\nsucess_rate = 0.5\n"))
+
+
 def test_build_config_reads_solver_and_optspace_sections():
     cfg = build_experiment_config(parse_config_text(
         BASE_CFG + "[solver]\nmax_iters = 30\neq_tol = 1e-5\n"
@@ -193,6 +218,44 @@ def test_experiment_config_validation():
         tiny_config(trials=0)
     with pytest.raises(ValueError, match="ensemble"):
         tiny_config(ensemble="fourier")
+
+
+# --------------------------------------------------------- trial operator
+
+M_CELL = GridCell(n=10, r=1, m=40)     # an entry-sampled M_CELL reports p = 0.4
+P_CELL = GridCell(n=10, r=1, p=0.25)   # 25 measurements
+ENSEMBLES = ("gaussian", "rademacher", "entry")
+# (experiment, ensemble value, cell, operator kind, p column)
+OPERATOR_CASES = [
+    *[(exp, ens, M_CELL, ens, 0.4 if ens == "entry" else None)
+      for exp in ("phase-transition", "dantzig-scaling", "instance-optimal")
+      for ens in ENSEMBLES],
+    *[(exp, ens, M_CELL, "entry", 0.4)
+      for exp in ("completion-stability", "optspace-compare") for ens in ENSEMBLES],
+    # full observation whatever the ensemble, but ensemble = entry reports p
+    *[("bias-variance", ens, M_CELL, "vectorization", 0.4 if ens == "entry" else None)
+      for ens in ENSEMBLES],
+    ("phase-transition", "gaussian", P_CELL, "entry", 0.25),
+    ("dantzig-scaling", "gaussian", P_CELL, "gaussian", 0.25),
+]
+
+
+@pytest.mark.parametrize("experiment, ensemble, cell, kind, p", OPERATOR_CASES)
+def test_trial_operator_and_p_column(experiment, ensemble, cell, kind, p):
+    cfg = tiny_config(experiment=experiment, ensemble=ensemble, cells=(cell,))
+    ens = _ensemble(cell, cfg, 3)
+    assert ens.kind == kind
+    assert ens.m == (100 if kind == "vectorization" else cell.m or 25)
+    assert _cell_p(cell, cfg) == p
+    assert _entry_sampled(cell, cfg) == (kind == "entry" or ensemble == "entry")
+
+
+def test_run_experiment_reports_the_p_column():
+    cfg = tiny_config(experiment="bias-variance", ensemble="entry", trials=1,
+                      cells=(GridCell(n=10, r=1, m=40, sigma=1e-2),))
+    res = run_experiment(cfg)
+    assert res.cells[0].p == 0.4
+    assert res.cells[0].formula_value is not None
 
 
 # --------------------------------------------------------- run_experiment
@@ -240,7 +303,7 @@ def test_completion_stability_records_bound_rate():
 def test_fit_constant_recovers_exact_slope():
     cells = [fake_cell(formula_value=x, median_sq_err=2.0 * x,
                        fitted_constant=2.0) for x in (0.5, 1.0, 4.0)]
-    fit = fit_empirical_constant(fake_result(cells), "ideal-risk")
+    fit = fit_empirical_constant(fake_result(cells))
     assert fit.slope == pytest.approx(2.0, abs=1e-9)
     assert fit.ratio_min == pytest.approx(2.0, rel=1e-12)
     assert fit.ratio_max == pytest.approx(2.0, rel=1e-12)
@@ -249,33 +312,32 @@ def test_fit_constant_recovers_exact_slope():
 
 def test_fit_constant_zero_errors_give_zero_slope():
     cells = [fake_cell(formula_value=x, median_sq_err=0.0) for x in (1.0, 2.0, 3.0)]
-    fit = fit_empirical_constant(fake_result(cells), "ideal-risk")
+    fit = fit_empirical_constant(fake_result(cells))
     assert fit.slope == 0.0
 
 
 def test_fit_constant_nrsigma2_uses_cell_parameters():
-    cells = [fake_cell(n=n, r=r, sigma=s, median_sq_err=3.0 * n * r * s * s)
+    cells = [fake_cell(n=n, r=r, sigma=s, formula_value=n * r * s * s,
+                       median_sq_err=3.0 * n * r * s * s)
              for n, r, s in [(30, 1, 0.01), (40, 2, 0.01), (60, 3, 0.01)]]
-    fit = fit_empirical_constant(fake_result(cells), "nrsigma2")
+    fit = fit_empirical_constant(fake_result(cells, "dantzig-scaling"))
     assert fit.slope == pytest.approx(3.0, rel=1e-9)
 
 
 def test_fit_constant_stability_uses_absolute_error():
     cells = [fake_cell(formula_value=x, median_abs_err=0.5 * x,
                        median_sq_err=123.0) for x in (1.0, 2.0, 4.0)]
-    fit = fit_empirical_constant(fake_result(cells), "stability")
+    fit = fit_empirical_constant(fake_result(cells, "completion-stability"))
     assert fit.slope == pytest.approx(0.5, rel=1e-9)
 
 
 def test_fit_constant_needs_three_cells_and_valid_formula():
     cells = [fake_cell(formula_value=1.0), fake_cell(formula_value=2.0)]
     with pytest.raises(ValueError, match="at least 3"):
-        fit_empirical_constant(fake_result(cells), "ideal-risk")
-    with pytest.raises(ValueError, match="unknown formula"):
-        fit_empirical_constant(fake_result([fake_cell()] * 3), "banana")
+        fit_empirical_constant(fake_result(cells))
     bad = [fake_cell(formula_value=0.0)] * 3
     with pytest.raises(ValueError, match="positive"):
-        fit_empirical_constant(fake_result(bad), "ideal-risk")
+        fit_empirical_constant(fake_result(bad))
 
 
 # ----------------------------------------------------------------- floors

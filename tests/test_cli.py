@@ -301,6 +301,30 @@ def test_bench_unknown_config_key_returns_2(tmp_path, capsys, head, tail, named)
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("head, tail, floor, named", [
+    pytest.param("", "[solver]\nmax_iters = abc\n", 0.0, "max_iters", id="solver"),
+    pytest.param("", "[solver]\nmax_iters = 2.5\n", 0.0, "max_iters", id="int-field"),
+    pytest.param("", "[optspace]\ngrad_tol = x\n", 0.0, "grad_tol", id="optspace"),
+    pytest.param("success_threshold = abc\n", "", 0.0, "success_threshold",
+                 id="top-level"),
+    pytest.param("spectrum_ratio = abc\n", "", 0.0, "spectrum_ratio",
+                 id="instance-optimal"),
+    pytest.param("", "", "abc", "success_rate", id="floor-value"),
+    pytest.param("", "sucess_rate = 0.5\n", 0.0, "sucess_rate", id="floor-name"),
+])
+def test_bench_bad_config_value_returns_2(tmp_path, capsys, head, tail, floor, named):
+    # a bad value or floor name stops the run at load, before any trial
+    text = head + BENCH_CFG.format(m=60, floor=floor) + tail
+    if named == "spectrum_ratio":
+        text = text.replace("phase-transition", "instance-optimal")
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "r").exists()
+
+
 # ----------------------------------------------------------------- version
 
 def test_version_flag(capsys):

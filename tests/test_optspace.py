@@ -491,7 +491,5 @@ def test_optspace_config_validation():
         OptspaceConfig(grad_tol=0.0)
     with pytest.raises(ValueError):
         OptspaceConfig(trim_multiplier=-1.0)
-    with pytest.raises(ValueError):
-        OptspaceConfig(ls_shrink=1.0)
-    with pytest.raises(ValueError):
-        OptspaceConfig(ls_suffdec=0.0)
+    with pytest.raises(TypeError):
+        OptspaceConfig(ls_shrink=0.5)   # a module constant, not a field

@@ -1,0 +1,54 @@
+import json
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+import same_configs  # noqa: E402  (a script, importable from scripts/)
+
+CSV = "n,r,m,success_rate,seconds\n10,1,60,{rate},{seconds}\n"
+
+
+def write_run(out_dir, rate=1.0, seconds=0.5, rel_err=1e-7, optspace=None):
+    """A synthetic bench output directory: one cell, one trial."""
+    out_dir.mkdir(parents=True)
+    (out_dir / "phase-transition.csv").write_text(CSV.format(rate=rate, seconds=seconds))
+    payload = {
+        "config": {"trials": 1, "optspace": optspace or {"max_iters": 500},
+                   "cells": [{"n": 10}]},
+        "cells": [{"n": 10, "success_rate": rate, "seconds": seconds}],
+        "trials": [[{"rel_err": rel_err, "seconds": seconds}]],
+    }
+    (out_dir / "phase-transition.json").write_text(json.dumps(payload))
+    return same_configs.load_outputs(out_dir)
+
+
+def test_timing_is_ignored_and_identical_runs_agree(tmp_path):
+    a = write_run(tmp_path / "a", seconds=0.5)
+    b = write_run(tmp_path / "b", seconds=9.0)
+    assert "seconds" not in a["csv"][0] and "seconds" not in a["cells"][0]
+    assert same_configs.compare((0, a), (0, b)) == ([], [])
+
+
+def test_result_and_exit_code_differences_are_reported(tmp_path):
+    a = write_run(tmp_path / "a")
+    b = write_run(tmp_path / "b", rate=0.5)
+    c = write_run(tmp_path / "c", rel_err=2e-7)
+    assert same_configs.compare((0, a), (0, b))[0] == ["csv differ", "cells differ"]
+    assert same_configs.compare((0, a), (0, c))[0] == ["trials differ"]
+    assert same_configs.compare((0, a), (1, a))[0] == ["exit code 0 -> 1"]
+
+
+def test_config_echo_differences_are_notes(tmp_path):
+    a = write_run(tmp_path / "a", optspace={"max_iters": 500, "ls_shrink": 0.5})
+    b = write_run(tmp_path / "b", optspace={"max_iters": 500})
+    diffs, echo = same_configs.compare((0, a), (0, b))
+    assert diffs == []
+    assert echo == ["optspace.ls_shrink"]
+
+
+def test_a_run_that_wrote_nothing(tmp_path):
+    nothing = same_configs.load_outputs(tmp_path / "missing")
+    assert nothing == {}
+    assert same_configs.compare((2, nothing), (2, nothing)) == ([], [])
+    diffs, _ = same_configs.compare((2, nothing), (0, write_run(tmp_path / "a")))
+    assert diffs == ["exit code 2 -> 0", "csv differ", "cells differ", "trials differ"]

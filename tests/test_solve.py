@@ -9,7 +9,8 @@ from lowrankrec.measure import (NoiseModel, ObservationSet, add_noise,
                                 entry_sampling_ensemble, gaussian_ensemble,
                                 rademacher_ensemble, sample_omega,
                                 vectorization_ensemble)
-from lowrankrec.solve import (SolverConfig, choose_lambda, estimate_lipschitz,
+from lowrankrec.solve import (SolverConfig, choose_delta, choose_lambda,
+                              estimate_lipschitz,
                               solve_dantzig, solve_lasso, solve_noiseless,
                               solve_penalized)
 
@@ -321,6 +322,19 @@ def test_choose_lambda_values():
         choose_lambda(0, 1.0)
     with pytest.raises(ValueError):
         choose_lambda(10, -1.0)
+
+
+def test_choose_delta_values():
+    # delta^2 = (m + sqrt(8 m)) sigma^2, two deviations of ||z||^2 above its mean
+    assert choose_delta(50, 0.0) == 0.0
+    assert choose_delta(8, 2.0) == 8.0                 # (8 + 8) * 4 = 64
+    assert choose_delta(2, 1.0) == pytest.approx(6.0 ** 0.5, rel=1e-15)
+    assert choose_delta(480, 1e-3) == pytest.approx(
+        1e-3 * (480 + (8 * 480) ** 0.5) ** 0.5, rel=1e-15)
+    with pytest.raises(ValueError):
+        choose_delta(0, 1.0)
+    with pytest.raises(ValueError):
+        choose_delta(10, -1.0)
 
 
 def test_choose_lambda_dominates_backprojected_noise():
