@@ -17,6 +17,9 @@ Per workload and operation kind it prints:
   * the largest relative difference of the estimate's nuclear norm;
   * the largest |change rel_err - parent rel_err|, rel_err being
     ||X^ - X||_F / ||X||_F against the instance's truth;
+  * the largest relative difference of each report scalar (objective,
+    equality_residual, dual_residual) and in how many operations the
+    report's flags differ;
   * iterations, prox steps (SVDs), the `stage-iteration-cap` and
     `iteration-cap` flags and the `converged=False` reports summed on each
     side, and in how many operations `converged` differs.
@@ -44,6 +47,7 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 COLLECT_TIMEOUT_S = 3600
 CAP_FLAG = "stage-iteration-cap"
 ITER_CAP_FLAG = "iteration-cap"
+REPORT_SCALARS = ("objective", "equality_residual", "dual_residual")
 
 
 def parse_args(argv):
@@ -86,6 +90,8 @@ def collect(tree, seeds, passes):
                         "capped": CAP_FLAG in result.flags,
                         "iter_capped": ITER_CAP_FLAG in result.flags,
                         "unconverged": not result.converged,
+                        **{k: float(getattr(result, k)) for k in REPORT_SCALARS},
+                        "flags": list(result.flags),
                     })
     return records
 
@@ -131,6 +137,10 @@ def compare(parent, change):
         d_nuc = max(_rel_diff(p["nuclear"], c["nuclear"]) for p, c in pairs)
         d_err = max(abs(c["rel_err"] - p["rel_err"]) for p, c in pairs)
         flips = sum(p["unconverged"] != c["unconverged"] for p, c in pairs)
+        d_report = " ".join(
+            f"{k} {max(_rel_diff(p[k], c[k]) for p, c in pairs):.2g};"
+            for k in REPORT_SCALARS)
+        flag_diff = sum(p["flags"] != c["flags"] for p, c in pairs)
 
         def total(field, side):   # side 0: parent, 1: change
             return sum(pair[side][field] for pair in pairs)
@@ -142,6 +152,7 @@ def compare(parent, change):
             f"  gates        {gates}; outcomes differ in {differ}",
             f"  estimates    bit-identical in {same}/{n}; max rel nuclear-norm diff "
             f"{d_nuc:.2g}; max |d rel_err| {d_err:.2g}",
+            f"  report       max rel diff {d_report} flags differ in {flag_diff}",
             f"  work         iterations {total('iterations', 0)} -> {total('iterations', 1)}, "
             f"prox steps {total('prox_steps', 0)} -> {total('prox_steps', 1)}, "
             f"{CAP_FLAG} {total('capped', 0)} -> {total('capped', 1)}, "

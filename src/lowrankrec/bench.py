@@ -109,6 +109,9 @@ class ExperimentConfig:
             raise ValueError("success threshold must be positive")
         if self.ensemble not in ("gaussian", "rademacher", "entry"):
             raise ValueError(f"unknown ensemble kind {self.ensemble!r}")
+        if self.spectrum_top <= 0 or not (0 < self.spectrum_ratio <= 1):
+            raise ValueError("need spectrum_top > 0 and spectrum_ratio in (0, 1], got "
+                             f"{self.spectrum_top} and {self.spectrum_ratio}")
 
 
 @dataclass(frozen=True)
@@ -404,7 +407,8 @@ def check_floors(result, floors=None):
 #   [floors]                  optional acceptance floors for exit status (FLOORS)
 # plus the top-level keys success_threshold, ensemble, spectrum_top, spectrum_ratio.
 # All is checked at load: an unknown section, key or floor name is an error, and
-# so is a top-level, [solver], [optspace] or [floors] value not of its field's type.
+# so is a value not of its field's type ([grid] keys by GridCell's fields,
+# m_per_nr a float, mode a string).
 
 
 def _parse_scalar(tok):
@@ -505,16 +509,19 @@ def build_experiment_config(sections, seed_override=None):
     grid = dict(sections.get("grid", {}))
     if "experiment" not in main:
         raise ValueError("config must set 'experiment'")
-    mode = grid.pop("mode", "product")
+    mode = _typed("[grid] mode", grid.pop("mode", "product"), str)
     if mode not in ("product", "zip"):
         raise ValueError(f"grid mode must be product or zip, got {mode!r}")
     m_per_nr = grid.pop("m_per_nr", None)
+    if m_per_nr is not None:
+        m_per_nr = _typed("[grid] m_per_nr", m_per_nr, float)
 
-    names = [k for k in ("n", "r", "m", "p", "sigma", "kappa") if k in grid]
-    _reject_unknown(grid, names, "grid keys")
+    kinds = _kinds(GridCell)
+    _reject_unknown(grid, kinds, "grid keys")
     if "n" not in grid or "r" not in grid:
         raise ValueError("grid must set n and r")
-    lists = {k: _as_list(grid[k]) for k in names}
+    lists = {k: [_typed(f"[grid] {k}", v, kinds[k]) for v in _as_list(grid[k])]
+             for k in kinds if k in grid}
 
     if mode == "zip":
         length = max(len(v) for v in lists.values())
@@ -526,7 +533,7 @@ def build_experiment_config(sections, seed_override=None):
         combos = [dict(zip(lists, vals)) for vals in zip(*lists.values())]
     else:
         combos = [{}]
-        for k in names:
+        for k in lists:
             combos = [dict(c, **{k: v}) for c in combos for v in lists[k]]
 
     cells = []
@@ -535,11 +542,9 @@ def build_experiment_config(sections, seed_override=None):
             if "m" in c or "p" in c:
                 raise ValueError("give exactly one of m, p, m_per_nr")
             c["m"] = int(round(m_per_nr * c["n"] * c["r"]))
-        cells.append(GridCell(n=int(c["n"]), r=int(c["r"]),
-                              m=int(c["m"]) if "m" in c else None,
-                              p=float(c["p"]) if "p" in c else None,
-                              sigma=float(c.get("sigma", 0.0)),
-                              kappa=float(c.get("kappa", 1.0))))
+        # a float field keeps an int as written; the cell holds it as a float
+        cells.append(GridCell(**{k: float(v) if kinds[k] is float else v
+                                 for k, v in c.items()}))
 
     if seed_override is not None:
         main["seed"] = int(seed_override)

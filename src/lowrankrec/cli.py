@@ -11,6 +11,7 @@ Subcommands:
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -54,30 +55,23 @@ def _cmd_diagnose(args):
     matrix = read_lrm(args.matrix)
     factors = svd(matrix)
     rep = coherence(factors, r=args.rank)
-    payload = {
-        "n1": matrix.shape[0], "n2": matrix.shape[1], "rank": rep.r,
-        "coherence": {"mu_b": rep.mu_b, "mu0": rep.mu0, "mu1": rep.mu1,
-                      "mu_strong": rep.mu_strong, "mu2": rep.mu2,
-                      "kappa": rep.kappa},
-    }
+    measures = asdict(rep)
+    del measures["r"]   # written as the top-level rank
+    payload = {"n1": matrix.shape[0], "n2": matrix.shape[1], "rank": rep.r,
+               "coherence": measures}
     rows = None
     if args.m is not None:
         n = max(matrix.shape)
         rows = theory_advisor(rep, n, rep.r, args.m)
         payload["m"] = args.m
-        payload["advisor"] = [{
-            "row_id": w.row_id, "description": w.description,
-            "raw_requirement": w.raw_requirement, "requirement": w.requirement,
-            "ratio": w.ratio, "satisfied": w.satisfied,
-            "condition": w.condition, "condition_met": w.condition_met,
-        } for w in rows]
+        payload["advisor"] = [asdict(w) for w in rows]
 
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
     print(f"matrix {matrix.shape[0]} x {matrix.shape[1]}, rank {rep.r}")
-    for key in ("mu_b", "mu0", "mu1", "mu_strong", "mu2", "kappa"):
-        print(f"  {key:<9} = {getattr(rep, key):.6g}")
+    for key, value in measures.items():
+        print(f"  {key:<9} = {value:.6g}")
     if rows is not None:
         print(f"\nsample-size requirements at m = {args.m}:")
         print(f"  {'row':<24} {'requirement':>14} {'ratio':>10}  ok   condition")
@@ -159,10 +153,7 @@ def _cmd_bounds(args):
         if noise_op is None:
             noise_op = gaussian_noise_opnorm(args.n, args.m, args.sigma)
         rep = optspace_noisy_bound(args.n, args.m, args.r, args.kappa, noise_op)
-    print(json.dumps({"name": rep.name, "value": rep.value,
-                      "inputs": rep.inputs,
-                      "up_to_constants": rep.up_to_constants},
-                     indent=2, sort_keys=True))
+    print(json.dumps(asdict(rep), indent=2, sort_keys=True))
     return 0
 
 

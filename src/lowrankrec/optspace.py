@@ -20,6 +20,10 @@ One evaluation of F then costs O(m r^2) for the group sums, O(k r^4) for G
 over the k non-empty rows, and O(r^6) for the solve; the residual on Omega
 it leaves behind gives the gradient's R V S^T and R^T U S as row and column
 group sums in O(m r), so no n1 x n2 matrix is formed inside the descent.
+
+F and its gradient both scale as the data squared, so the descent stops at
+a tangent gradient norm <= grad_tol ||P_Omega(Y)||_F^2, a scale-free test.
+optspace's report comes from solve's one report builder.
 """
 
 import math
@@ -27,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import check_matrix, nuclear_norm, operator_norm, RANK_RTOL
-from .measure import ObservationSet, project_omega
-from .solve import SolverReport
+from .matcore import check_matrix, nuclear_norm, RANK_RTOL
+from .measure import ObservationSet, entry_sampling_ensemble, project_omega
+from .solve import _report
 
 __all__ = [
     "OptspaceConfig",
@@ -48,7 +52,8 @@ LS_SUFFDEC = 1e-4   # Armijo sufficient-decrease constant
 @dataclass(frozen=True)
 class OptspaceConfig:
     max_iters: int = 500
-    grad_tol: float = 1e-8       # stop when the projected gradient norm falls below
+    grad_tol: float = 1e-8       # stop when the tangent gradient norm falls to
+                                 # grad_tol * ||P_Omega(Y)||_F^2 (scale-free)
     trim_multiplier: float = 2.0  # degree cap = multiplier * m / n
 
     def __post_init__(self):
@@ -215,9 +220,10 @@ def optspace_descent(state, y_obs, omega, config=None):
     Every step recomputes the inner S exactly, moves (U, V) along the
     negative tangent gradient, retracts by QR, and is accepted under an
     Armijo sufficient-decrease test, so the recorded objective history is
-    nonincreasing.  Stops on gradient norm, line-search stall, or max_iters;
-    the returned state carries the gradient norm at its (U, V).  Omega is
-    indexed once, and the accepted trial's residual feeds the next gradient.
+    nonincreasing.  Stops on gradient norm (<= grad_tol ||P_Omega(Y)||_F^2),
+    line-search stall, or max_iters; the returned state carries the gradient
+    norm at its (U, V).  Omega is indexed once, and the accepted trial's
+    residual feeds the next gradient.
     """
     cfg = config or OptspaceConfig()
     y_obs = check_matrix(y_obs)
@@ -226,6 +232,7 @@ def optspace_descent(state, y_obs, omega, config=None):
     if omega.m == 0:
         raise ValueError("cannot descend on an empty observation set")
     index = _OmegaIndex(omega, y_obs)
+    grad_tol = cfg.grad_tol * float(index.y @ index.y)
     u, v = state.u, state.v
     obj, s, deficient, resid = _inner_s(u, v, index)
     history = [obj]
@@ -233,7 +240,7 @@ def optspace_descent(state, y_obs, omega, config=None):
     it = 0
     for it in range(1, cfg.max_iters + 1):
         grad_u, grad_v, gnorm2 = _gradient(u, s, v, resid, index)
-        if math.sqrt(gnorm2) <= cfg.grad_tol:
+        if math.sqrt(gnorm2) <= grad_tol:
             it -= 1
             break
         t = step
@@ -284,11 +291,13 @@ def optspace(y_obs, omega, r=None, config=None):
     """Full pipeline: trim -> (estimate_rank) -> spectral_init -> descent.
 
     The descent runs on the untrimmed data; trimming only stabilizes the
-    spectral initialization.  Returns a SolverReport whose estimate is
-    U S V^T at the final state; its objective, the nuclear norm of that
-    estimate, is the sum of the singular values of S since U and V have
-    orthonormal columns.  A descent that reaches max_iters with its gradient
-    norm above grad_tol is flagged ``iteration-cap``.
+    spectral initialization.  Returns solve's report for the entry-sampling
+    operator of Omega: its estimate is U S V^T at the final state and its
+    objective ||S||_*, the estimate's nuclear norm since U and V have
+    orthonormal columns.  It is converged at a gradient norm at most
+    grad_tol yy or F at most 1e-18 yy, yy = ||P_Omega(Y)||_F^2; a descent
+    that reaches max_iters unconverged is flagged ``iteration-cap``.  An
+    empty Omega is a ValueError.
     """
     cfg = config or OptspaceConfig()
     y_obs = check_matrix(y_obs)
@@ -297,30 +306,21 @@ def optspace(y_obs, omega, r=None, config=None):
         # Nothing survives trimming to seed the spectral stage, so the zero
         # matrix is the only guess the pipeline can produce.  It fits the
         # observations exactly iff they were all zero to begin with.
-        est = np.zeros((omega.n1, omega.n2))
-        objective, iterations, flags = 0.0, 0, ("zero-data",)
-        converged = not project_omega(omega, y_obs).any()
-    else:
-        if r is None:
-            r = estimate_rank(trimmed, omega.p)
-        state = spectral_init(trimmed, trimmed_omega, r)
-        state = optspace_descent(state, y_obs, omega, cfg)
-        est = state.estimate()
-        objective, iterations = nuclear_norm(state.s), state.iteration
-        flags = ("inner-rank-deficient",) if state.rank_deficient else ()
-        converged = state.objective <= 1e-18 or state.grad_norm <= cfg.grad_tol
-        # from iteration 0, only a run to the cap counts max_iters iterations
-        if not converged and iterations == cfg.max_iters:
-            flags += ("iteration-cap",)
-    resid = project_omega(omega, est - y_obs)
-    return SolverReport(
-        estimate=est,
-        objective=objective,
-        equality_residual=float(np.linalg.norm(resid)),
-        dual_residual=float(operator_norm(resid)),
-        iterations=iterations,
-        converged=converged,
-        tau_path=(),
-        residual_path=(),
-        flags=flags,
-    )
+        y = y_obs[omega.pairs[:, 0], omega.pairs[:, 1]]
+        return _report(entry_sampling_ensemble(omega), y,
+                       np.zeros((omega.n1, omega.n2)), not y.any(), ("zero-data",))
+    if r is None:
+        r = estimate_rank(trimmed, omega.p)
+    state = spectral_init(trimmed, trimmed_omega, r)
+    state = optspace_descent(state, y_obs, omega, cfg)
+    # y and the operator are made after the descent, off its peak memory
+    y = y_obs[omega.pairs[:, 0], omega.pairs[:, 1]]
+    yy = float(y @ y)
+    flags = ("inner-rank-deficient",) if state.rank_deficient else ()
+    converged = (state.objective <= 1e-18 * yy
+                 or state.grad_norm <= cfg.grad_tol * yy)
+    # from iteration 0, only a run to the cap counts max_iters iterations
+    if not converged and state.iteration == cfg.max_iters:
+        flags += ("iteration-cap",)
+    return _report(entry_sampling_ensemble(omega), y, state.estimate(), converged,
+                   flags, objective=nuclear_norm(state.s), iterations=state.iteration)

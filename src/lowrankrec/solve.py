@@ -49,10 +49,14 @@ in Ma, Goldfarb and Chen, arXiv 0905.1643).
 
 Both prox steps are matcore.prox_nuclear; choose_lambda and choose_delta give
 the noise-scaled Dantzig threshold and residual radius.
+
+One builder, _report, makes every program's SolverReport (OptSpace's and the
+zero-data exits' too) from the estimate alone, recomputing A(X), so a
+report's ||A(X) - y||_2 and ||A*(y - A(X))||_op are those of its estimate.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -117,20 +121,10 @@ class SolverReport:
     prox_steps: int = 0        # prox evaluations (SVDs), curvature retries included
 
     def to_json_dict(self):
-        return {
-            "estimate": self.estimate.tolist(),
-            "objective": self.objective,
-            "equality_residual": self.equality_residual,
-            "dual_residual": self.dual_residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "tau_path": list(self.tau_path),
-            "residual_path": list(self.residual_path),
-            "flags": list(self.flags),
-            "stage_iterations": list(self.stage_iterations),
-            "restarts": self.restarts,
-            "prox_steps": self.prox_steps,
-        }
+        """Every field by name, the estimate as nested lists."""
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["estimate"] = self.estimate.tolist()
+        return out
 
 
 def _check_y(ens, y):
@@ -236,7 +230,7 @@ def _penalized_core(ens, y, tau, x0, stages, max_iters, eps):
     relative, so scaling y scales the iterates and nothing else.
 
     Records the stage (tau, residual, iterations) and its restarts in
-    ``stages``.  Returns (x, A(x), converged, flags).
+    ``stages``.  Returns (x, converged, flags).
     """
     x = x0.copy()
     ax = apply_ensemble(ens, x)
@@ -290,7 +284,7 @@ def _penalized_core(ens, y, tau, x0, stages, max_iters, eps):
     stages.taus.append(tau)
     stages.residuals.append(float(np.linalg.norm(ax - y)))
     stages.iterations.append(it)
-    return x, ax, converged, flags
+    return x, converged, flags
 
 
 def _certified(ens, y, ax, tau, eps):
@@ -298,14 +292,20 @@ def _certified(ens, y, ax, tau, eps):
     return dres <= tau * (1.0 + eps)
 
 
-def _report(ens, y, x, ax, converged, stages, flags=()):
-    res = ax - y
+def _report(ens, y, x, converged, flags=(), stages=None, objective=None,
+            iterations=None):
+    """The SolverReport of estimate x (see the module docstring).  objective
+    defaults to ||x||_*, the path fields to none, iterations to the stages'."""
+    stages = stages or _Stages()
+    res = apply_ensemble(ens, x) - y
+    if objective is None:
+        objective = nuclear_norm(x) if np.any(x) else 0.0
     return SolverReport(
         estimate=x,
-        objective=nuclear_norm(x) if np.any(x) else 0.0,
+        objective=float(objective),
         equality_residual=float(np.linalg.norm(res)),
         dual_residual=float(operator_norm(adjoint_ensemble(ens, -res))),
-        iterations=int(sum(stages.iterations)),
+        iterations=int(sum(stages.iterations) if iterations is None else iterations),
         converged=bool(converged),
         tau_path=tuple(float(t) for t in stages.taus),
         residual_path=tuple(float(r) for r in stages.residuals),
@@ -314,11 +314,6 @@ def _report(ens, y, x, ax, converged, stages, flags=()):
         restarts=int(stages.restarts),
         prox_steps=int(stages.prox_steps),
     )
-
-
-def _zero_report(ens, y, flags=()):
-    x = np.zeros((ens.n1, ens.n2))
-    return _report(ens, y, x, np.zeros(ens.m), True, _Stages(), flags)
 
 
 def solve_penalized(ens, y, tau, config=None, x0=None, lipschitz=None):
@@ -338,11 +333,11 @@ def solve_penalized(ens, y, tau, config=None, x0=None, lipschitz=None):
         raise ValueError(f"tau must be positive, got {tau}")
     x0 = np.zeros((ens.n1, ens.n2)) if x0 is None else check_matrix(x0)
     if not np.any(y):
-        return _zero_report(ens, y)
+        return _report(ens, y, np.zeros((ens.n1, ens.n2)), True)
     stages = _Stages(1.0 if lipschitz is None else lipschitz)
-    x, ax, conv, flags = _penalized_core(
+    x, conv, flags = _penalized_core(
         ens, y, tau, x0, stages, cfg.max_iters, CERTIFIED_EPS)
-    return _report(ens, y, x, ax, conv, stages, flags)
+    return _report(ens, y, x, conv, flags, stages)
 
 
 def choose_lambda(n, sigma, c_mult=1.5):
@@ -495,7 +490,7 @@ def solve_noiseless(ens, y, config=None):
     cfg = config or SolverConfig()
     y = _check_y(ens, y)
     if not np.any(y):
-        return _zero_report(ens, y)
+        return _report(ens, y, np.zeros((ens.n1, ens.n2)), True)
     ynorm = float(np.linalg.norm(y))
     gamma = DR_GAMMA * ynorm
     feas = cfg.eq_tol * ynorm
@@ -516,13 +511,12 @@ def solve_noiseless(ens, y, config=None):
             flags = ()
             break
     x, _, _ = project(z, 0.0)
-    ax = apply_ensemble(ens, x)
-    res = float(np.linalg.norm(ax - y))
+    res = float(np.linalg.norm(apply_ensemble(ens, x) - y))
     stages = _Stages()
     stages.taus, stages.residuals, stages.iterations = [gamma], [res], [it]
     stages.prox_steps = it
     converged = not flags and res <= feas
-    return _report(ens, y, x, ax, converged, stages, flags)
+    return _report(ens, y, x, converged, flags, stages)
 
 
 def solve_lasso(ens, y, delta, config=None):
@@ -551,7 +545,7 @@ def solve_lasso(ens, y, delta, config=None):
     ynorm = float(np.linalg.norm(y))
     if delta >= ynorm:
         # the zero matrix is feasible (y = 0 too) and has minimal nuclear norm
-        return _zero_report(ens, y)
+        return _report(ens, y, np.zeros((ens.n1, ens.n2)), True)
     if delta == 0:
         return solve_noiseless(ens, y, config=cfg)
 
@@ -564,11 +558,11 @@ def solve_lasso(ens, y, delta, config=None):
 
     def eval_tau(tau):
         nonlocal x, cap_flag
-        x, ax, _, flags = _penalized_core(ens, y, tau, x, stages, cfg.max_iters, STAGE_EPS)
+        x, _, flags = _penalized_core(ens, y, tau, x, stages, cfg.max_iters, STAGE_EPS)
         if "iteration-cap" in flags:
             cap_flag = ("stage-iteration-cap",)
         res = stages.residuals[-1]
-        records.append((tau, x.copy(), ax.copy(), res))
+        records.append((tau, x, res))   # the engine returns a fresh x each stage
         return res
 
     # continuation down from tau0 until feasible
@@ -576,9 +570,9 @@ def solve_lasso(ens, y, delta, config=None):
     while eval_tau(tau) > feas_tol:
         tau *= CONTINUATION
         if tau < tau0 * 1e-14:
-            best = min(records, key=lambda rec: (rec[3], rec[0]))
-            return _report(ens, y, best[1], best[2], False, stages,
-                           ("delta-unreachable", *cap_flag))
+            best = min(records, key=lambda rec: (rec[2], rec[0]))
+            return _report(ens, y, best[1], False, ("delta-unreachable", *cap_flag),
+                           stages)
     tau_feas, tau_infeas = tau, tau / CONTINUATION
 
     # bisect (geometrically) toward the largest feasible tau
@@ -589,8 +583,8 @@ def solve_lasso(ens, y, delta, config=None):
         else:
             tau_infeas = mid
 
-    feasible = [rec for rec in records if rec[3] <= feas_tol]
+    feasible = [rec for rec in records if rec[2] <= feas_tol]
     best = min(feasible,
                key=lambda rec: (nuclear_norm(rec[1]) if np.any(rec[1]) else 0.0,
-                                rec[3]))
-    return _report(ens, y, best[1], best[2], True, stages, cap_flag)
+                                rec[2]))
+    return _report(ens, y, best[1], True, cap_flag, stages)

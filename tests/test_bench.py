@@ -163,6 +163,11 @@ def test_build_config_types_values_at_load():
     assert cfg.trials == 3 and isinstance(cfg.trials, int)
     assert cfg.solver.max_iters == 30 and isinstance(cfg.solver.max_iters, int)
     assert cfg.floors == {"ratio_spread": 10}   # an int is kept in a float field
+    cfg = build_experiment_config(parse_config_text(
+        BASE_CFG + "kappa = 1, 20\nsigma = 0\n"))
+    # a grid float field holds floats, an int one ints
+    assert [(c.m, c.kappa, c.sigma) for c in cfg.cells] == [(50, 1.0, 0.0), (50, 20.0, 0.0)]
+    assert all(isinstance(c.kappa, float) and isinstance(c.m, int) for c in cfg.cells)
     for head, tail, named in [
             ("trials = 2.5\n", "", "trials"),
             ("ensemble = 3\n", "", "ensemble"),
@@ -170,7 +175,10 @@ def test_build_config_types_values_at_load():
             ("spectrum_top = 1, 2\n", "", "spectrum_top"),
             ("", "[solver]\nmax_iters = 2.5\n", "max_iters"),
             ("", "[optspace]\ntrim_multiplier = big\n", "trim_multiplier"),
-            ("", "[floors]\nbound_rate = high\n", "bound_rate")]:
+            ("", "[floors]\nbound_rate = high\n", "bound_rate"),
+            ("", "[grid]\nn = 10.5\n", "n"),
+            ("", "[grid]\nsigma = 0, x\n", "sigma"),
+            ("", "[grid]\nmode = 3\n", "mode")]:
         with pytest.raises(ValueError, match=f"{named} must be"):
             build_experiment_config(parse_config_text(head + BASE_CFG + tail))
     with pytest.raises(ValueError, match="unknown .*'sucess_rate'"):
@@ -218,6 +226,11 @@ def test_experiment_config_validation():
         tiny_config(trials=0)
     with pytest.raises(ValueError, match="ensemble"):
         tiny_config(ensemble="fourier")
+    with pytest.raises(ValueError, match="spectrum_top"):
+        tiny_config(spectrum_top=0.0)
+    for ratio in (0.0, 1.5):
+        with pytest.raises(ValueError, match="spectrum_ratio"):
+            tiny_config(spectrum_ratio=ratio)
 
 
 # --------------------------------------------------------- trial operator

@@ -311,12 +311,21 @@ def test_bench_unknown_config_key_returns_2(tmp_path, capsys, head, tail, named)
                  id="instance-optimal"),
     pytest.param("", "", "abc", "success_rate", id="floor-value"),
     pytest.param("", "sucess_rate = 0.5\n", 0.0, "sucess_rate", id="floor-name"),
+    pytest.param("spectrum_ratio = 2.0\n", "", 0.0, "spectrum_ratio", id="spectrum-range"),
+    pytest.param("spectrum_top = 0\n", "", 0.0, "spectrum_top", id="spectrum-top"),
+    pytest.param("", "[grid]\nn = 10.5\n", 0.0, "[grid] n", id="grid-int"),
+    pytest.param("", "[grid]\nm = 40, 40.7\n", 0.0, "[grid] m", id="grid-list"),
+    pytest.param("", "[grid]\nn = abc\n", 0.0, "[grid] n", id="grid-text"),
+    pytest.param("", "[grid]\nm_per_nr = abc\n", 0.0, "[grid] m_per_nr",
+                 id="grid-m-per-nr"),
 ])
 def test_bench_bad_config_value_returns_2(tmp_path, capsys, head, tail, floor, named):
     # a bad value or floor name stops the run at load, before any trial
     text = head + BENCH_CFG.format(m=60, floor=floor) + tail
     if named == "spectrum_ratio":
         text = text.replace("phase-transition", "instance-optimal")
+    if named == "[grid] m_per_nr":
+        text = text.replace("m = 60\n", "")   # m_per_nr replaces m
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(text)
     assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2

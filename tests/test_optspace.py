@@ -214,6 +214,13 @@ def test_descent_rejects_empty_omega():
         optspace_descent(state, np.zeros((3, 3)), empty)
 
 
+def test_optspace_rejects_empty_omega():
+    # an empty Omega defines no measurement operator to report against
+    empty = ObservationSet(3, 3, np.empty((0, 2), dtype=int))
+    with pytest.raises(ValueError, match="m must be positive"):
+        optspace(np.zeros((3, 3)), empty, r=1)
+
+
 @given(st.integers(0, 10_000))
 @settings(deadline=None, max_examples=25)
 def test_retract_returns_orthonormal_columns(seed):
@@ -390,8 +397,35 @@ def test_optspace_report_contract():
     resid = rep.estimate[omega.pairs[:, 0], omega.pairs[:, 1]] \
         - yobs[omega.pairs[:, 0], omega.pairs[:, 1]]
     assert rep.equality_residual == pytest.approx(np.linalg.norm(resid), abs=1e-12)
+    dual = np.linalg.svd(project_omega(omega, rep.estimate - yobs), compute_uv=False)[0]
+    assert rep.dual_residual == pytest.approx(dual, rel=1e-12)
     assert rep.tau_path == ()
     assert rep.iterations >= 1
+
+
+def test_optspace_verdict_does_not_depend_on_scale():
+    # F and its gradient scale as the data squared: an absolute gradient
+    # test passed at once on data scaled by 1e-4 (converged at iteration 0,
+    # rel_err 0.5); relative to ||P_Omega(Y)||^2 the run is certified or capped
+    truth, _, omega, _ = completion_instance(40, 2, 640, seed=1)
+    cfg = OptspaceConfig(max_iters=200)
+    for scale in (1e-4, 1.0, 1e4):
+        rep = optspace(project_omega(omega, scale * truth), omega, r=2, config=cfg)
+        if rep.converged:
+            assert rel_err(rep.estimate, scale * truth) <= 1e-6
+        else:
+            assert "iteration-cap" in rep.flags
+        if scale >= 1.0:   # these certify well within the budget
+            assert rep.converged
+
+
+def test_optspace_inner_rank_deficient_is_flagged():
+    # three observed diagonal entries of a rank-3 truth, fitted at rank 2:
+    # the inner least squares over S has a singular Gram
+    truth = np.diag([3.0, 2.0, 1.0, 0.0, 0.0, 0.0])
+    omega = ObservationSet(6, 6, np.array([(0, 0), (1, 1), (2, 2)]))
+    rep = optspace(project_omega(omega, truth), omega, r=2)
+    assert rep.flags == ("inner-rank-deficient",)
 
 
 @pytest.mark.parametrize("n1, n2, m, kappa, max_iters", [
@@ -417,7 +451,7 @@ def test_optspace_report_from_final_state(n1, n2, m, kappa, max_iters):
     gu, gv = dense_gradient(state.u, state.s, state.v, yobs, omega)
     dense_norm = np.sqrt((gu ** 2).sum() + (gv ** 2).sum())
     assert state.grad_norm == pytest.approx(dense_norm, rel=1e-6)
-    assert rep.converged == (dense_norm <= cfg.grad_tol)
+    assert rep.converged == (dense_norm <= cfg.grad_tol * (yobs ** 2).sum())
     if max_iters < 500:
         assert rep.iterations == max_iters and not rep.converged
         assert "iteration-cap" in rep.flags

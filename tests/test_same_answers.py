@@ -7,18 +7,20 @@ import same_answers  # noqa: E402  (a script, importable from scripts/)
 
 def record(kind, seed, nuclear=2.0, rel_err=0.1, ok=True, digest="d",
            prox_steps=10, capped=False, iter_capped=False, unconverged=False,
-           workload="w"):
+           workload="w", equality_residual=0.5, dual_residual=0.25, flags=()):
     return {"workload": workload, "kind": kind, "seed": seed, "pass": 0,
             "valid": True, "ok": ok, "nuclear": nuclear, "rel_err": rel_err,
             "digest": digest, "iterations": prox_steps - 1,
             "prox_steps": prox_steps, "capped": capped,
-            "iter_capped": iter_capped, "unconverged": unconverged}
+            "iter_capped": iter_capped, "unconverged": unconverged,
+            "objective": nuclear, "equality_residual": equality_residual,
+            "dual_residual": dual_residual, "flags": list(flags)}
 
 
 def block(lines, kind):
     """The lines of one (workload, kind) block, joined."""
     start = lines.index(f"w {kind}: 2 operations")
-    return "\n".join(lines[start:start + 4])
+    return "\n".join(lines[start:start + 5])
 
 
 def test_parse_seeds_ranges_and_singles():
@@ -34,6 +36,8 @@ def test_identical_records_are_the_same_answers():
     assert "outcomes differ in 0" in text
     assert "bit-identical in 2/2" in text
     assert "max rel nuclear-norm diff 0;" in text
+    assert ("max rel diff objective 0; equality_residual 0; dual_residual 0; "
+            "flags differ in 0") in text
     assert "prox steps 20 -> 20" in text
     assert "converged=False 0 -> 0 (differs in 0)" in text
 
@@ -52,6 +56,7 @@ def test_differences_are_measured_but_only_gates_fail():
     assert "bit-identical in 1/2" in text
     assert "max rel nuclear-norm diff 3e-07" in text
     assert "max |d rel_err| 5e-05" in text
+    assert "objective 3e-07; equality_residual 0; dual_residual 0;" in text
     assert "prox steps 150 -> 50" in text
     assert "stage-iteration-cap 1 -> 0" in text
     assert "iteration-cap 0 -> 1" in text.split("stage-iteration-cap 1 -> 0")[1]
@@ -75,3 +80,16 @@ def test_operations_on_one_side_only_fail():
     assert not ok
     assert lines[0].startswith("1 operations ran on one side only")
     assert "outcomes differ in 0" in block(lines, "a")
+
+
+def test_report_scalars_and_flags_are_compared():
+    parent = [record("a", 1, equality_residual=1.0, flags=("iteration-cap",)),
+              record("a", 2, dual_residual=0.0)]
+    change = [record("a", 1, equality_residual=1.0 + 2e-15),
+              record("a", 2, dual_residual=1e-9)]
+    lines, ok = same_answers.compare(parent, change)
+    assert ok   # report differences are measured, not gated
+    text = block(lines, "a")
+    assert "equality_residual 2e-15;" in text
+    assert "dual_residual inf;" in text
+    assert "flags differ in 1" in text

@@ -564,6 +564,22 @@ def test_lasso_rejects_negative_delta():
         solve_lasso(ens, np.ones(9), -0.1)
 
 
+def test_lasso_unreachable_delta_is_flagged():
+    # 30 generic measurements of a 3 x 3 matrix: no X fits y better than the
+    # least-squares residual, so half of it is out of reach; the report
+    # carries the closest stage's estimate, uncertified
+    ens = gaussian_ensemble(3, 3, 30, seed=1)
+    y = np.random.default_rng(0).standard_normal(30)
+    x_ls = np.linalg.lstsq(ens.rows, y, rcond=None)[0]
+    delta = 0.5 * np.linalg.norm(ens.rows @ x_ls - y)
+    rep = solve_lasso(ens, y, delta, SolverConfig(max_iters=200))
+    assert rep.flags == ("delta-unreachable", "stage-iteration-cap")
+    assert not rep.converged
+    assert rep.equality_residual > delta
+    assert rep.equality_residual == pytest.approx(
+        np.linalg.norm(apply_ensemble(ens, rep.estimate) - y), rel=1e-12)
+
+
 # -------------------------------------------------------------------- reports
 
 def test_report_json_dict_fields():
