@@ -14,12 +14,14 @@ BLAS is pinned to one thread.
 Per workload and operation kind it prints:
   * the gate outcomes (valid, passed) on each side and how many differ;
   * how many estimates are bit-identical;
-  * the largest relative difference of the estimate's nuclear norm;
-  * the largest |change rel_err - parent rel_err|, rel_err being
-    ||X^ - X||_F / ||X||_F against the instance's truth;
-  * the largest relative difference of each report scalar (objective,
-    equality_residual, dual_residual) and in how many operations the
-    report's flags differ;
+  * one line for the bit-identical operations and one for the changed ones,
+    so a changed estimate does not hide how close the others are, each
+    with: the largest relative difference of the estimate's nuclear norm;
+    the largest |change rel_err - parent rel_err| and the largest rel_err
+    on each side, rel_err being ||X^ - X||_F / ||X||_F against the
+    instance's truth; the largest relative difference of each report
+    scalar (objective, equality_residual, dual_residual); and in how many
+    operations the report's flags differ;
   * iterations, prox steps (SVDs), the `stage-iteration-cap` and
     `iteration-cap` flags and the `converged=False` reports summed on each
     side, and in how many operations `converged` differs.
@@ -117,6 +119,22 @@ def _rel_diff(a, b):
     return abs(b - a) / abs(a) if a else math.inf
 
 
+def _group_line(label, pairs):
+    """How far apart the two sides of ``pairs`` are: estimates, errors
+    against the truth, report scalars and flags."""
+    if not pairs:
+        return f"    {label:<10} 0"
+    d_nuc = max(_rel_diff(p["nuclear"], c["nuclear"]) for p, c in pairs)
+    d_err = max(abs(c["rel_err"] - p["rel_err"]) for p, c in pairs)
+    err = " -> ".join(f"{max(pair[k]['rel_err'] for pair in pairs):.2g}" for k in (0, 1))
+    d_report = " ".join(f"{k} {max(_rel_diff(p[k], c[k]) for p, c in pairs):.2g};"
+                        for k in REPORT_SCALARS)
+    flag_diff = sum(p["flags"] != c["flags"] for p, c in pairs)
+    return (f"    {label:<10} {len(pairs)}: max rel nuclear-norm diff {d_nuc:.2g}; "
+            f"max |d rel_err| {d_err:.2g}; max rel_err {err}; "
+            f"max rel diff {d_report} flags differ in {flag_diff}")
+
+
 def compare(parent, change):
     """Lines comparing two record lists, one block per (workload, kind), and
     ok: the same operations ran on both sides with the same gate outcomes."""
@@ -133,14 +151,9 @@ def compare(parent, change):
         n = len(pairs)
         differ = sum((p["valid"], p["ok"]) != (c["valid"], c["ok"]) for p, c in pairs)
         ok &= differ == 0
-        same = sum(p["digest"] == c["digest"] for p, c in pairs)
-        d_nuc = max(_rel_diff(p["nuclear"], c["nuclear"]) for p, c in pairs)
-        d_err = max(abs(c["rel_err"] - p["rel_err"]) for p, c in pairs)
+        same = [pc for pc in pairs if pc[0]["digest"] == pc[1]["digest"]]
+        changed = [pc for pc in pairs if pc[0]["digest"] != pc[1]["digest"]]
         flips = sum(p["unconverged"] != c["unconverged"] for p, c in pairs)
-        d_report = " ".join(
-            f"{k} {max(_rel_diff(p[k], c[k]) for p, c in pairs):.2g};"
-            for k in REPORT_SCALARS)
-        flag_diff = sum(p["flags"] != c["flags"] for p, c in pairs)
 
         def total(field, side):   # side 0: parent, 1: change
             return sum(pair[side][field] for pair in pairs)
@@ -150,9 +163,9 @@ def compare(parent, change):
         lines += [
             f"{workload} {kind}: {n} operations",
             f"  gates        {gates}; outcomes differ in {differ}",
-            f"  estimates    bit-identical in {same}/{n}; max rel nuclear-norm diff "
-            f"{d_nuc:.2g}; max |d rel_err| {d_err:.2g}",
-            f"  report       max rel diff {d_report} flags differ in {flag_diff}",
+            f"  estimates    bit-identical in {len(same)}/{n}",
+            _group_line("identical", same),
+            _group_line("changed", changed),
             f"  work         iterations {total('iterations', 0)} -> {total('iterations', 1)}, "
             f"prox steps {total('prox_steps', 0)} -> {total('prox_steps', 1)}, "
             f"{CAP_FLAG} {total('capped', 0)} -> {total('capped', 1)}, "

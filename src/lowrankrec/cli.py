@@ -215,7 +215,8 @@ def build_parser():
     s.add_argument("--out", default=None, help="write the full report as JSON")
     s.set_defaults(func=_cmd_solve)
 
-    o = sub.add_parser("optspace", help="trim + spectral init + manifold descent")
+    o = sub.add_parser("optspace", help="trim + spectral init + rank-incremental "
+                                        "alternating least squares")
     o.add_argument("--matrix", required=True,
                    help="observed data matrix (lrm format)")
     o.add_argument("--omega", required=True, help="observed-entry file")
@@ -223,8 +224,11 @@ def build_parser():
                    help="target rank (default: estimated from the spectrum)")
     o.add_argument("--trim-mult", type=float, default=None,
                    help="degree threshold multiplier for trimming")
-    o.add_argument("--max-iters", type=int, default=None)
-    o.add_argument("--grad-tol", type=float, default=None)
+    o.add_argument("--max-iters", type=int, default=None,
+                   help="cap on the descent's sweeps, counted over all ranks")
+    o.add_argument("--grad-tol", type=float, default=None,
+                   help="certificate: tangent gradient norm relative to "
+                        "||P_Omega(Y)||_F^2")
     o.add_argument("--out", default=None, help="write the full report as JSON")
     o.set_defaults(func=_cmd_optspace)
 

@@ -1,13 +1,23 @@
 """Spectral completion pipeline: trim over-observed rows/columns, initialize
-from the rescaled SVD of the trimmed data, then minimize the observed-entry
-residual over the factor manifold.
+from the rescaled SVD of the trimmed data, then fit the observed entries by
+rank-incremental alternating least squares.
 
-The objective is F(U, V) = min_S 1/2 ||P_Omega(U S V^T - Y)||_F^2 with U, V
-column-orthonormal; the inner minimization over the small r x r matrix S is
-an exact least-squares solve performed at every objective evaluation, and the
-outer descent moves U, V along the projected (tangent-space) gradient with a
-QR retraction and an Armijo backtracking line search.
+The descent fits X = L R^T, L and R with k <= r columns, to Y on Omega by
+alternating exact least squares (AltMin: Jain, Netrapalli and Sanghavi,
+arXiv 1212.0467).  With R held, row i of L solves the k x k normal equations
 
+    W_i l_i = z_i,   W_i = sum_{j in Omega_i} r_j r_j^T,
+                     z_i = sum_{j in Omega_i} y_ij r_j,
+
+and the columns of R likewise with L held.  The rank grows one component
+at a time from the state's rank-1 point, each new one seeded from the top
+singular pair of the rescaled residual, as Incremental OptSpace proposes
+for ill-conditioned matrices (Keshavan, Montanari and Oh, arXiv 0906.2027):
+a descent from the full-rank spectral start can stall on a weak component
+that its start does not see.  See optspace_descent for the stage rule.
+
+Its stop test is the certificate of the OptSpace objective
+F(U, V) = min_S 1/2 ||P_Omega(U S V^T - Y)||_F^2 over column-orthonormal U, V.
 Observed entry (i, j) of U S V^T is <u_i kron v_j, vec(S)>, so S solves the
 normal equations G vec(S) = b of an m x r^2 least-squares problem.  Grouping
 Omega by row gives them without forming that design:
@@ -16,10 +26,12 @@ Omega by row gives them without forming that design:
     b = sum_i u_i kron z_i,           z_i = sum_{j in Omega_i} y_ij v_j.
 
 Omega's row and column groups are laid out once per descent (_OmegaIndex).
-One evaluation of F then costs O(m r^2) for the group sums, O(k r^4) for G
-over the k non-empty rows, and O(r^6) for the solve; the residual on Omega
-it leaves behind gives the gradient's R V S^T and R^T U S as row and column
-group sums in O(m r), so no n1 x n2 matrix is formed inside the descent.
+A sweep then costs O(m r^2) for the group sums of both half-sweeps, plus
+one batched r x r solve per row and per column; the certificate costs
+O(m r^2 + k r^4 + r^6) for F over k non-empty rows, and its residual on
+Omega gives the tangent gradient's R V S^T and R^T U S as row and column
+group sums in O(m r).  No n1 x n2 matrix is formed inside the descent: the
+residual's top singular pair comes from power iteration on its entries.
 
 F and its gradient both scale as the data squared, so the descent stops at
 a tangent gradient norm <= grad_tol ||P_Omega(Y)||_F^2, a scale-free test.
@@ -45,8 +57,10 @@ __all__ = [
     "optspace",
 ]
 
-LS_SHRINK = 0.5     # line-search step shrink factor
-LS_SUFFDEC = 1e-4   # Armijo sufficient-decrease constant
+STAGE_SWEEPS = 10   # sweeps an intermediate rank gets at most
+STAGE_RTOL = 1e-2   # an intermediate rank ends at a smaller relative decrease
+POWER_ITERS = 100   # power iterations for a rank seed at most
+POWER_RTOL = 1e-6   # ... ending when the singular value grows less, relatively
 
 
 @dataclass(frozen=True)
@@ -69,9 +83,9 @@ class OptspaceState:
     s: np.ndarray          # (r, r)
     v: np.ndarray          # (n2, r), orthonormal columns
     objective: float       # F(U, V) at this state
-    iteration: int
-    history: tuple = ()    # accepted objective values, F_0 included
-    rank_deficient: bool = False   # some inner solve had a singular Gram
+    iteration: int         # descent sweeps
+    history: tuple = ()    # recorded objective values; see optspace_descent
+    rank_deficient: bool = False   # some least-squares system was singular
     grad_norm: float | None = None  # tangent gradient norm; set by the descent
 
     def estimate(self):
@@ -121,7 +135,7 @@ def spectral_init(trimmed, omega, r):
             f"requested rank {r} exceeds achievable rank {achievable} of the data")
     u, sv, v = u[:, :r], s[:r], vt[:r].T
     # S starts as the scaled singular values; the objective is still the
-    # inner-minimized F(U, V), which is what the descent drives down.
+    # inner-minimized F(U, V), which the descent's certificate is about.
     obj, _, deficient, _ = _inner_s(u, v, _OmegaIndex(omega, trimmed))
     return OptspaceState(u=u, s=np.diag(sv), v=v, objective=obj, iteration=0,
                          history=(obj,), rank_deficient=deficient)
@@ -146,6 +160,7 @@ class _OmegaIndex:
         self.row_ids, self.row_starts = np.unique(self.rows, return_index=True)
         self.col_perm = np.argsort(self.cols, kind="stable")
         self.rows_by_col = self.rows[self.col_perm]
+        self.y_by_col = self.y[self.col_perm]
         self.col_ids, self.col_starts = np.unique(self.cols[self.col_perm],
                                                   return_index=True)
 
@@ -214,16 +229,103 @@ def _retract(w):
     return q * sign
 
 
-def optspace_descent(state, y_obs, omega, config=None):
-    """Projected gradient descent on F(U, V) from ``state``.
+def _half_sweep(fixed, gather, starts, ids, y, n):
+    """Exact least-squares rows of one factor of X = L R^T, the other held.
 
-    Every step recomputes the inner S exactly, moves (U, V) along the
-    negative tangent gradient, retracts by QR, and is accepted under an
-    Armijo sufficient-decrease test, so the recorded objective history is
-    nonincreasing.  Stops on gradient norm (<= grad_tol ||P_Omega(Y)||_F^2),
-    line-search stall, or max_iters; the returned state carries the gradient
-    norm at its (U, V).  Omega is indexed once, and the accepted trial's
-    residual feeds the next gradient.
+    ``gather`` names, entry by entry in the grouped order of ``y``, the row
+    of ``fixed`` each observation pairs with; ``starts`` opens each group,
+    whose row is ``ids``.  Row i solves W_i x_i = z_i, W_i = sum_j f_j f_j^T
+    and z_i = sum_j y_ij f_j over its group: one batched k x k solve, O(m k^2)
+    for the group sums.  A row without entries stays zero.  A system whose
+    smallest eigenvalue is at most 1e-12 of its largest (fewer than k
+    entries, or a degenerate fixed factor) gets the minimum-norm solution
+    instead.  Returns (factor, any system deficient).
+    """
+    k = fixed.shape[1]
+    fc = np.take(fixed.T, gather, axis=1)                  # (k, m)
+    gram = np.add.reduceat((fc[:, None] * fc[None]).reshape(k * k, -1), starts,
+                           axis=1).T.reshape(-1, k, k)
+    rhs = np.add.reduceat(fc * y, starts, axis=1).T[..., None]
+    eigs = np.linalg.eigvalsh(gram)
+    bad = eigs[:, 0] <= 1e-12 * eigs[:, -1]
+    sol = np.empty(rhs.shape)
+    sol[~bad] = np.linalg.solve(gram[~bad], rhs[~bad])
+    sol[bad] = np.linalg.pinv(gram[bad]) @ rhs[bad]
+    out = np.zeros((n, k))
+    out[ids] = sol[..., 0]
+    return out, bool(bad.any())
+
+
+def _rebalance(l, r):
+    """The same L R^T with L and R sharing its singular values evenly."""
+    q_l, t_l = np.linalg.qr(l)
+    q_r, t_r = np.linalg.qr(r)
+    p, sv, qt = np.linalg.svd(t_l @ t_r.T)
+    root = np.sqrt(sv)
+    return q_l @ (p * root), q_r @ (qt.T * root)
+
+
+def _fit(l, r, index):
+    """(1/2 ||P_Omega(L R^T - Y)||_F^2, that residual in ``index`` order)."""
+    resid = (l[index.rows] * r[index.cols]).sum(axis=1) - index.y
+    return 0.5 * float(resid @ resid), resid
+
+
+def _top_pair(resid, index, n1, n2, p):
+    """Top singular pair (a, sigma, b) of (1/p) E, E the n1 x n2 matrix that
+    holds ``resid`` on Omega and zero elsewhere, by power iteration on E's
+    entries alone; it starts from the constant unit vector, so it is
+    deterministic.  sigma is 0 when E vanishes."""
+    b = np.full(n2, 1.0 / math.sqrt(n2))
+    sigma = 0.0
+    for _ in range(POWER_ITERS):
+        a = np.bincount(index.rows, weights=resid * b[index.cols], minlength=n1)
+        norm_a = np.linalg.norm(a)
+        if norm_a == 0:
+            return a, 0.0, b
+        a /= norm_a
+        b = np.bincount(index.cols, weights=resid * a[index.rows], minlength=n2)
+        prev, sigma = sigma, float(np.linalg.norm(b))
+        b /= sigma
+        if sigma - prev <= POWER_RTOL * sigma:
+            break
+    return a, sigma / p, b
+
+
+def _certify(l, r, index):
+    """The state at U, V = the QR frames of L, R, S the exact inner fit:
+    (U, S, V, F(U, V), inner rank-deficient, tangent gradient norm^2)."""
+    u, v = _retract(l), _retract(r)
+    obj, s, deficient, resid = _inner_s(u, v, index)
+    return u, s, v, obj, deficient, _gradient(u, s, v, resid, index)[2]
+
+
+def optspace_descent(state, y_obs, omega, config=None):
+    """Rank-incremental alternating least squares on X = L R^T from ``state``.
+
+    A state that already meets the certificate (tangent gradient norm of F
+    at its U, V <= grad_tol ||P_Omega(Y)||_F^2) comes back at once, with its
+    inner S refit.  Otherwise the fit starts from the state's rank-1 point,
+    the top singular pair of U S V^T, and grows one component at a time:
+
+    * a sweep solves every row of L with R held, then every column of R with
+      L held, each an exact least-squares block minimization (_half_sweep),
+      and rebalances L and R by QR + SVD;
+    * an intermediate rank k < r ends after STAGE_SWEEPS sweeps or at the
+      first sweep that lowers the fit by less than STAGE_RTOL of its value;
+      rank k + 1 is then seeded from the top singular pair of the rescaled
+      residual (1/p) P_Omega(Y - L R^T);
+    * the final rank ends at the certificate, checked after every sweep at
+      U, V the QR frames of L, R and S their exact inner fit.
+
+    ``max_iters`` caps the sweeps over all ranks; a run that spends it early
+    still seeds the remaining ranks, so the result has rank r.  One sweep
+    costs O(m r^2) for m entries at rank r, and no n1 x n2 matrix is formed.
+    ``history`` is the fit 1/2 ||P_Omega(L R^T - Y)||_F^2 at the rank-1 start
+    and after each sweep; each sweep is an exact block minimization, and a
+    new component cannot raise the fit of the sweep that follows it, so the
+    history is nonincreasing.  ``iteration`` adds the sweeps to the state's
+    count, and the returned state is U, S, V with the gradient norm there.
     """
     cfg = config or OptspaceConfig()
     y_obs = check_matrix(y_obs)
@@ -233,40 +335,58 @@ def optspace_descent(state, y_obs, omega, config=None):
         raise ValueError("cannot descend on an empty observation set")
     index = _OmegaIndex(omega, y_obs)
     grad_tol = cfg.grad_tol * float(index.y @ index.y)
-    u, v = state.u, state.v
-    obj, s, deficient, resid = _inner_s(u, v, index)
-    history = [obj]
-    step = 1.0
-    it = 0
-    for it in range(1, cfg.max_iters + 1):
-        grad_u, grad_v, gnorm2 = _gradient(u, s, v, resid, index)
-        if math.sqrt(gnorm2) <= grad_tol:
-            it -= 1
-            break
-        t = step
-        accepted = False
-        for _ in range(60):
-            u_try = _retract(u - t * grad_u)
-            v_try = _retract(v - t * grad_v)
-            obj_try, s_try, deficient_try, resid_try = _inner_s(u_try, v_try, index)
-            if obj_try <= obj - LS_SUFFDEC * t * gnorm2:
-                accepted = True
-                break
-            t *= LS_SHRINK
-        if not accepted:
-            it -= 1
-            break  # objective stall: no decrease at any step length
-        u, v, s, obj, resid = u_try, v_try, s_try, obj_try, resid_try
-        deficient = deficient or deficient_try
-        history.append(obj)
-        step = min(t / LS_SHRINK, 1e6)
-    else:
-        gnorm2 = _gradient(u, s, v, resid, index)[2]   # at the iteration cap
+    cert = _certify(state.u, state.v, index)
+    sweeps, history, deficient = 0, [cert[3]], False
+    if math.sqrt(cert[5]) > grad_tol:
+        sweeps, history, deficient, cert = _incremental_als(
+            state, index, omega, cfg.max_iters, grad_tol)
+    u, s, v, obj, inner_deficient, gnorm2 = cert
     return OptspaceState(u=u, s=s, v=v, objective=obj,
-                         iteration=state.iteration + it,
+                         iteration=state.iteration + sweeps,
                          history=tuple(history),
-                         rank_deficient=state.rank_deficient or deficient,
+                         rank_deficient=(state.rank_deficient or deficient
+                                         or inner_deficient),
                          grad_norm=math.sqrt(gnorm2))
+
+
+def _incremental_als(state, index, omega, max_sweeps, grad_tol):
+    """The sweeps of optspace_descent from ``state``'s rank-1 point: returns
+    (sweeps, history, some half-sweep system deficient, final _certify)."""
+    rank = state.u.shape[1]
+    p, sv, qt = np.linalg.svd(state.s)
+    root = math.sqrt(sv[0])
+    l, r = state.u @ p[:, :1] * root, state.v @ qt[:1].T * root
+    fit, resid = _fit(l, r, index)
+    history = [fit]
+    deficient = False
+    sweeps = 0
+    cert = None
+    while True:
+        final = l.shape[1] == rank
+        stage = 0
+        while sweeps < max_sweeps and (final or stage < STAGE_SWEEPS):
+            l, d_rows = _half_sweep(r, index.cols, index.row_starts, index.row_ids,
+                                    index.y, omega.n1)
+            r, d_cols = _half_sweep(l, index.rows_by_col, index.col_starts,
+                                    index.col_ids, index.y_by_col, omega.n2)
+            l, r = _rebalance(l, r)
+            deficient = deficient or d_rows or d_cols
+            sweeps += 1
+            stage += 1
+            fit, resid = _fit(l, r, index)
+            history.append(fit)
+            if final:
+                cert = _certify(l, r, index)
+                if math.sqrt(cert[5]) <= grad_tol:
+                    break
+            elif history[-2] - fit < STAGE_RTOL * history[-2]:
+                break
+        if final:
+            return sweeps, history, deficient, cert or _certify(l, r, index)
+        a, sigma, b = _top_pair(-resid, index, omega.n1, omega.n2, omega.p)
+        root = math.sqrt(sigma)
+        l, r = np.column_stack([l, root * a]), np.column_stack([r, root * b])
+        resid = _fit(l, r, index)[1]
 
 
 def estimate_rank(trimmed, p):
@@ -296,8 +416,9 @@ def optspace(y_obs, omega, r=None, config=None):
     objective ||S||_*, the estimate's nuclear norm since U and V have
     orthonormal columns.  It is converged at a gradient norm at most
     grad_tol yy or F at most 1e-18 yy, yy = ||P_Omega(Y)||_F^2; a descent
-    that reaches max_iters unconverged is flagged ``iteration-cap``.  An
-    empty Omega is a ValueError.
+    that spends max_iters sweeps unconverged is flagged ``iteration-cap``,
+    and one whose least-squares systems were singular somewhere
+    ``inner-rank-deficient``.  An empty Omega is a ValueError.
     """
     cfg = config or OptspaceConfig()
     y_obs = check_matrix(y_obs)

@@ -238,30 +238,33 @@ def test_criterion_7_optspace_recovery():
 
 def _criterion_8():
     # m = 450 sits above the nuclear-norm completion transition at this size
-    # (median recovery ~5e-7 for both spectra) while the spectral pipeline
-    # still degrades by orders of magnitude at condition number 20
+    # (median recovery ~5e-7 for both spectra); the spectral pipeline must
+    # certify the same recovery at condition number 20, where a descent that
+    # stalls on the weak component stays near its error
     n, r, m = 30, 2, 450
-    ratios = []
+    spread_errs, spread_certified = [], 0
     nuclear = {1.0: [], 20.0: []}
     for k in range(11):
-        errs = {}
         for kappa in (1.0, 20.0):
             spec = LowRankSpec(n, n, r, (kappa, 1.0), "random-orthogonal",
                                MASTER_SEED + 800 + k)
             truth, _ = gen_low_rank(spec)
             omega = sample_omega(n, n, m, seed=MASTER_SEED + 900 + k)
             yobs = project_omega(omega, truth)
-            rep = optspace(yobs, omega, r=r)
-            errs[kappa] = np.linalg.norm(rep.estimate - truth) \
-                / np.linalg.norm(truth)
+            if kappa == 20.0:
+                rep = optspace(yobs, omega, r=r)
+                err = float(np.linalg.norm(rep.estimate - truth)
+                            / np.linalg.norm(truth))
+                spread_errs.append(err)
+                spread_certified += rep.converged and err <= 1e-6
             ens = entry_sampling_ensemble(omega)
             nuc = solve_noiseless(ens, truth[omega.pairs[:, 0],
                                              omega.pairs[:, 1]])
             nuclear[kappa].append(float(np.linalg.norm(nuc.estimate - truth)
                                         / np.linalg.norm(truth)))
-        ratios.append(float(errs[20.0] / max(errs[1.0], 1e-300)))
     return {
-        "median_ratio": float(np.median(ratios)),
+        "spread_certified": int(spread_certified),
+        "spread_max_err": max(spread_errs),
         "nuclear_median_flat": float(np.median(nuclear[1.0])),
         "nuclear_median_spread": float(np.median(nuclear[20.0])),
     }
@@ -269,10 +272,11 @@ def _criterion_8():
 
 def test_criterion_8_condition_number_sensitivity():
     data = payload(8)
-    ok = (data["median_ratio"] >= 2.0
+    ok = (data["spread_certified"] == 11
           and data["nuclear_median_flat"] <= 1e-3
           and data["nuclear_median_spread"] <= 1e-3)
-    report(8, ok, f"spectral-pipeline error ratio {data['median_ratio']:.1f} "
+    report(8, ok, f"spectral pipeline at kappa 20 certified within 1e-6 in "
+                  f"{data['spread_certified']}/11, worst {data['spread_max_err']:.1e} "
                   f"(nuclear medians {data['nuclear_median_flat']:.1e} / "
                   f"{data['nuclear_median_spread']:.1e})")
     assert ok

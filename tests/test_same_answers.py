@@ -19,8 +19,14 @@ def record(kind, seed, nuclear=2.0, rel_err=0.1, ok=True, digest="d",
 
 def block(lines, kind):
     """The lines of one (workload, kind) block, joined."""
-    start = lines.index(f"w {kind}: 2 operations")
-    return "\n".join(lines[start:start + 5])
+    start = next(i for i, line in enumerate(lines) if line.startswith(f"w {kind}: "))
+    return "\n".join(lines[start:start + 6])
+
+
+def group(lines, kind, label):
+    """The line of one (workload, kind) block for its ``label`` operations."""
+    return next(line for line in block(lines, kind).splitlines()
+                if line.split()[0] == label)
 
 
 def test_parse_seeds_ranges_and_singles():
@@ -93,3 +99,29 @@ def test_report_scalars_and_flags_are_compared():
     assert "equality_residual 2e-15;" in text
     assert "dual_residual inf;" in text
     assert "flags differ in 1" in text
+
+
+def test_identical_and_changed_estimates_are_reported_apart():
+    # one changed estimate with a large report difference must not hide
+    # that the bit-identical operations differ only by rounding
+    parent = [record("a", 1, rel_err=0.1, dual_residual=1.0),
+              record("a", 2, rel_err=0.097, dual_residual=1.0),
+              record("a", 3, rel_err=0.2, dual_residual=1.0)]
+    change = [record("a", 1, rel_err=0.1, dual_residual=1.0 + 2e-15),
+              record("a", 2, rel_err=0.007, digest="e", dual_residual=0.5),
+              record("a", 3, rel_err=0.2, dual_residual=1.0)]
+    for recs in (parent, change):
+        recs.append(record("b", 1))
+    lines, ok = same_answers.compare(parent, change)
+    assert ok
+    assert "bit-identical in 2/3" in block(lines, "a")
+    same, changed = group(lines, "a", "identical"), group(lines, "a", "changed")
+    assert same.startswith("    identical  2: max rel nuclear-norm diff 0;")
+    assert "max |d rel_err| 0;" in same and "max rel_err 0.2 -> 0.2;" in same
+    assert "dual_residual 2e-15;" in same
+    assert changed.startswith("    changed    1:")
+    assert "max |d rel_err| 0.09;" in changed
+    assert "max rel_err 0.097 -> 0.007;" in changed
+    assert "dual_residual 0.5;" in changed
+    # a kind whose estimates are all bit-identical has no changed line to read
+    assert group(lines, "b", "changed") == "    changed    0"

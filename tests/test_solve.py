@@ -391,6 +391,21 @@ def test_noiseless_tau_path_recorded():
     assert rep.prox_steps == rep.iterations and rep.restarts == 0
 
 
+def test_noiseless_measures_its_estimate_once(monkeypatch):
+    # A runs once per projection (one per iteration and the final one) and
+    # once in the report, whose residual also decides feasibility
+    import lowrankrec.solve as solve_mod
+    calls = []
+    apply = solve_mod.apply_ensemble
+    monkeypatch.setattr(solve_mod, "apply_ensemble",
+                        lambda *args: calls.append(1) or apply(*args))
+    _, ens, y = gaussian_instance(12, 12, 2, 100, 3)
+    rep = solve_noiseless(ens, y)
+    assert rep.converged
+    assert len(calls) == rep.iterations + 2
+    assert rep.residual_path == (rep.equality_residual,)
+
+
 def overdetermined_instance(kind, n, m, seed, sigma=0.0):
     truth = low_rank(n, 1, seed)
     ens = kind(n, n, m, seed=seed)
