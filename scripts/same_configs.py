@@ -1,7 +1,8 @@
 """Check that a change gives the same `lowrankrec bench` results as its
 parent commit on whole experiment configs, and time each config end to end.
 
-    python3 scripts/same_configs.py --parent HEAD --jobs 2 configs/*.cfg
+    python3 scripts/same_configs.py --parent HEAD --jobs 2 configs/*.cfg \\
+        [--out CONFIGS_<n>.json]
 
 Extracts the parent revision into a temporary directory with bench_pairs.py's
 `git archive` helper.  Then, for every config, it runs
@@ -17,6 +18,11 @@ Per config it prints the wall time of each side's run, then compares:
 A difference in any of them is a result difference.  Keys of the JSON config
 echo that differ (dotted, e.g. ``optspace.grad_tol``) are printed as a note,
 not a failure, since a change may add or drop a setting on purpose.
+
+With ``--out FILE.json`` it also writes a ledger: the parent commit, --jobs,
+and per config each side's wall time and exit code, the differences and the
+config-echo notes, and the verdict ("identical" or "differ").  The file is
+rewritten after every config.
 
 Exits 1 when any config's results differ.  Standard library only.
 """
@@ -42,6 +48,7 @@ def parse_args(argv):
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--parent", default="HEAD", help="git revision of the parent side")
     ap.add_argument("--jobs", type=int, default=1, help="--jobs of each bench run")
+    ap.add_argument("--out", default=None, help="ledger file to write, CONFIGS_<n>.json")
     ap.add_argument("configs", nargs="+", help="experiment config files")
     args = ap.parse_args(argv)
     if args.jobs < 1:
@@ -109,6 +116,19 @@ def compare(parent, change):
     return diffs, echo
 
 
+def ledger_entry(config, runs, diffs, echo):
+    """One config's ledger record; ``runs`` maps side -> (exit code, outputs,
+    wall seconds)."""
+    return {
+        "config": Path(config).name,
+        "wall_s": {side: round(runs[side][2], 3) for side in ("parent", "change")},
+        "exit": {side: runs[side][0] for side in ("parent", "change")},
+        "differences": diffs,
+        "echo_notes": echo,
+        "verdict": "differ" if diffs else "identical",
+    }
+
+
 def main(argv=None):
     args = parse_args(sys.argv[1:] if argv is None else argv)
     configs = [Path(c).resolve() for c in args.configs]
@@ -118,6 +138,7 @@ def main(argv=None):
         trees["parent"].mkdir()
         commit = extract(args.parent, trees["parent"])
         print(f"parent {commit[:7]} against the working tree; --jobs {args.jobs}")
+        ledger = {"parent": commit, "jobs": args.jobs, "configs": []}
         for k, config in enumerate(configs):
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             runs = {}
@@ -134,6 +155,9 @@ def main(argv=None):
                      + ", ".join(diffs)))
             if echo:
                 print(f"  note: config echo differs in {', '.join(echo)}")
+            if args.out:
+                ledger["configs"].append(ledger_entry(config, runs, diffs, echo))
+                Path(args.out).write_text(json.dumps(ledger, indent=1) + "\n")
     print("same results" if ok else "RESULTS DIFFER")
     return 0 if ok else 1
 

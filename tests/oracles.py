@@ -147,6 +147,33 @@ def nuclear_equality_dual_bound(adjoint_fn, m, y, est, rel_gap, iters=1000):
     return best
 
 
+def residual_ball_by_bisection(penalized, tau_hi, delta, ratio=1.0 + 1e-8):
+    """Smallest nuclear norm subject to ||A(X) - y||_2 <= delta, by geometric
+    bisection on tau of a penalized solver, penalized(tau, x0) -> (X, its
+    residual), warm-started from the last solution.  The residual of the
+    penalized solution is nondecreasing in tau and exceeds delta at tau_hi.
+    tau is halved from tau_hi until feasible, the bracket [feasible,
+    infeasible] is then bisected down to ``ratio``, and the nuclear norm of
+    the solution at its feasible end is returned.
+    """
+    hi, x = tau_hi, None
+    while True:
+        lo = 0.5 * hi
+        x, res = penalized(lo, x)
+        if res <= delta:
+            break
+        hi = lo
+    x_lo = x
+    while hi / lo > ratio:
+        mid = math.sqrt(lo * hi)
+        x, res = penalized(mid, x)
+        if res <= delta:
+            lo, x_lo = mid, x
+        else:
+            hi = mid
+    return float(_dense_svd(x_lo)[1].sum())
+
+
 def _dense_svd(x):
     # these oracles check the solvers, not the SVD; numpy's SVD is allowed
     # here (the SVD itself is checked by jacobi_singular_values)

@@ -52,3 +52,27 @@ def test_a_run_that_wrote_nothing(tmp_path):
     assert same_configs.compare((2, nothing), (2, nothing)) == ([], [])
     diffs, _ = same_configs.compare((2, nothing), (0, write_run(tmp_path / "a")))
     assert diffs == ["exit code 2 -> 0", "csv differ", "cells differ", "trials differ"]
+
+
+def test_out_writes_a_ledger_of_wall_times_and_verdicts(tmp_path, monkeypatch):
+    # both trees stubbed: the parent side of the second config reports a
+    # lower success rate, so that config differs and the run exits 1
+    def fake_run(tree, config, out_dir, jobs):
+        side_is_parent = tree != same_configs.ROOT
+        rate = 0.5 if side_is_parent and config.name == "b.cfg" else 1.0
+        write_run(out_dir, rate=rate)
+        return 0, 2.0 if side_is_parent else 1.0
+
+    monkeypatch.setattr(same_configs, "extract", lambda rev, dest: "f" * 40)
+    monkeypatch.setattr(same_configs, "run_bench", fake_run)
+    out = tmp_path / "CONFIGS.json"
+    code = same_configs.main(["--jobs", "2", "--out", str(out),
+                              str(tmp_path / "a.cfg"), str(tmp_path / "b.cfg")])
+    ledger = json.loads(out.read_text())
+    assert code == 1
+    assert ledger["parent"] == "f" * 40 and ledger["jobs"] == 2
+    assert [c["config"] for c in ledger["configs"]] == ["a.cfg", "b.cfg"]
+    assert [c["verdict"] for c in ledger["configs"]] == ["identical", "differ"]
+    assert ledger["configs"][1]["differences"] == ["csv differ", "cells differ"]
+    assert all(c["wall_s"] == {"parent": 2.0, "change": 1.0} for c in ledger["configs"])
+    assert all(c["exit"] == {"parent": 0, "change": 0} for c in ledger["configs"])

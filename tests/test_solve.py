@@ -16,7 +16,8 @@ from lowrankrec.solve import (SolverConfig, choose_delta, choose_lambda,
 
 from oracles import (douglas_rachford_nuclear_equality,
                      nuclear_equality_dual_bound,
-                     prox_descent_nuclear_penalized)
+                     prox_descent_nuclear_penalized,
+                     residual_ball_by_bisection)
 
 
 def low_rank(n, r, seed, top=1.0):
@@ -450,6 +451,24 @@ def test_noiseless_never_factorises_the_gram(monkeypatch):
     assert rel_err(rep.estimate, truth) <= 1e-6
 
 
+def test_noiseless_projections_cut_cg_tenfold(monkeypatch):
+    # at the harness's n = 30, m = 480 each warm-started projection needs a
+    # few Gram products: at most 10 per DR iteration, the final one included
+    import lowrankrec.solve as solve_mod
+    products = []
+    cg = solve_mod._cg
+
+    def counting_cg(gram_times, *args):
+        return cg(lambda p: products.append(1) or gram_times(p), *args)
+
+    monkeypatch.setattr(solve_mod, "_cg", counting_cg)
+    truth, ens, y = gaussian_instance(30, 30, 2, 480, 7)
+    rep = solve_noiseless(ens, y)
+    assert rep.converged
+    assert rel_err(rep.estimate, truth) <= 1e-6
+    assert len(products) <= 10 * rep.iterations
+
+
 # --------------------------------------------------------------- solve_dantzig
 
 def test_dantzig_vectorization_closed_form():
@@ -541,10 +560,13 @@ def test_lasso_accepts_observation_set():
     assert rep.equality_residual <= 1e-8 * (1 + 1e-6) + 1e-12
 
 
-def test_lasso_constraint_met_and_residuals_monotone():
-    truth = low_rank(10, 2, 23)
-    ens = gaussian_ensemble(10, 10, 70, seed=11)
-    y = add_noise(apply_ensemble(ens, truth), NoiseModel(0.01, 12))
+@pytest.mark.parametrize("s", range(40))
+def test_lasso_constraint_met_and_residuals_monotone(s):
+    # records close together in tau must still order their residuals: the
+    # root-finding stages run at a tighter eps than the continuation stages
+    truth = low_rank(10, 2, 23 + s)
+    ens = gaussian_ensemble(10, 10, 70, seed=11 + s)
+    y = add_noise(apply_ensemble(ens, truth), NoiseModel(0.01, 12 + s))
     delta = 0.5 * float(np.linalg.norm(y - apply_ensemble(ens, truth))) + 0.05
     rep = solve_lasso(ens, y, delta)
     assert rep.converged
@@ -554,6 +576,55 @@ def test_lasso_constraint_met_and_residuals_monotone():
     resids = [res for _, res in path]
     slack = 1e-7 * max(1.0, float(np.linalg.norm(y)))
     assert all(a >= b - slack for a, b in zip(resids, resids[1:]))
+
+
+def lasso_instance(kind, n, m, seed, sigma=1e-2):
+    truth = low_rank(n, 2, seed)
+    if kind == "gaussian":
+        ens = gaussian_ensemble(n, n, m, seed=seed)
+    else:
+        ens = entry_sampling_ensemble(sample_omega(n, n, m, seed=seed))
+    y = add_noise(apply_ensemble(ens, truth), NoiseModel(sigma, seed))
+    return ens, y, choose_delta(m, sigma)
+
+
+@pytest.mark.parametrize("kind, n, m, seed", [
+    ("gaussian", 12, 100, 3), ("gaussian", 20, 200, 5), ("entries", 20, 240, 2)])
+def test_lasso_matches_residual_ball_reference(kind, n, m, seed):
+    # the residual-ball minimum by certified penalized solves bisected to a
+    # tau ratio of 1 + 1e-8; bisection to 1 + 1e-4 took 16-17 stages here
+    ens, y, delta = lasso_instance(kind, n, m, seed)
+    rep = solve_lasso(ens, y, delta)
+
+    def penalized(tau, x0):
+        sol = solve_penalized(ens, y, tau, x0=x0)
+        assert sol.converged
+        return sol.estimate, sol.equality_residual
+
+    tau_hi = operator_norm(adjoint_ensemble(ens, y))
+    ref = residual_ball_by_bisection(penalized, tau_hi, delta)
+    assert rep.converged and rep.equality_residual <= delta * (1 + 1e-6)
+    assert abs(rep.objective - ref) <= 1e-4 * ref
+    assert len(rep.tau_path) < 16
+
+
+def test_lasso_measures_each_stage_start_once(monkeypatch):
+    # a stage starts from the point, A(point) and nuclear norm the previous
+    # stage returned, and the records keep their stages' nuclear norms: A runs
+    # once per prox step and once in the report, the nuclear-norm SVD only
+    # in the report
+    import lowrankrec.solve as solve_mod
+    applies, norms = [], []
+    apply, nuclear = solve_mod.apply_ensemble, solve_mod.nuclear_norm
+    monkeypatch.setattr(solve_mod, "apply_ensemble",
+                        lambda *args: applies.append(1) or apply(*args))
+    monkeypatch.setattr(solve_mod, "nuclear_norm",
+                        lambda *args: norms.append(1) or nuclear(*args))
+    ens, y, delta = lasso_instance("gaussian", 12, 100, 3)
+    rep = solve_lasso(ens, y, delta)
+    assert rep.converged and len(rep.tau_path) > 2
+    assert len(applies) == rep.prox_steps + 1
+    assert len(norms) == 1
 
 
 def test_lasso_completion_stays_within_stability_bound_small():
