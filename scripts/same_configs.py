@@ -19,10 +19,16 @@ A difference in any of them is a result difference.  Keys of the JSON config
 echo that differ (dotted, e.g. ``optspace.grad_tol``) are printed as a note,
 not a failure, since a change may add or drop a setting on purpose.
 
+Beside that exact comparison it prints a gate-level one: gates are "same"
+when the exit codes match (floor violations exit 1) and every cell's
+successes, failures and non-convergences match, and "differ" otherwise.  A
+change that moves rel_err at rounding level then reads results "differ"
+but gates "same".
+
 With ``--out FILE.json`` it also writes a ledger: the parent commit, --jobs,
 and per config each side's wall time and exit code, the differences and the
-config-echo notes, and the verdict ("identical" or "differ").  The file is
-rewritten after every config.
+config-echo notes, the verdict ("identical" or "differ") and the gates
+("same" or "differ").  The file is rewritten after every config.
 
 Exits 1 when any config's results differ.  Standard library only.
 """
@@ -42,6 +48,7 @@ from bench_pairs import ROOT, extract
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 RUN_TIMEOUT_S = 3600
 TIMING = "seconds"
+GATE_COUNTS = ("successes", "failures", "non_convergences")
 
 
 def parse_args(argv):
@@ -116,7 +123,16 @@ def compare(parent, change):
     return diffs, echo
 
 
-def ledger_entry(config, runs, diffs, echo):
+def gates(parent, change):
+    """Gate-level verdict of two runs, each (exit code, load_outputs dict):
+    "same" when the exit codes and every cell's GATE_COUNTS match."""
+    def counts(out):
+        return [{k: cell.get(k) for k in GATE_COUNTS} for cell in out.get("cells", [])]
+    (p_code, p_out), (c_code, c_out) = parent, change
+    return "same" if p_code == c_code and counts(p_out) == counts(c_out) else "differ"
+
+
+def ledger_entry(config, runs, diffs, echo, gate):
     """One config's ledger record; ``runs`` maps side -> (exit code, outputs,
     wall seconds)."""
     return {
@@ -126,6 +142,7 @@ def ledger_entry(config, runs, diffs, echo):
         "differences": diffs,
         "echo_notes": echo,
         "verdict": "differ" if diffs else "identical",
+        "gates": gate,
     }
 
 
@@ -147,16 +164,18 @@ def main(argv=None):
                 code, wall = run_bench(trees[side], config, out_dir, args.jobs)
                 runs[side] = (code, load_outputs(out_dir), wall)
             diffs, echo = compare(runs["parent"][:2], runs["change"][:2])
+            gate = gates(runs["parent"][:2], runs["change"][:2])
             ok &= not diffs
             print(f"{config.name}: wall parent {runs['parent'][2]:.2f} s, change "
                   f"{runs['change'][2]:.2f} s; exit {runs['parent'][0]} / "
                   f"{runs['change'][0]}; "
                   + ("results identical" if not diffs else "RESULTS DIFFER: "
-                     + ", ".join(diffs)))
+                     + ", ".join(diffs))
+                  + f"; gates {gate}")
             if echo:
                 print(f"  note: config echo differs in {', '.join(echo)}")
             if args.out:
-                ledger["configs"].append(ledger_entry(config, runs, diffs, echo))
+                ledger["configs"].append(ledger_entry(config, runs, diffs, echo, gate))
                 Path(args.out).write_text(json.dumps(ledger, indent=1) + "\n")
     print("same results" if ok else "RESULTS DIFFER")
     return 0 if ok else 1

@@ -227,7 +227,7 @@ def build_parser():
     o.add_argument("--max-iters", type=int, default=None,
                    help="cap on the descent's sweeps, counted over all ranks")
     o.add_argument("--grad-tol", type=float, default=None,
-                   help="certificate: tangent gradient norm relative to "
+                   help="certificate: gradient norm relative to "
                         "||P_Omega(Y)||_F^2")
     o.add_argument("--out", default=None, help="write the full report as JSON")
     o.set_defaults(func=_cmd_optspace)

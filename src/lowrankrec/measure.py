@@ -70,7 +70,12 @@ class ObservationSet:
     def __post_init__(self):
         if self.n1 < 1 or self.n2 < 1:
             raise ValueError(f"dimensions must be positive, got {self.n1}x{self.n2}")
-        p = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
+        if int(self.n1) * int(self.n2) > np.iinfo(np.int64).max:
+            raise ValueError(f"dimensions {self.n1}x{self.n2} exceed the int64 index range")
+        try:
+            p = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:
+            raise ValueError("observation indices out of range") from None
         if p.size:
             if p.min() < 0 or p[:, 0].max() >= self.n1 or p[:, 1].max() >= self.n2:
                 raise ValueError("observation indices out of range")
@@ -317,8 +322,10 @@ def read_omega(path):
             pairs.append((int(toks[0]), int(toks[1])))
         except ValueError:
             raise ValueError(f"{path}: non-integer pair on line {k}") from None
-    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    return ObservationSet(n1=n1, n2=n2, pairs=pairs)
+    try:
+        return ObservationSet(n1=n1, n2=n2, pairs=pairs)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def write_vector(path, v):

@@ -16,25 +16,26 @@ for ill-conditioned matrices (Keshavan, Montanari and Oh, arXiv 0906.2027):
 a descent from the full-rank spectral start can stall on a weak component
 that its start does not see.  See optspace_descent for the stage rule.
 
-Its stop test is the certificate of the OptSpace objective
-F(U, V) = min_S 1/2 ||P_Omega(U S V^T - Y)||_F^2 over column-orthonormal U, V.
-Observed entry (i, j) of U S V^T is <u_i kron v_j, vec(S)>, so S solves the
-normal equations G vec(S) = b of an m x r^2 least-squares problem.  Grouping
-Omega by row gives them without forming that design:
-
-    G = sum_i (u_i u_i^T) kron W_i,   W_i = sum_{j in Omega_i} v_j v_j^T,
-    b = sum_i u_i kron z_i,           z_i = sum_{j in Omega_i} y_ij v_j.
+Its stop test certifies the OptSpace objective
+F(U, V) = min_S 1/2 ||P_Omega(U S V^T - Y)||_F^2 over column-orthonormal U, V
+from the factors a sweep holds.  A sweep ends by solving R exactly with L
+held, so E = P_Omega(L R^T - Y) has E^T L = 0, and its rebalancing writes the
+same L R^T as U S V^T, U and V frames, S diagonal.  When L has full column
+rank, E^T U = 0: the gradient U^T E V in S vanishes, so S is the inner
+minimizer and F(U, V) the sweep's own fit; and the gradients E V S^T and
+E^T U S = 0 in U and V equal their tangent projections, which are F's
+gradient on the frames.  The certificate is ||E V S^T||_F^2 +
+||E^T U S||_F^2 at the state's own S, with no second least-squares solve.
 
 Omega's row and column groups are laid out once per descent (_OmegaIndex).
 A sweep then costs O(m r^2) for the group sums of both half-sweeps, plus
-one batched r x r solve per row and per column; the certificate costs
-O(m r^2 + k r^4 + r^6) for F over k non-empty rows, and its residual on
-Omega gives the tangent gradient's R V S^T and R^T U S as row and column
-group sums in O(m r).  No n1 x n2 matrix is formed inside the descent: the
-residual's top singular pair comes from power iteration on its entries.
+one batched r x r solve per row and per column; the certificate adds O(m r)
+for E V S^T and E^T U S as row and column group sums of the residual.  No
+n1 x n2 matrix is formed inside the descent: the residual's top singular
+pair comes from power iteration on its entries.
 
 F and its gradient both scale as the data squared, so the descent stops at
-a tangent gradient norm <= grad_tol ||P_Omega(Y)||_F^2, a scale-free test.
+a gradient norm <= grad_tol ||P_Omega(Y)||_F^2, a scale-free test.
 optspace's report comes from solve's one report builder.
 """
 
@@ -66,7 +67,7 @@ POWER_RTOL = 1e-6   # ... ending when the singular value grows less, relatively
 @dataclass(frozen=True)
 class OptspaceConfig:
     max_iters: int = 500
-    grad_tol: float = 1e-8       # stop when the tangent gradient norm falls to
+    grad_tol: float = 1e-8       # stop when the gradient norm falls to
                                  # grad_tol * ||P_Omega(Y)||_F^2 (scale-free)
     trim_multiplier: float = 2.0  # degree cap = multiplier * m / n
 
@@ -82,11 +83,12 @@ class OptspaceState:
     u: np.ndarray          # (n1, r), orthonormal columns
     s: np.ndarray          # (r, r)
     v: np.ndarray          # (n2, r), orthonormal columns
-    objective: float       # F(U, V) at this state
+    objective: float       # 1/2 ||P_Omega(U S V^T - Y)||_F^2 at this S, which
+                           # is F(U, V) after a sweep (module docstring)
     iteration: int         # descent sweeps
     history: tuple = ()    # recorded objective values; see optspace_descent
     rank_deficient: bool = False   # some least-squares system was singular
-    grad_norm: float | None = None  # tangent gradient norm; set by the descent
+    grad_norm: float | None = None  # gradient norm at this S; set by the descent
 
     def estimate(self):
         return self.u @ self.s @ self.v.T
@@ -134,11 +136,10 @@ def spectral_init(trimmed, omega, r):
         raise ValueError(
             f"requested rank {r} exceeds achievable rank {achievable} of the data")
     u, sv, v = u[:, :r], s[:r], vt[:r].T
-    # S starts as the scaled singular values; the objective is still the
-    # inner-minimized F(U, V), which the descent's certificate is about.
-    obj, _, deficient, _ = _inner_s(u, v, _OmegaIndex(omega, trimmed))
+    # objective: the fit at S = the scaled singular values, not refitted
+    obj = _fit(u * sv, v, _OmegaIndex(omega, trimmed))[0]
     return OptspaceState(u=u, s=np.diag(sv), v=v, objective=obj, iteration=0,
-                         history=(obj,), rank_deficient=deficient)
+                         history=(obj,))
 
 
 class _OmegaIndex:
@@ -165,41 +166,9 @@ class _OmegaIndex:
                                                   return_index=True)
 
 
-def _inner_s(u, v, index):
-    """Exact inner least squares over S at (U, V).
-
-    Returns (objective, S, rank_deficient, residual), the residual being
-    U S V^T - Y on Omega in ``index`` order.  The r^2 x r^2 normal equations
-    come from row-grouped sums (see the module docstring), so one call costs
-    O(m r^2 + k r^4 + r^6) for m entries in k non-empty rows; the m x r^2
-    design is never formed.  A Gram matrix whose smallest eigenvalue is
-    below 1e-12 of its largest is rank-deficient: S is then the
-    minimum-norm least-squares solution of the normal equations, which
-    still fits the data exactly as far as the design allows.
-    """
-    r = u.shape[1]
-    starts = index.row_starts
-    vc = np.take(v.T, index.cols, axis=1)                  # (r, m): v_j per entry
-    # W_i and z_i as the columns of (r^2, k) and (r, k) group sums
-    w = np.add.reduceat((vc[:, None] * vc[None]).reshape(r * r, -1), starts, axis=1)
-    z = np.add.reduceat(vc * index.y, starts, axis=1)
-    ug = u[index.row_ids]
-    uu = (ug[:, :, None] * ug[:, None, :]).reshape(-1, r * r)
-    # (w uu)[(b, d), (a, c)] = sum_i W_i[b, d] u_ia u_ic = G[(a, b), (c, d)]
-    gram = (w @ uu).reshape(r, r, r, r).transpose(2, 0, 3, 1).reshape(r * r, r * r)
-    rhs = (z @ ug).T.reshape(r * r)
-    eigs = np.linalg.eigvalsh(gram)
-    deficient = bool(eigs[0] <= 1e-12 * max(eigs[-1], 1.0))
-    if deficient:
-        s = np.linalg.lstsq(gram, rhs, rcond=None)[0].reshape(r, r)
-    else:
-        s = np.linalg.solve(gram, rhs).reshape(r, r)
-    resid = (np.take((u @ s).T, index.rows, axis=1) * vc).sum(axis=0) - index.y
-    return 0.5 * float(resid @ resid), s, deficient, resid
-
-
 def _gradient(u, s, v, resid, index):
-    """Tangent gradients of F at (U, V) and their squared norm.
+    """Gradients of 1/2 ||P_Omega(U S V^T - Y)||_F^2 in U and V, and their
+    squared norm, from ``resid`` = U S V^T - Y on Omega in ``index`` order.
 
     R V S^T and R^T U S, R the residual scattered onto Omega, are sums over
     Omega's row and column groups of the residual-weighted rows of V S^T and
@@ -212,21 +181,7 @@ def _gradient(u, s, v, resid, index):
     gv[index.col_ids] = np.add.reduceat(
         np.take(s.T @ u.T, index.rows_by_col, axis=1) * resid[index.col_perm],
         index.col_starts, axis=1).T
-    gu, gv = _tangent(u, gu), _tangent(v, gv)
     return gu, gv, float((gu * gu).sum() + (gv * gv).sum())
-
-
-def _tangent(w, g):
-    # project the Euclidean gradient onto the tangent space of the
-    # orthonormal-frame manifold at w
-    wg = w.T @ g
-    return g - w @ ((wg + wg.T) * 0.5)
-
-
-def _retract(w):
-    q, rr = np.linalg.qr(w)
-    sign = np.sign(np.where(np.diag(rr) == 0, 1.0, np.diag(rr)))
-    return q * sign
 
 
 def _half_sweep(fixed, gather, starts, ids, y, n):
@@ -257,12 +212,13 @@ def _half_sweep(fixed, gather, starts, ids, y, n):
 
 
 def _rebalance(l, r):
-    """The same L R^T with L and R sharing its singular values evenly."""
+    """Frames of L R^T = U diag(sigma) V^T: (U, sigma, V), U and V with
+    orthonormal columns, from the QR factors of L and R and the SVD of the
+    small product of their triangles."""
     q_l, t_l = np.linalg.qr(l)
     q_r, t_r = np.linalg.qr(r)
     p, sv, qt = np.linalg.svd(t_l @ t_r.T)
-    root = np.sqrt(sv)
-    return q_l @ (p * root), q_r @ (qt.T * root)
+    return q_l @ p, sv, q_r @ qt.T
 
 
 def _fit(l, r, index):
@@ -292,40 +248,37 @@ def _top_pair(resid, index, n1, n2, p):
     return a, sigma / p, b
 
 
-def _certify(l, r, index):
-    """The state at U, V = the QR frames of L, R, S the exact inner fit:
-    (U, S, V, F(U, V), inner rank-deficient, tangent gradient norm^2)."""
-    u, v = _retract(l), _retract(r)
-    obj, s, deficient, resid = _inner_s(u, v, index)
-    return u, s, v, obj, deficient, _gradient(u, s, v, resid, index)[2]
-
-
 def optspace_descent(state, y_obs, omega, config=None):
     """Rank-incremental alternating least squares on X = L R^T from ``state``.
 
-    A state that already meets the certificate (tangent gradient norm of F
-    at its U, V <= grad_tol ||P_Omega(Y)||_F^2) comes back at once, with its
-    inner S refit.  Otherwise the fit starts from the state's rank-1 point,
-    the top singular pair of U S V^T, and grows one component at a time:
+    ``state.s`` must be nonsingular, sigma_min(S) > RANK_RTOL sigma_max(S),
+    else ValueError: at a singular S the certificate can hold where nothing
+    fits (at S = 0 it always does).  A state meeting it (module docstring)
+    comes back at once, with its fit and gradient norm on this data.
+    Otherwise the fit starts from the state's rank-1 point, the top singular
+    pair of U S V^T, and grows one component at a time:
 
     * a sweep solves every row of L with R held, then every column of R with
       L held, each an exact least-squares block minimization (_half_sweep),
-      and rebalances L and R by QR + SVD;
+      and rebalances L and R into frames U, V and singular values S;
     * an intermediate rank k < r ends after STAGE_SWEEPS sweeps or at the
       first sweep that lowers the fit by less than STAGE_RTOL of its value;
       rank k + 1 is then seeded from the top singular pair of the rescaled
       residual (1/p) P_Omega(Y - L R^T);
     * the final rank ends at the certificate, checked after every sweep at
-      U, V the QR frames of L, R and S their exact inner fit.
+      its U, S, V: with L of full column rank, S is there the exact inner
+      fit and the gradient the tangent gradient of F (module docstring).
 
     ``max_iters`` caps the sweeps over all ranks; a run that spends it early
-    still seeds the remaining ranks, so the result has rank r.  One sweep
-    costs O(m r^2) for m entries at rank r, and no n1 x n2 matrix is formed.
-    ``history`` is the fit 1/2 ||P_Omega(L R^T - Y)||_F^2 at the rank-1 start
-    and after each sweep; each sweep is an exact block minimization, and a
-    new component cannot raise the fit of the sweep that follows it, so the
+    still seeds the remaining ranks, so the result has rank r, and its S is
+    then the rebalanced seed, not an inner fit.  One sweep costs O(m r^2)
+    for m entries at rank r, and no n1 x n2 matrix is formed.  ``history``
+    is the fit 1/2 ||P_Omega(L R^T - Y)||_F^2 at the rank-1 start and after
+    each sweep; each sweep is an exact block minimization, and a new
+    component cannot raise the fit of the sweep that follows it, so the
     history is nonincreasing.  ``iteration`` adds the sweeps to the state's
-    count, and the returned state is U, S, V with the gradient norm there.
+    count, and the returned state is U, S, V with the fit and the gradient
+    norm there.
     """
     cfg = config or OptspaceConfig()
     y_obs = check_matrix(y_obs)
@@ -333,34 +286,35 @@ def optspace_descent(state, y_obs, omega, config=None):
         raise ValueError(f"shape {y_obs.shape} does not match Omega")
     if omega.m == 0:
         raise ValueError("cannot descend on an empty observation set")
+    p, sv, qt = np.linalg.svd(state.s)
+    if not sv[-1] > RANK_RTOL * sv[0]:
+        raise ValueError(f"the state's S is singular (singular values {sv})")
     index = _OmegaIndex(omega, y_obs)
     grad_tol = cfg.grad_tol * float(index.y @ index.y)
-    cert = _certify(state.u, state.v, index)
-    sweeps, history, deficient = 0, [cert[3]], False
-    if math.sqrt(cert[5]) > grad_tol:
-        sweeps, history, deficient, cert = _incremental_als(
-            state, index, omega, cfg.max_iters, grad_tol)
-    u, s, v, obj, inner_deficient, gnorm2 = cert
-    return OptspaceState(u=u, s=s, v=v, objective=obj,
+    u, s, v = state.u, state.s, state.v
+    fit, resid = _fit(u @ s, v, index)
+    gnorm2 = _gradient(u, s, v, resid, index)[2]
+    sweeps, history, deficient = 0, [fit], False
+    if math.sqrt(gnorm2) > grad_tol:
+        root = math.sqrt(sv[0])
+        sweeps, history, deficient, (u, s, v, fit, gnorm2) = _incremental_als(
+            u @ p[:, :1] * root, v @ qt[:1].T * root, u.shape[1], index, omega,
+            cfg.max_iters, grad_tol)
+    return OptspaceState(u=u, s=s, v=v, objective=fit,
                          iteration=state.iteration + sweeps,
                          history=tuple(history),
-                         rank_deficient=(state.rank_deficient or deficient
-                                         or inner_deficient),
+                         rank_deficient=state.rank_deficient or deficient,
                          grad_norm=math.sqrt(gnorm2))
 
 
-def _incremental_als(state, index, omega, max_sweeps, grad_tol):
-    """The sweeps of optspace_descent from ``state``'s rank-1 point: returns
-    (sweeps, history, some half-sweep system deficient, final _certify)."""
-    rank = state.u.shape[1]
-    p, sv, qt = np.linalg.svd(state.s)
-    root = math.sqrt(sv[0])
-    l, r = state.u @ p[:, :1] * root, state.v @ qt[:1].T * root
+def _incremental_als(l, r, rank, index, omega, max_sweeps, grad_tol):
+    """The sweeps of optspace_descent from the rank-1 point L R^T: returns
+    (sweeps, history, some half-sweep system deficient, (U, S, V, fit,
+    gradient norm^2) at the end)."""
     fit, resid = _fit(l, r, index)
     history = [fit]
     deficient = False
     sweeps = 0
-    cert = None
     while True:
         final = l.shape[1] == rank
         stage = 0
@@ -369,24 +323,29 @@ def _incremental_als(state, index, omega, max_sweeps, grad_tol):
                                     index.y, omega.n1)
             r, d_cols = _half_sweep(l, index.rows_by_col, index.col_starts,
                                     index.col_ids, index.y_by_col, omega.n2)
-            l, r = _rebalance(l, r)
+            u, sv, v = _rebalance(l, r)
+            root = np.sqrt(sv)
+            l, r = u * root, v * root
             deficient = deficient or d_rows or d_cols
             sweeps += 1
             stage += 1
             fit, resid = _fit(l, r, index)
             history.append(fit)
             if final:
-                cert = _certify(l, r, index)
-                if math.sqrt(cert[5]) <= grad_tol:
+                gnorm2 = _gradient(u, np.diag(sv), v, resid, index)[2]
+                if math.sqrt(gnorm2) <= grad_tol:
                     break
             elif history[-2] - fit < STAGE_RTOL * history[-2]:
                 break
         if final:
-            return sweeps, history, deficient, cert or _certify(l, r, index)
+            if not stage:   # the budget ran out before this rank's first sweep
+                u, sv, v = _rebalance(l, r)
+                gnorm2 = _gradient(u, np.diag(sv), v, resid, index)[2]
+            return sweeps, history, deficient, (u, np.diag(sv), v, fit, gnorm2)
         a, sigma, b = _top_pair(-resid, index, omega.n1, omega.n2, omega.p)
         root = math.sqrt(sigma)
         l, r = np.column_stack([l, root * a]), np.column_stack([r, root * b])
-        resid = _fit(l, r, index)[1]
+        fit, resid = _fit(l, r, index)
 
 
 def estimate_rank(trimmed, p):

@@ -329,12 +329,12 @@ def _report(ens, y, x, converged, flags=(), stages=None, objective=None,
     )
 
 
-def solve_penalized(ens, y, tau, config=None, x0=None, lipschitz=None):
+def solve_penalized(ens, y, tau, config=None, x0=None):
     """Minimize tau * ||X||_* + 1/2 ||A(X) - y||^2.
 
-    ``lipschitz`` is the starting step bound L (default 1.0, the scale at
-    which every ensemble is normalised); the engine lowers or raises it by
-    its local curvature test, so it need not bound ||A||^2.
+    The step bound L starts at 1.0, the scale at which every ensemble is
+    normalised; the engine lowers or raises it by its local curvature test,
+    so it need not bound ||A||^2.
 
     Stops by the engine's rule at eps = 1e-7 (see the module docstring), so
     converged means first-order stationarity was certified:
@@ -347,7 +347,7 @@ def solve_penalized(ens, y, tau, config=None, x0=None, lipschitz=None):
     x0 = np.zeros((ens.n1, ens.n2)) if x0 is None else check_matrix(x0)
     if not np.any(y):
         return _report(ens, y, np.zeros((ens.n1, ens.n2)), True)
-    stages = _Stages(1.0 if lipschitz is None else lipschitz)
+    stages = _Stages(1.0)
     start = (x0, apply_ensemble(ens, x0), nuclear_norm(x0) if np.any(x0) else 0.0)
     (x, _, _), conv, flags = _penalized_core(
         ens, y, tau, start, stages, cfg.max_iters, CERTIFIED_EPS)

@@ -139,6 +139,15 @@ def test_solve_missing_file_returns_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_solve_omega_index_beyond_int64_returns_2(tmp_path, capsys, truth_files):
+    _, _, mpath, _ = truth_files
+    bad = tmp_path / "huge.omega"
+    bad.write_text(f"omega 20 20 1\n{2 ** 63} 0\n")
+    assert main(["solve", "--matrix", mpath, "--omega", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "huge.omega" in err
+
+
 def test_solve_corrupt_matrix_returns_2(tmp_path, capsys):
     bad = tmp_path / "bad.lrm"
     bad.write_text("not a matrix header\n1 2\n")

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from lowrankrec.matcore import read_lrm, write_lrm
 from lowrankrec.measure import (MeasurementEnsemble, NoiseModel,
                                 ObservationSet, add_noise, adjoint_ensemble,
                                 apply_ensemble, apply_stack,
@@ -294,6 +295,65 @@ def test_omega_reader_rejects(tmp_path):
         read_omega(path)
     path.write_text("lrm 2 2 1\n0 0\n")            # wrong magic
     with pytest.raises(ValueError):
+        read_omega(path)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+TOKENS = st.one_of(st.integers(-3, 12).map(str), st.sampled_from(
+    ["", "lrm", "omega", "0.5", "-0", "1e999", "nan", "inf", "abc", str(2 ** 63),
+     str(-2 ** 63 - 1), str(10 ** 30)]))
+
+
+@given(n1=st.integers(1, 6), extra=st.integers(1, 4), tall=st.booleans(),
+       data=st.data())
+@settings(deadline=None, max_examples=40,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_file_formats_roundtrip_rectangular(tmp_path, n1, extra, tall, data):
+    n1, n2 = (n1 + extra, n1) if tall else (n1, n1 + extra)
+    m = np.array(data.draw(st.lists(FINITE, min_size=n1 * n2, max_size=n1 * n2)))
+    m = m.reshape(n1, n2)
+    pairs = sorted(data.draw(st.sets(st.tuples(st.integers(0, n1 - 1),
+                                               st.integers(0, n2 - 1)))))
+    omega = ObservationSet(n1, n2, pairs)
+    v = np.array(data.draw(st.lists(FINITE, max_size=12)))
+    path = tmp_path / "f.txt"
+
+    write_lrm(path, m)
+    assert np.array_equal(read_lrm(path), m)
+    write_omega(path, omega)
+    back = read_omega(path)
+    assert (back.n1, back.n2) == (n1, n2)
+    assert np.array_equal(back.pairs, omega.pairs)
+    write_vector(path, v)
+    assert np.array_equal(read_vector(path), v)
+
+
+@given(text=st.sampled_from(["lrm 2 3\n1 2 3\n4 5 6\n", "omega 2 3 2\n0 1\n1 2\n",
+                             "0.5\n-2\n"]), drop_last=st.booleans(), data=st.data())
+@settings(deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_malformed_files_raise_only_value_error(tmp_path, text, drop_last, data):
+    # a valid file of each format with one token replaced, and perhaps its
+    # last line dropped: every reader either parses it or rejects it with a
+    # ValueError, which the CLI reports as `error:` with exit status 2
+    lines = [ln.split() for ln in text.splitlines()]
+    i = data.draw(st.integers(0, len(lines) - 1))
+    lines[i][data.draw(st.integers(0, len(lines[i]) - 1))] = data.draw(TOKENS)
+    if drop_last:
+        lines.pop()
+    path = tmp_path / "f.txt"
+    path.write_text("".join(" ".join(ln) + "\n" for ln in lines))
+    for reader in (read_lrm, read_omega, read_vector):
+        try:
+            reader(path)
+        except ValueError:
+            pass
+
+
+def test_omega_index_beyond_int64_names_the_file(tmp_path):
+    path = tmp_path / "huge.omega"
+    path.write_text(f"omega 3 3 1\n{2 ** 63} 0\n")
+    with pytest.raises(ValueError, match="huge.omega"):
         read_omega(path)
 
 

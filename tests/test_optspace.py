@@ -19,9 +19,6 @@ from lowrankrec.optspace import (
     _OmegaIndex,
     _gradient,
     _half_sweep,
-    _inner_s,
-    _retract,
-    _tangent,
     estimate_rank,
     optspace,
     optspace_descent,
@@ -223,90 +220,26 @@ def test_optspace_rejects_empty_omega():
         optspace(np.zeros((3, 3)), empty, r=1)
 
 
-@given(st.integers(0, 10_000))
-@settings(deadline=None, max_examples=25)
-def test_retract_returns_orthonormal_columns(seed):
-    rng = np.random.default_rng(seed)
-    w = rng.normal(size=(7, 3)) * rng.choice([0.01, 1.0, 100.0])
-    q = _retract(w)
-    assert np.abs(q.T @ q - np.eye(3)).max() <= 1e-12
-
-
-# ------------------------------------------------------------ inner LS
-
-def test_inner_s_is_first_order_optimal():
-    # perturbing the exact inner solution in any direction cannot lower the
-    # fit: F is a convex quadratic in S and we sit at its minimum
-    truth, _, omega, yobs = completion_instance(15, 2, 150, seed=5)
-    rng = np.random.default_rng(5)
-    u = np.linalg.qr(rng.normal(size=(15, 2)))[0]
-    v = np.linalg.qr(rng.normal(size=(15, 2)))[0]
-    obj, s_hat, _, _ = _inner_s(u, v, _OmegaIndex(omega, yobs))
-
-    def f_of(s):
-        pairs = omega.pairs
-        vals = ((u[pairs[:, 0]] @ s) * v[pairs[:, 1]]).sum(axis=1)
-        d = vals - yobs[pairs[:, 0], pairs[:, 1]]
-        return 0.5 * float(d @ d)
-
-    assert f_of(s_hat) == pytest.approx(obj, rel=1e-12)
-    for _ in range(20):
-        direction = rng.normal(size=(2, 2))
-        direction /= np.linalg.norm(direction)
-        assert f_of(s_hat + 1e-6 * direction) >= obj - 1e-15 * max(obj, 1.0)
-
-
-def test_inner_s_flags_deficient_design():
-    # all observations in one column: the designs u_i v_0^T span at most r
-    # of the r^2 degrees of freedom, so the Gram is singular
-    rng = np.random.default_rng(3)
-    u = np.linalg.qr(rng.normal(size=(6, 2)))[0]
-    v = np.linalg.qr(rng.normal(size=(6, 2)))[0]
-    omega = ObservationSet(6, 6, np.array([(i, 0) for i in range(6)]))
-    y = np.zeros((6, 6))
-    y[:, 0] = rng.normal(size=6)
-    _, _, deficient, _ = _inner_s(u, v, _OmegaIndex(omega, y))
-    assert deficient
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_inner_s_deficient_fit_matches_lstsq(seed):
-    # 7 entries of a 7 x 8 matrix at r = 3: fewer equations than the r^2 = 9
-    # unknowns, so the fit is exact whenever the design has full row rank;
-    # the singular normal equations must not leave a ridge-sized residual
-    rng = np.random.default_rng(seed)
-    lin = rng.choice(56, size=7, replace=False)
-    omega = ObservationSet(7, 8, np.column_stack(np.unravel_index(lin, (7, 8))))
-    y = project_omega(omega, rng.normal(size=(7, 8)))
-    u = np.linalg.qr(rng.normal(size=(7, 3)))[0]
-    v = np.linalg.qr(rng.normal(size=(8, 3)))[0]
-    obj, _, deficient, _ = _inner_s(u, v, _OmegaIndex(omega, y))
-    ref_obj, _, _ = dense_inner_s(u, v, y, omega)
-    assert deficient
-    assert obj <= ref_obj * (1 + 1e-8) + 1e-24
-
+# ------------------------------------------------------------ gradient
 
 def dense_inner_s(u, v, y_obs, omega):
-    """Reference on the explicit m x r^2 design: (objective, S, rank-deficient
-    flag).  S is the minimum-norm lstsq solution on the design; the flag is
-    the same eigenvalue test on the design's Gram."""
+    """Reference inner fit F(U, V) = min_S 1/2 ||P_Omega(U S V^T - Y)||_F^2 on
+    the explicit m x r^2 design: (F(U, V), S), S the minimum-norm lstsq
+    solution."""
     pairs = omega.pairs
     r = u.shape[1]
     design = (u[pairs[:, 0], :, None] * v[pairs[:, 1], None, :]).reshape(-1, r * r)
     target = y_obs[pairs[:, 0], pairs[:, 1]]
-    gram = design.T @ design
-    eigs = np.linalg.eigvalsh(gram)
-    deficient = bool(eigs[0] <= 1e-12 * max(eigs[-1], 1.0))
     svec = np.linalg.lstsq(design, target, rcond=None)[0]
     fit = design @ svec - target
-    return 0.5 * float(fit @ fit), svec.reshape(r, r), deficient
+    return 0.5 * float(fit @ fit), svec.reshape(r, r)
 
 
 def dense_gradient(u, s, v, y_obs, omega):
-    """Reference: tangent gradients from the dense residual R = P_Omega(U S V^T
-    - Y), as R V S^T and R^T U S."""
+    """Reference: gradients in U and V of 1/2 ||P_Omega(U S V^T - Y)||_F^2
+    from the dense residual R = P_Omega(U S V^T - Y), as R V S^T and R^T U S."""
     resid = project_omega(omega, u @ s @ v.T - y_obs)
-    return _tangent(u, resid @ (v @ s.T)), _tangent(v, resid.T @ (u @ s))
+    return resid @ (v @ s.T), resid.T @ (u @ s)
 
 
 def on_omega(u, s, v, y_obs, omega):
@@ -320,8 +253,9 @@ def on_omega(u, s, v, y_obs, omega):
 @settings(deadline=None, max_examples=60)
 def test_inner_s_and_gradient_match_dense_reference(n1, n2, r, density, empty_rows,
                                                     empty_cols, seed):
-    # rectangular Omegas with whole rows and columns unobserved, as trim
-    # leaves them before spectral_init; empty groups must get zero gradient
+    # the gradients in U and V at an arbitrary S on rectangular Omegas with
+    # whole rows and columns unobserved, as trim leaves them before
+    # spectral_init; empty groups must get zero gradient
     rng = np.random.default_rng(seed)
     mask = rng.random((n1, n2)) < density
     mask[rng.choice(n1, size=empty_rows, replace=False)] = False
@@ -332,17 +266,6 @@ def test_inner_s_and_gradient_match_dense_reference(n1, n2, r, density, empty_ro
     u = np.linalg.qr(rng.normal(size=(n1, r)))[0]
     v = np.linalg.qr(rng.normal(size=(n2, r)))[0]
     index = _OmegaIndex(omega, y)
-
-    obj, s_hat, deficient, resid = _inner_s(u, v, index)
-    ref_obj, ref_s, ref_deficient = dense_inner_s(u, v, y, omega)
-    assert deficient == ref_deficient
-    assert obj == pytest.approx(ref_obj, rel=1e-8, abs=1e-12)
-    if not deficient:
-        # a full-rank design fixes S; a deficient one only fixes the fit
-        np.testing.assert_allclose(s_hat, ref_s, rtol=1e-6, atol=1e-8)
-    np.testing.assert_allclose(resid, on_omega(u, s_hat, v, y, omega), atol=1e-12)
-
-    # the gradient at an arbitrary S, from its own residual on Omega
     s = rng.normal(size=(r, r))
     gu, gv, gnorm2 = _gradient(u, s, v, on_omega(u, s, v, y, omega), index)
     ref_gu, ref_gv = dense_gradient(u, s, v, y, omega)
@@ -499,26 +422,38 @@ def test_optspace_verdict_does_not_depend_on_scale():
 
 def test_optspace_inner_rank_deficient_is_flagged():
     # three observed diagonal entries of a rank-3 truth, fitted at rank 2:
-    # the inner least squares over S has a singular Gram
+    # each row and column holds one entry, fewer than the rank, so the
+    # half-sweeps' systems are singular; a rank-2 matrix still matches all
+    # three entries, and the certificate must not stop short of that fit
     truth = np.diag([3.0, 2.0, 1.0, 0.0, 0.0, 0.0])
     omega = ObservationSet(6, 6, np.array([(0, 0), (1, 1), (2, 2)]))
     rep = optspace(project_omega(omega, truth), omega, r=2)
     assert rep.flags == ("inner-rank-deficient",)
+    assert rep.equality_residual <= 1e-12 * np.linalg.norm([3.0, 2.0, 1.0])
+    assert rep.iterations >= 1
 
 
-@pytest.mark.parametrize("n1, n2, m, kappa, max_iters", [
-    (36, 24, 430, 1.0, 500),    # rectangular, stops on the gradient test
-    (30, 30, 360, 10.0, 15),    # ill-conditioned, stops at the iteration cap
-])
-def test_optspace_report_from_final_state(n1, n2, m, kappa, max_iters):
-    # the report's objective is ||S||_* and its converged flag the descent's
-    # own gradient norm; both must agree with dense recomputations
+def noisy_rank2_instance(n1, n2, m, kappa):
     spec = LowRankSpec(n1, n2, 2, (kappa, 1.0), "random-orthogonal", 21)
     truth, _ = gen_low_rank(spec)
     omega = sample_omega(n1, n2, m, seed=22)
     pairs = omega.pairs
     yobs = project_omega(omega, truth)
     yobs[pairs[:, 0], pairs[:, 1]] += add_noise(np.zeros(m), NoiseModel(1e-3, seed=23))
+    return omega, yobs
+
+
+FINAL_STATES = [
+    (36, 24, 430, 1.0, 500),    # rectangular, stops on the gradient test
+    (30, 30, 360, 10.0, 15),    # ill-conditioned, stops at the iteration cap
+]
+
+
+@pytest.mark.parametrize("n1, n2, m, kappa, max_iters", FINAL_STATES)
+def test_optspace_report_from_final_state(n1, n2, m, kappa, max_iters):
+    # the report's objective is ||S||_* and its converged flag the descent's
+    # own gradient norm; both must agree with dense recomputations
+    omega, yobs = noisy_rank2_instance(n1, n2, m, kappa)
     cfg = OptspaceConfig(max_iters=max_iters)
     rep = optspace(yobs, omega, r=2, config=cfg)
 
@@ -536,6 +471,38 @@ def test_optspace_report_from_final_state(n1, n2, m, kappa, max_iters):
     else:
         assert rep.iterations < max_iters and rep.converged
         assert "iteration-cap" not in rep.flags
+
+
+@pytest.mark.parametrize("n1, n2, m, kappa, max_iters", FINAL_STATES + [
+    (30, 30, 360, 10.0, 500),   # ill-conditioned, stops on the gradient test
+])
+def test_descent_state_is_the_inner_fit(n1, n2, m, kappa, max_iters):
+    # after a sweep the rebalanced S is the inner least-squares fit at (U, V),
+    # so the state's objective is F(U, V), and the plain gradient in U and V
+    # is already tangent to the frames
+    omega, yobs = noisy_rank2_instance(n1, n2, m, kappa)
+    tm, tom = trim(yobs, omega)
+    state = optspace_descent(spectral_init(tm, tom, 2), yobs, omega,
+                             OptspaceConfig(max_iters=max_iters))
+    ref_obj, ref_s = dense_inner_s(state.u, state.v, yobs, omega)
+    assert np.linalg.norm(state.s - ref_s) <= 1e-8 * np.linalg.norm(ref_s)
+    assert state.objective == pytest.approx(ref_obj, rel=1e-10)
+
+    off_tangent = 0.0
+    for w, g in zip((state.u, state.v),
+                    dense_gradient(state.u, state.s, state.v, yobs, omega)):
+        wg = w.T @ g
+        off_tangent += (np.linalg.norm(w @ ((wg + wg.T) / 2)) ** 2)
+    assert np.sqrt(off_tangent) <= 1e-12 * (yobs ** 2).sum()
+
+
+@pytest.mark.parametrize("s", [np.zeros((2, 2)), np.diag([2.0, 0.0])])
+def test_descent_rejects_singular_s(s):
+    # at S = 0 every gradient in U and V vanishes, fitted or not
+    _, factors, omega, yobs = completion_instance(20, 2, 240, seed=9)
+    state = OptspaceState(u=factors.u, s=s, v=factors.v, objective=0.0, iteration=0)
+    with pytest.raises(ValueError, match="singular"):
+        optspace_descent(state, yobs, omega)
 
 
 def test_optspace_estimates_rank_when_absent():

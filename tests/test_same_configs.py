@@ -9,13 +9,17 @@ CSV = "n,r,m,success_rate,seconds\n10,1,60,{rate},{seconds}\n"
 
 
 def write_run(out_dir, rate=1.0, seconds=0.5, rel_err=1e-7, optspace=None):
-    """A synthetic bench output directory: one cell, one trial."""
+    """A synthetic bench output directory: one cell of two trials, one
+    trial record."""
     out_dir.mkdir(parents=True)
     (out_dir / "phase-transition.csv").write_text(CSV.format(rate=rate, seconds=seconds))
+    successes = round(2 * rate)
     payload = {
         "config": {"trials": 1, "optspace": optspace or {"max_iters": 500},
                    "cells": [{"n": 10}]},
-        "cells": [{"n": 10, "success_rate": rate, "seconds": seconds}],
+        "cells": [{"n": 10, "success_rate": rate, "successes": successes,
+                   "failures": 2 - successes, "non_convergences": 0,
+                   "seconds": seconds}],
         "trials": [[{"rel_err": rel_err, "seconds": seconds}]],
     }
     (out_dir / "phase-transition.json").write_text(json.dumps(payload))
@@ -36,6 +40,17 @@ def test_result_and_exit_code_differences_are_reported(tmp_path):
     assert same_configs.compare((0, a), (0, b))[0] == ["csv differ", "cells differ"]
     assert same_configs.compare((0, a), (0, c))[0] == ["trials differ"]
     assert same_configs.compare((0, a), (1, a))[0] == ["exit code 0 -> 1"]
+
+
+def test_gates_separate_rounding_from_count_differences(tmp_path):
+    a = write_run(tmp_path / "a")
+    rounding = write_run(tmp_path / "b", rel_err=1e-7 * (1 + 1e-12))
+    assert same_configs.compare((0, a), (0, rounding))[0] == ["trials differ"]
+    assert same_configs.gates((0, a), (0, rounding)) == "same"
+    counts = write_run(tmp_path / "c", rate=0.5)
+    assert same_configs.gates((0, a), (0, counts)) == "differ"
+    assert same_configs.gates((0, a), (1, a)) == "differ"
+    assert same_configs.gates((2, {}), (2, {})) == "same"
 
 
 def test_config_echo_differences_are_notes(tmp_path):
@@ -73,6 +88,7 @@ def test_out_writes_a_ledger_of_wall_times_and_verdicts(tmp_path, monkeypatch):
     assert ledger["parent"] == "f" * 40 and ledger["jobs"] == 2
     assert [c["config"] for c in ledger["configs"]] == ["a.cfg", "b.cfg"]
     assert [c["verdict"] for c in ledger["configs"]] == ["identical", "differ"]
+    assert [c["gates"] for c in ledger["configs"]] == ["same", "differ"]
     assert ledger["configs"][1]["differences"] == ["csv differ", "cells differ"]
     assert all(c["wall_s"] == {"parent": 2.0, "change": 1.0} for c in ledger["configs"])
     assert all(c["exit"] == {"parent": 0, "change": 0} for c in ledger["configs"])
