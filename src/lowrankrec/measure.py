@@ -17,8 +17,8 @@ storage and nothing else.  Rows are materialized explicitly, which is the
 point of this package's scale (n <= 100, m <= 20000); larger problems are
 refused rather than silently paged.
 
-Finiteness is checked where data enters: ``RecoveryProblem``, the file
-readers and each solver's inputs.  A and A* check only shapes, so a NaN or
+Finiteness is checked where data enters: the file readers and each
+solver's inputs.  A and A* check only shapes, so a NaN or
 inf handed to them propagates into their output.
 """
 
@@ -33,7 +33,6 @@ __all__ = [
     "ObservationSet",
     "MeasurementEnsemble",
     "NoiseModel",
-    "RecoveryProblem",
     "gaussian_ensemble",
     "rademacher_ensemble",
     "entry_sampling_ensemble",
@@ -44,7 +43,6 @@ __all__ = [
     "sample_omega",
     "project_omega",
     "add_noise",
-    "make_problem",
     "write_omega",
     "read_omega",
     "write_vector",
@@ -254,36 +252,6 @@ def add_noise(y, noise):
         return y.copy()
     z = spawn_rng(noise.seed).standard_normal(y.shape[0])
     return y + noise.sigma * z
-
-
-@dataclass(frozen=True)
-class RecoveryProblem:
-    """A measurement operator, its (possibly noisy) data vector, the noise
-    model that produced it, and optionally the ground-truth matrix."""
-
-    ensemble: MeasurementEnsemble
-    y: np.ndarray
-    noise: NoiseModel
-    truth: np.ndarray = None
-
-    def __post_init__(self):
-        y = np.asarray(self.y, dtype=float).ravel()
-        if y.shape[0] != self.ensemble.m:
-            raise ValueError(f"y has length {y.shape[0]}, ensemble m={self.ensemble.m}")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("y must be finite")
-        object.__setattr__(self, "y", y)
-        if self.truth is not None:
-            t = check_matrix(self.truth)
-            if t.shape != (self.ensemble.n1, self.ensemble.n2):
-                raise ValueError("truth shape does not match ensemble")
-            object.__setattr__(self, "truth", t)
-
-
-def make_problem(ensemble, truth, noise):
-    """Measure ``truth`` through ``ensemble`` and add noise."""
-    y = add_noise(apply_ensemble(ensemble, truth), noise)
-    return RecoveryProblem(ensemble=ensemble, y=y, noise=noise, truth=truth)
 
 
 # --- text formats ----------------------------------------------------------

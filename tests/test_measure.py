@@ -10,7 +10,7 @@ from lowrankrec.measure import (MeasurementEnsemble, NoiseModel,
                                 ObservationSet, add_noise, adjoint_ensemble,
                                 apply_ensemble, apply_stack,
                                 entry_sampling_ensemble,
-                                gaussian_ensemble, make_problem,
+                                gaussian_ensemble,
                                 project_omega, rademacher_ensemble,
                                 read_omega, read_vector, sample_omega,
                                 vectorization_ensemble, write_omega,
@@ -259,18 +259,6 @@ def test_add_noise_sample_variance():
 def test_noise_model_rejects_negative_sigma():
     with pytest.raises(ValueError):
         NoiseModel(-0.1, 0)
-
-
-# -------------------------------------------------------------- make_problem
-
-def test_make_problem_shapes_and_truth_check():
-    ens = gaussian_ensemble(4, 4, 12, seed=0)
-    truth = np.eye(4)
-    prob = make_problem(ens, truth, NoiseModel(0.0, 0))
-    assert prob.y.shape == (12,)
-    assert np.array_equal(prob.truth, truth)
-    with pytest.raises(ValueError):
-        make_problem(ens, np.eye(3), NoiseModel(0.0, 0))
 
 
 # ------------------------------------------------------------------ file I/O
