@@ -1,9 +1,11 @@
-"""Dense matrix core: SVD with a fixed sign convention, nuclear norm,
-singular-value soft thresholding, best rank-r approximation, low-rank test
-matrix generation, and the ``lrm`` text format for matrices.
+"""Dense matrix core: SVD with a fixed sign convention, the top singular
+triplets by certified block subspace iteration, nuclear norm, the
+singular-value soft thresholding step, low-rank test matrix generation, and
+the ``lrm`` text format for matrices.
 
 Matrices are plain float64 2-d numpy arrays throughout, validated by
-check_matrix everywhere but in prox_nuclear, the solvers' per-iteration prox.
+check_matrix everywhere but in prox_nuclear, the solvers' per-iteration prox,
+and top_svd, whose callers have validated their matrix.
 """
 
 from dataclasses import dataclass
@@ -18,11 +20,10 @@ __all__ = [
     "LowRankSpec",
     "check_matrix",
     "svd",
+    "top_svd",
     "nuclear_norm",
     "operator_norm",
     "prox_nuclear",
-    "soft_threshold_svals",
-    "project_rank",
     "equal_spectrum",
     "geometric_spectrum",
     "gen_low_rank",
@@ -33,6 +34,33 @@ __all__ = [
 # A singular value counts toward the numerical rank iff it exceeds
 # RANK_RTOL * sigma_1.
 RANK_RTOL = 1e-9
+
+# top_svd's constants, measured on the rescaled trimmed data of OptSpace's
+# spectral start (p = 0.3 above n = 100, else 0.5; kappa 1 and 10; one BLAS
+# thread, a shared 2-core machine; iteration counts and times at tol 1e-10):
+# - block k + TOP_SVD_OVERSAMPLE.  At n = 300, k = 3, oversampling 2, 3, 5, 8
+#   and 12 took 13-14, 13-14, 13-14, 12-13, 11-12 iterations at kappa = 1
+#   (2.4, 2.7, 2.8, 4.3, 6.5 ms) and 50-70, 43-65, 38-44, 28-31, 22-25 at
+#   kappa = 10 (9-16, 9-14, 8-9, 9, 13-17 ms): 5 is never far from the best.
+TOP_SVD_OVERSAMPLE = 5
+# - the certificate max_i ||A^T u_i - sigma_i v_i|| <= TOP_SVD_TOL sigma_1.
+#   The subspace error is at most TOP_SVD_TOL sigma_1 / gap, and at kappa = 10
+#   sigma_3 sits only 0.03-0.04 sigma_1 above the bulk: tol 1e-10 left sines
+#   up to 5.6e-10 against the full SVD, 1e-11 up to 5.8e-11 for 4 more
+#   iterations (40-51), 1e-12 5.3e-12 for 4 more again.
+TOP_SVD_TOL = 1e-11
+# - at most TOP_SVD_MAX_ITERS iterations, then the full SVD.  One iteration
+#   costs 0.2 ms at n = 300 against 20 ms for the full SVD, so a capped call
+#   costs at most about twice the SVD it falls back to; the workload's
+#   kappa = 10 starts take 40-51 iterations.
+TOP_SVD_MAX_ITERS = 100
+# - the full SVD outright when min(n1, n2) < TOP_SVD_CROSSOVER * block, which
+#   is n < 140 at k = 2 and n < 160 at k = 3.  Kernel / full SVD, ms, at
+#   k = 2 and 3: n = 30 0.9-1.3 / 0.14, n = 50 1.0-2.0 / 0.4, n = 100
+#   1.4-3.7 / 1.5, n = 150 1.7-4.3 / 3.5-4.3, n = 200 1.8-6.6 / 6.8-8.0,
+#   n = 300 2.5-9.0 / 19-23.
+TOP_SVD_CROSSOVER = 20
+TOP_SVD_SEED = 0x70D5    # spawn_rng seed of the start block, fixed for all calls
 
 
 def check_matrix(a):
@@ -109,6 +137,51 @@ def svd(m):
     return SvdFactors(u=u, sigma=s, v=v)
 
 
+def top_svd(a, k):
+    """The top k singular triplets of ``a`` as (u, sigma, vt), laid out like
+    np.linalg.svd's leading k columns, values and rows; ``a`` a finite
+    float64 2-d array and 1 <= k <= min(a.shape), unchecked.
+
+    Below the crossover (min(n1, n2) < TOP_SVD_CROSSOVER (k +
+    TOP_SVD_OVERSAMPLE)) it returns exactly np.linalg.svd's leading part.
+    Above it, block subspace iteration (Halko, Martinsson and Tropp, arXiv
+    0909.4061) on a block of k + TOP_SVD_OVERSAMPLE columns, started from a
+    fixed spawn_rng draw, so every call on the same matrix gives the same
+    bits: each iteration orthonormalizes A V = Q T (QR), takes the
+    Rayleigh-Ritz triplets from the SVD of the small T = P S W^T, so that
+    u = Q P, v = V W satisfy A v_i = sigma_i u_i by construction, and
+    orthonormalizes A^T Q (QR) into the next V.  It stops at the certificate
+
+        max_i ||A^T u_i - sigma_i v_i|| <= TOP_SVD_TOL sigma_1,   i <= k.
+
+    With A v_i = sigma_i u_i exact, that residual e is the one of the unit
+    vector (u_i, v_i) / sqrt(2) as an eigenvector of [[0, A], [A^T, 0]], so
+    sigma_i lies within e of a singular value of A, and within e^2 / gap
+    when gap, the distance from sigma_i to the rest of A's spectrum, is
+    larger than e; the sine of the angle between (u_i, v_i) and that
+    value's singular pair is at most e / gap (Davis-Kahan).  A call that
+    spends TOP_SVD_MAX_ITERS iterations without the certificate returns the
+    full SVD's leading part instead, so the result is never less accurate
+    than the certificate.  A zero matrix gives zero values, with orthonormal
+    u and v, at the first iteration, without a division.
+    """
+    n1, n2 = a.shape
+    block = k + TOP_SVD_OVERSAMPLE
+    if min(n1, n2) >= TOP_SVD_CROSSOVER * block:
+        v = np.linalg.qr(spawn_rng(TOP_SVD_SEED).standard_normal((n2, block)))[0]
+        for _ in range(TOP_SVD_MAX_ITERS):
+            q, t = np.linalg.qr(a @ v)
+            p, s, wt = np.linalg.svd(t)
+            z = a.T @ q
+            vk = v @ wt[:k].T
+            e = z @ p[:, :k] - vk * s[:k]
+            if np.sqrt(np.max((e * e).sum(axis=0))) <= TOP_SVD_TOL * s[0]:
+                return q @ p[:, :k], s[:k], vk.T
+            v = np.linalg.qr(z)[0]
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    return u[:, :k], s[:k], vt[:k]
+
+
 def _svdvals(m):
     try:
         return np.linalg.svd(m, compute_uv=False)
@@ -128,31 +201,13 @@ def operator_norm(m):
 
 
 def prox_nuclear(g, thresh):
-    """soft_threshold_svals without its checks (g a finite float64 2-d array,
-    thresh >= 0); returns the shrunk matrix and its nuclear norm."""
+    """Shrink every singular value of ``g`` by ``thresh``, clipping at zero:
+    the proximal map of thresh * nuclear_norm, nonexpansive in the Frobenius
+    norm.  Unchecked (g a finite float64 2-d array, thresh >= 0); returns
+    the shrunk matrix and its nuclear norm."""
     u, s, vt = np.linalg.svd(g, full_matrices=False)
     s = np.maximum(s - thresh, 0.0)
     return (u * s) @ vt, float(s.sum())
-
-
-def soft_threshold_svals(m, lam):
-    """Shrink every singular value by ``lam`` (clipping at zero).
-
-    This is the proximal map of ``lam * nuclear_norm`` and is nonexpansive in
-    the Frobenius norm: prox_nuclear after the input checks.
-    """
-    if lam < 0:
-        raise ValueError(f"threshold must be nonnegative, got {lam}")
-    return prox_nuclear(check_matrix(m), lam)[0]
-
-
-def project_rank(m, r):
-    """Best rank-r approximation in the Frobenius norm (truncated SVD)."""
-    m = check_matrix(m)
-    if not (1 <= r <= min(m.shape)):
-        raise ValueError(f"rank must be in [1, {min(m.shape)}], got {r}")
-    f = svd(m)
-    return (f.u[:, :r] * f.sigma[:r]) @ f.v[:, :r].T
 
 
 def equal_spectrum(r, value=1.0):

@@ -1,6 +1,14 @@
 """Spectral completion pipeline: trim over-observed rows/columns, initialize
-from the rescaled SVD of the trimmed data, then fit the observed entries by
-rank-incremental alternating least squares.
+from the top r singular triplets of the rescaled trimmed data, then fit the
+observed entries by rank-incremental alternating least squares.
+
+The triplets come from matcore.top_svd (Keshavan, Montanari and Oh's
+spectral start, arXiv 0901.3150, without the dense SVD): block subspace
+iteration that stops at a certificate, max_i ||A^T u_i - sigma_i v_i|| <=
+1e-11 sigma_1 with A v_i = sigma_i u_i exact, which puts the values within
+that residual of singular values of A and the vectors within residual / gap
+of theirs.  Small matrices, and a call that reaches the iteration cap
+without the certificate, get the full SVD's leading part instead.
 
 The descent fits X = L R^T, L and R with k <= r columns, to Y on Omega by
 alternating exact least squares (AltMin: Jain, Netrapalli and Sanghavi,
@@ -44,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import check_matrix, nuclear_norm, RANK_RTOL
+from .matcore import check_matrix, nuclear_norm, top_svd, RANK_RTOL
 from .measure import ObservationSet, entry_sampling_ensemble, project_omega
 from .solve import _report
 
@@ -123,21 +131,30 @@ def trim(y_obs, omega, multiplier=2.0):
 
 
 def spectral_init(trimmed, omega, r):
-    """Rank-r state from the SVD of (1/p) * trimmed, p the observed fraction."""
+    """Rank-r state from the top r singular triplets of (1/p) * trimmed, p
+    the observed fraction.
+
+    The triplets come from matcore.top_svd: block subspace iteration that
+    stops at the certificate max_i ||A^T u_i - sigma_i v_i|| <= 1e-11 sigma_1,
+    and the full SVD's leading part when that is cheaper (a matrix whose
+    smaller side is under 20 times the block) or when the iteration cap
+    passes without the certificate.  The requested rank must be achievable:
+    sigma_r > RANK_RTOL sigma_1 among the computed values.  The state's
+    objective is the fit at S = diag(sigma), on the trimmed entries.
+    """
     trimmed = check_matrix(trimmed)
     if omega.m == 0:
         raise ValueError("cannot initialize from an empty observation set")
     if not (1 <= r <= min(omega.n1, omega.n2)):
         raise ValueError(f"rank must be in [1, {min(omega.n1, omega.n2)}], got {r}")
-    scaled = trimmed / omega.p
-    u, s, vt = np.linalg.svd(scaled, full_matrices=False)
-    achievable = int(np.count_nonzero(s > RANK_RTOL * s[0])) if s[0] > 0 else 0
+    u, sv, vt = top_svd(trimmed / omega.p, r)
+    achievable = int(np.count_nonzero(sv > RANK_RTOL * sv[0])) if sv[0] > 0 else 0
     if achievable < r:
         raise ValueError(
             f"requested rank {r} exceeds achievable rank {achievable} of the data")
-    u, sv, v = u[:, :r], s[:r], vt[:r].T
-    # objective: the fit at S = the scaled singular values, not refitted
-    obj = _fit(u * sv, v, _OmegaIndex(omega, trimmed))[0]
+    v = vt.T
+    rows, cols = omega.pairs[:, 0], omega.pairs[:, 1]
+    obj = _fit(u * sv, v, rows, cols, trimmed[rows, cols])[0]
     return OptspaceState(u=u, s=np.diag(sv), v=v, objective=obj, iteration=0,
                          history=(obj,))
 
@@ -221,9 +238,12 @@ def _rebalance(l, r):
     return q_l @ p, sv, q_r @ qt.T
 
 
-def _fit(l, r, index):
-    """(1/2 ||P_Omega(L R^T - Y)||_F^2, that residual in ``index`` order)."""
-    resid = (l[index.rows] * r[index.cols]).sum(axis=1) - index.y
+def _fit(l, r, rows, cols, y):
+    """(1/2 ||P_Omega(L R^T - Y)||_F^2, that residual), Omega's entries
+    (``rows``, ``cols``) observing ``y``.  The factors are gathered
+    transposed, so the sum runs over the k rows of two contiguous (k, m)
+    arrays, as the other group sums do."""
+    resid = (np.take(l.T, rows, axis=1) * np.take(r.T, cols, axis=1)).sum(axis=0) - y
     return 0.5 * float(resid @ resid), resid
 
 
@@ -292,7 +312,7 @@ def optspace_descent(state, y_obs, omega, config=None):
     index = _OmegaIndex(omega, y_obs)
     grad_tol = cfg.grad_tol * float(index.y @ index.y)
     u, s, v = state.u, state.s, state.v
-    fit, resid = _fit(u @ s, v, index)
+    fit, resid = _fit(u @ s, v, index.rows, index.cols, index.y)
     gnorm2 = _gradient(u, s, v, resid, index)[2]
     sweeps, history, deficient = 0, [fit], False
     if math.sqrt(gnorm2) > grad_tol:
@@ -311,7 +331,7 @@ def _incremental_als(l, r, rank, index, omega, max_sweeps, grad_tol):
     """The sweeps of optspace_descent from the rank-1 point L R^T: returns
     (sweeps, history, some half-sweep system deficient, (U, S, V, fit,
     gradient norm^2) at the end)."""
-    fit, resid = _fit(l, r, index)
+    fit, resid = _fit(l, r, index.rows, index.cols, index.y)
     history = [fit]
     deficient = False
     sweeps = 0
@@ -329,7 +349,7 @@ def _incremental_als(l, r, rank, index, omega, max_sweeps, grad_tol):
             deficient = deficient or d_rows or d_cols
             sweeps += 1
             stage += 1
-            fit, resid = _fit(l, r, index)
+            fit, resid = _fit(l, r, index.rows, index.cols, index.y)
             history.append(fit)
             if final:
                 gnorm2 = _gradient(u, np.diag(sv), v, resid, index)[2]
@@ -345,7 +365,7 @@ def _incremental_als(l, r, rank, index, omega, max_sweeps, grad_tol):
         a, sigma, b = _top_pair(-resid, index, omega.n1, omega.n2, omega.p)
         root = math.sqrt(sigma)
         l, r = np.column_stack([l, root * a]), np.column_stack([r, root * b])
-        fit, resid = _fit(l, r, index)
+        fit, resid = _fit(l, r, index.rows, index.cols, index.y)
 
 
 def estimate_rank(trimmed, p):

@@ -174,6 +174,13 @@ def residual_ball_by_bisection(penalized, tau_hi, delta, ratio=1.0 + 1e-8):
     return float(_dense_svd(x_lo)[1].sum())
 
 
+def singular_value_threshold(m, lam):
+    """Every singular value of m shrunk by lam, clipped at zero: the
+    closed-form minimizer of lam ||X||_* + 1/2 ||X - m||_F^2."""
+    u, s, vt = _dense_svd(m)
+    return (u * np.maximum(s - lam, 0.0)) @ vt
+
+
 def _dense_svd(x):
     # these oracles check the solvers, not the SVD; numpy's SVD is allowed
     # here (the SVD itself is checked by jacobi_singular_values)

@@ -24,7 +24,6 @@ from lowrankrec.matcore import (
     LowRankSpec,
     equal_spectrum,
     gen_low_rank,
-    soft_threshold_svals,
 )
 from lowrankrec.measure import (
     NoiseModel,
@@ -40,6 +39,8 @@ from lowrankrec.measure import (
 from lowrankrec.optspace import optspace, optspace_descent, spectral_init, trim
 from lowrankrec.oracle import completion_stability_bound, oracle_risk_scan
 from lowrankrec.solve import solve_dantzig, solve_lasso, solve_noiseless
+
+from oracles import singular_value_threshold
 
 MASTER_SEED = 20240917
 
@@ -75,7 +76,7 @@ def _criterion_1():
         ens = vectorization_ensemble(n, n)
         y = m_true.ravel()
         rep = solve_dantzig(ens, y, lam)
-        closed = soft_threshold_svals(adjoint_ensemble(ens, y), lam)
+        closed = singular_value_threshold(adjoint_ensemble(ens, y), lam)
         rel_errs.append(float(np.linalg.norm(rep.estimate - closed)
                               / np.linalg.norm(closed)))
     return {"rel_errs": rel_errs, "max": max(rel_errs)}

@@ -11,10 +11,11 @@ from lowrankrec.matcore import (
     LowRankSpec,
     equal_spectrum,
     gen_low_rank,
-    soft_threshold_svals,
     write_lrm,
 )
 from lowrankrec.measure import ObservationSet, sample_omega, write_omega
+
+from oracles import singular_value_threshold
 
 
 @pytest.fixture
@@ -99,7 +100,7 @@ def test_solve_dantzig_full_observation_closed_form(tmp_path, truth_files):
     assert main(["solve", "--program", "dantzig", "--matrix", mpath,
                  "--lambda", "0.5", "--out", str(out)]) == 0
     est = np.array(read_report(out)["estimate"])
-    expected = soft_threshold_svals(truth, 0.5)
+    expected = singular_value_threshold(truth, 0.5)
     assert np.linalg.norm(est - expected) <= 1e-6 * max(1.0, np.linalg.norm(expected))
 
 

@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lowrankrec.matcore import (LowRankSpec, SvdFactors, check_matrix,
+from lowrankrec.matcore import (TOP_SVD_CROSSOVER, TOP_SVD_OVERSAMPLE,
+                                LowRankSpec, SvdFactors, check_matrix,
                                 equal_spectrum, gen_low_rank,
                                 geometric_spectrum, nuclear_norm,
-                                operator_norm, project_rank, read_lrm,
-                                soft_threshold_svals, svd, write_lrm)
+                                operator_norm, prox_nuclear, read_lrm, svd,
+                                top_svd, write_lrm)
+from lowrankrec.measure import project_omega, sample_omega
 
 from oracles import jacobi_singular_values
 
@@ -111,23 +113,19 @@ def test_operator_norm_matches_jacobi_oracle():
 
 def test_soft_threshold_zero_lambda_is_identity():
     m = rand_matrix(1)
-    assert np.linalg.norm(soft_threshold_svals(m, 0.0) - m) < 1e-10
+    assert np.linalg.norm(prox_nuclear(m, 0.0)[0] - m) < 1e-10
 
 
 def test_soft_threshold_full_shrinkage():
     m = rand_matrix(2)
-    lam = operator_norm(m)
-    assert np.allclose(soft_threshold_svals(m, lam + 1e-12), 0.0)
+    out, nuc = prox_nuclear(m, operator_norm(m) + 1e-12)
+    assert np.allclose(out, 0.0) and nuc == 0.0
 
 
 def test_soft_threshold_diagonal_case():
-    out = soft_threshold_svals(np.diag([3.0, 1.0]), 2.0)
+    out, nuc = prox_nuclear(np.diag([3.0, 1.0]), 2.0)
     assert np.allclose(out, np.diag([1.0, 0.0]), atol=1e-12)
-
-
-def test_soft_threshold_negative_lambda():
-    with pytest.raises(ValueError):
-        soft_threshold_svals(np.eye(2), -0.5)
+    assert abs(nuc - 1.0) < 1e-12
 
 
 @settings(deadline=None, max_examples=25)
@@ -136,7 +134,7 @@ def test_soft_threshold_nonexpansive(seed, lam):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((5, 4))
     b = rng.standard_normal((5, 4))
-    lhs = np.linalg.norm(soft_threshold_svals(a, lam) - soft_threshold_svals(b, lam))
+    lhs = np.linalg.norm(prox_nuclear(a, lam)[0] - prox_nuclear(b, lam)[0])
     assert lhs <= np.linalg.norm(a - b) + 1e-10
 
 
@@ -163,43 +161,102 @@ def test_nuclear_norm_duality():
     assert abs(float(np.sum(m * witness)) - nuclear_norm(m)) < 1e-8
 
 
-# ------------------------------------------------------------- project_rank
+# -------------------------------------------------------------------- top_svd
 
-def test_project_rank_full_rank_is_identity():
-    m = rand_matrix(31, 5, 7)
-    assert np.linalg.norm(project_rank(m, 5) - m) < 1e-10 * np.linalg.norm(m)
-
-
-def test_project_rank_diagonal():
-    assert np.allclose(project_rank(np.diag([3.0, 1.0]), 1),
-                       np.diag([3.0, 0.0]), atol=1e-12)
+def leading_svd(a, k):
+    u, s, vt = np.linalg.svd(a, full_matrices=False)
+    return u[:, :k], s[:k], vt[:k]
 
 
-def test_project_rank_out_of_range():
-    with pytest.raises(ValueError):
-        project_rank(np.eye(3), 0)
-    with pytest.raises(ValueError):
-        project_rank(np.eye(3), 4)
+def sin_angle(basis, ref):
+    """Sine of the largest principal angle between the column spans."""
+    return np.linalg.norm(basis - ref @ (ref.T @ basis), 2)
 
 
-def test_project_rank_beats_random_candidates():
-    # best rank-2 approximation: no random rank-2 candidate does better
-    m = rand_matrix(77, 8, 8)
-    best = np.linalg.norm(project_rank(m, 2) - m)
-    rng = np.random.default_rng(99)
-    for _ in range(200):
-        cand = rng.standard_normal((8, 2)) @ rng.standard_normal((2, 8))
-        # scale the candidate optimally toward m to make the probe stronger
-        denom = float(np.sum(cand * cand))
-        if denom > 0:
-            cand = cand * (float(np.sum(cand * m)) / denom)
-        assert best <= np.linalg.norm(cand - m) + 1e-12
+def full_svd_calls(monkeypatch, shape):
+    """Counts np.linalg.svd calls on a matrix of ``shape``: top_svd makes
+    one only to fall back to the full SVD."""
+    calls, real_svd = [], np.linalg.svd
+
+    def spy(a, *args, **kwargs):
+        if a.shape == shape:
+            calls.append(shape)
+        return real_svd(a, *args, **kwargs)
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    return calls
 
 
-def test_project_rank_idempotent():
-    m = rand_matrix(13, 6, 6)
-    once = project_rank(m, 2)
-    assert np.linalg.norm(project_rank(once, 2) - once) < 1e-10
+def sampled_low_rank(n1, n2, r, kappa, p, seed):
+    """(1/p) P_Omega(M), M of rank r with spectrum kappa .. 1: low rank plus
+    the sampling bulk of OptSpace's spectral start."""
+    truth, _ = gen_low_rank(LowRankSpec(n1, n2, r, geometric_spectrum(
+        r, kappa, kappa ** (-1 / max(r - 1, 1))), "random-orthogonal", seed))
+    omega = sample_omega(n1, n2, int(p * n1 * n2), seed=seed)
+    return project_omega(omega, truth) / p
+
+
+def low_rank_plus_noise(n1, n2, seed):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal((n1, 3)) * [5.0, 3.0, 2.0]) @ \
+        rng.standard_normal((3, n2)) + 0.1 * rng.standard_normal((n1, n2))
+
+
+@pytest.mark.parametrize("a, k, rank", [
+    pytest.param(gen_low_rank(LowRankSpec(200, 200, 200, geometric_spectrum(
+        200, 1.0, 0.9), "random-orthogonal", 3))[0], 2, 2, id="square"),
+    pytest.param(sampled_low_rank(300, 300, 3, 10.0, 0.3, 4), 3, 3, id="sampling-bulk"),
+    pytest.param(low_rank_plus_noise(400, 200, 5), 3, 3, id="tall"),
+    pytest.param(low_rank_plus_noise(200, 400, 6), 3, 3, id="wide"),
+    pytest.param(rand_matrix(7, 240, 2) @ rand_matrix(8, 2, 200), 3, 2,
+                 id="rank-deficient"),
+])
+def test_top_svd_matches_full_svd(monkeypatch, a, k, rank):
+    u_ref, s_ref, vt_ref = leading_svd(a, k)
+    calls = full_svd_calls(monkeypatch, a.shape)
+    u, s, vt = top_svd(a, k)
+    assert not calls, "fell back to the full SVD"
+    assert u.shape == (a.shape[0], k) and s.shape == (k,) and vt.shape == (k, a.shape[1])
+    assert np.abs(s - s_ref).max() <= 1e-12 * s_ref[0]
+    assert np.abs(u.T @ u - np.eye(k)).max() <= 1e-12
+    assert np.abs(vt @ vt.T - np.eye(k)).max() <= 1e-12
+    assert sin_angle(u[:, :rank], u_ref[:, :rank]) <= 1e-9
+    assert sin_angle(vt[:rank].T, vt_ref[:rank].T) <= 1e-9
+
+
+def test_top_svd_zero_matrix():
+    u, s, vt = top_svd(np.zeros((200, 180)), 3)
+    assert np.array_equal(s, np.zeros(3))
+    assert np.abs(u.T @ u - np.eye(3)).max() <= 1e-15
+    assert np.abs(vt @ vt.T - np.eye(3)).max() <= 1e-15
+
+
+def test_top_svd_is_deterministic():
+    a = sampled_low_rank(300, 300, 3, 10.0, 0.3, 9)
+    first, second = top_svd(a, 3), top_svd(a.copy(), 3)
+    for x, y in zip(first, second):
+        assert np.array_equal(x, y)
+
+
+def test_top_svd_falls_back_to_full_svd_at_the_cap(monkeypatch):
+    # 200 singular values within 1e-3 of each other: the block separates
+    # nothing, so the certificate cannot hold within the cap
+    rng = np.random.default_rng(10)
+    q1 = np.linalg.qr(rng.standard_normal((200, 200)))[0]
+    q2 = np.linalg.qr(rng.standard_normal((200, 200)))[0]
+    a = (q1 * np.linspace(1.001, 1.0, 200)) @ q2.T
+    calls = full_svd_calls(monkeypatch, a.shape)
+    got = top_svd(a, 3)
+    assert len(calls) == 1
+    for x, y in zip(got, leading_svd(a, 3)):
+        assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_top_svd_below_crossover_is_the_full_svd(k):
+    n = TOP_SVD_CROSSOVER * (k + TOP_SVD_OVERSAMPLE) - 1
+    for a in (rand_matrix(11, 30, 30), rand_matrix(12, n, n + 7)):
+        for x, y in zip(top_svd(a, k), leading_svd(a, k)):
+            assert np.array_equal(x, y)
 
 
 # -------------------------------------------------------------- gen_low_rank

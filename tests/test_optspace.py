@@ -1,6 +1,8 @@
 """Tests for the trim / spectral-init / alternating-least-squares completion
 pipeline."""
 
+import importlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +19,7 @@ from lowrankrec.optspace import (
     OptspaceConfig,
     OptspaceState,
     _OmegaIndex,
+    _fit,
     _gradient,
     _half_sweep,
     estimate_rank,
@@ -26,6 +29,8 @@ from lowrankrec.optspace import (
     trim,
 )
 from lowrankrec.oracle import optspace_noisy_bound
+
+optspace_mod = importlib.import_module("lowrankrec.optspace")
 
 
 def rand_low_rank(n, r, seed, spectrum=None):
@@ -160,6 +165,39 @@ def test_spectral_init_is_a_usable_warm_start():
     assert max(errs) < 1.05
 
 
+def test_spectral_init_objective_is_the_fit_on_the_trimmed_entries():
+    _, _, omega, yobs = completion_instance(40, 2, 480, 3)
+    tm, tom = trim(yobs, omega)
+    state = spectral_init(tm, tom, 2)
+    index = _OmegaIndex(tom, tm)
+    sv = np.diag(state.s)
+    assert state.objective == _fit(state.u * sv, state.v, index.rows, index.cols,
+                                   index.y)[0]
+
+
+def test_spectral_start_from_top_svd_matches_the_full_svd(monkeypatch):
+    # the benchmark's completion size, n = 300, p = 0.3, kappa = 10: the
+    # descent from the kernel's start takes the same sweeps to the same
+    # estimate as from the full SVD's leading part
+    n, r, m = 300, 3, 27_000
+    spec = LowRankSpec(n, n, r, (10.0, 10.0 ** 0.5, 1.0), "random-orthogonal", 41)
+    truth, _ = gen_low_rank(spec)
+    omega = sample_omega(n, n, m, seed=42)
+    y = add_noise(truth[omega.pairs[:, 0], omega.pairs[:, 1]], NoiseModel(1e-3, 43))
+    yobs = np.zeros((n, n))
+    yobs[omega.pairs[:, 0], omega.pairs[:, 1]] = y
+    kernel = optspace(yobs, omega, r=r)
+
+    def full_svd(a, k):
+        u, sv, vt = np.linalg.svd(a, full_matrices=False)
+        return u[:, :k], sv[:k], vt[:k]
+    monkeypatch.setattr(optspace_mod, "top_svd", full_svd)
+    full = optspace(yobs, omega, r=r)
+    assert kernel.iterations == full.iterations
+    assert (np.linalg.norm(kernel.estimate - full.estimate)
+            <= 1e-12 * np.linalg.norm(full.estimate))
+
+
 # ------------------------------------------------------------- descent
 
 def test_descent_from_true_factors_returns_immediately():
@@ -276,6 +314,18 @@ def test_inner_s_and_gradient_match_dense_reference(n1, n2, r, density, empty_ro
 
 
 # ------------------------------------------------------------ half-sweep
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_fit_equals_gather_and_sum_bit_for_bit(k):
+    rng = np.random.default_rng(k)
+    omega = sample_omega(50, 40, 700, seed=k)
+    rows, cols = omega.pairs[:, 0], omega.pairs[:, 1]
+    l, r, y = rng.normal(size=(50, k)), rng.normal(size=(40, k)), rng.normal(size=700)
+    resid = (l[rows] * r[cols]).sum(axis=1) - y
+    fit, got = _fit(l, r, rows, cols, y)
+    assert np.array_equal(got, resid)
+    assert fit == 0.5 * float(resid @ resid)
+
 
 def dense_half_sweep(fixed, y, mask):
     """Reference: row i of the factor is the minimum-norm lstsq fit of y's

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from lowrankrec.matcore import (LowRankSpec, equal_spectrum, gen_low_rank,
-                                nuclear_norm, operator_norm,
-                                soft_threshold_svals)
+                                nuclear_norm, operator_norm)
 from lowrankrec.measure import (NoiseModel, ObservationSet, add_noise,
                                 adjoint_ensemble, apply_ensemble,
                                 entry_sampling_ensemble, gaussian_ensemble,
@@ -20,7 +19,7 @@ from lowrankrec.solve import (SolverConfig, choose_delta, choose_lambda,
 from oracles import (douglas_rachford_nuclear_equality,
                      nuclear_equality_dual_bound,
                      prox_descent_nuclear_penalized,
-                     residual_ball_by_bisection)
+                     residual_ball_by_bisection, singular_value_threshold)
 
 
 def low_rank(n, r, seed, top=1.0):
@@ -42,7 +41,7 @@ def test_penalized_vectorization_closed_form():
     y = add_noise(apply_ensemble(ens, truth), NoiseModel(0.05, 1))
     tau = 0.3
     rep = solve_penalized(ens, y, tau)
-    closed = soft_threshold_svals(adjoint_ensemble(ens, y), tau)
+    closed = singular_value_threshold(adjoint_ensemble(ens, y), tau)
     assert np.linalg.norm(rep.estimate - closed) <= 1e-8 * max(1.0, np.linalg.norm(closed))
     assert rep.converged
 
@@ -589,7 +588,7 @@ def test_dantzig_vectorization_closed_form():
     y = add_noise(apply_ensemble(ens, truth), NoiseModel(0.05, 3))
     lam = choose_lambda(12, 0.05)
     rep = solve_dantzig(ens, y, lam)
-    closed = soft_threshold_svals(adjoint_ensemble(ens, y), lam)
+    closed = singular_value_threshold(adjoint_ensemble(ens, y), lam)
     assert np.linalg.norm(rep.estimate - closed) <= 1e-6 * np.linalg.norm(closed)
     assert rep.dual_residual <= lam * (1 + 1e-6) + 1e-12
 
