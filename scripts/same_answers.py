@@ -24,7 +24,9 @@ Per workload and operation kind it prints:
     operations the report's flags differ;
   * iterations, prox steps (SVDs), the `stage-iteration-cap` and
     `iteration-cap` flags and the `converged=False` reports summed on each
-    side, and in how many operations `converged` differs.
+    side, and in how many operations `iterations`, `prox_steps` and
+    `converged` differ (equal sums can hide a +1 in one operation and a -1
+    in another).
 
 Exits 1 when any gate outcome differs or the two sides did not run the same
 operations.  harness-jobs2 is left out: its operation is a whole bench run
@@ -153,10 +155,11 @@ def compare(parent, change):
         ok &= differ == 0
         same = [pc for pc in pairs if pc[0]["digest"] == pc[1]["digest"]]
         changed = [pc for pc in pairs if pc[0]["digest"] != pc[1]["digest"]]
-        flips = sum(p["unconverged"] != c["unconverged"] for p, c in pairs)
-
         def total(field, side):   # side 0: parent, 1: change
             return sum(pair[side][field] for pair in pairs)
+
+        def differ_in(field):
+            return sum(p[field] != c[field] for p, c in pairs)
 
         gates = " ".join(f"{side} valid {total('valid', k)}/{n} passed {total('ok', k)}/{n}"
                          for k, side in enumerate(("parent", "change")))
@@ -166,12 +169,14 @@ def compare(parent, change):
             f"  estimates    bit-identical in {len(same)}/{n}",
             _group_line("identical", same),
             _group_line("changed", changed),
-            f"  work         iterations {total('iterations', 0)} -> {total('iterations', 1)}, "
-            f"prox steps {total('prox_steps', 0)} -> {total('prox_steps', 1)}, "
+            f"  work         iterations {total('iterations', 0)} -> {total('iterations', 1)} "
+            f"(differs in {differ_in('iterations')}), "
+            f"prox steps {total('prox_steps', 0)} -> {total('prox_steps', 1)} "
+            f"(differs in {differ_in('prox_steps')}), "
             f"{CAP_FLAG} {total('capped', 0)} -> {total('capped', 1)}, "
             f"{ITER_CAP_FLAG} {total('iter_capped', 0)} -> {total('iter_capped', 1)}, "
             f"converged=False {total('unconverged', 0)} -> {total('unconverged', 1)} "
-            f"(differs in {flips})",
+            f"(differs in {differ_in('unconverged')})",
         ]
     return lines, ok
 

@@ -11,6 +11,11 @@ independent trials:
 * completion-stability  residual-ball completion error against its guarantee
 * optspace-compare      spectral pipeline vs nuclear norm on the same data
 
+A cell alone picks its trial operator: a cell given by p samples
+round(p n^2) entries, in every family, and one given by m draws m rows of
+the config's dense ensemble (gaussian or rademacher).  The two completion
+families need p; bias-variance observes every entry, so it needs p = 1.
+
 Per-trial randomness is keyed by (master seed, cell index, trial index), so
 results are independent of execution order and worker count.
 """
@@ -19,6 +24,7 @@ import csv
 import io
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field, fields, asdict
 
@@ -28,7 +34,7 @@ from ._version import VERSION
 from .matcore import LowRankSpec, gen_low_rank, geometric_spectrum
 from .measure import (NoiseModel, add_noise, adjoint_ensemble, apply_ensemble,
                       entry_sampling_ensemble, gaussian_ensemble, rademacher_ensemble,
-                      sample_omega, vectorization_ensemble)
+                      sample_omega)
 from .oracle import (completion_stability_bound, ideal_risk,
                      instance_optimal_bound)
 from .optspace import OptspaceConfig, optspace
@@ -65,16 +71,16 @@ CSV_COLUMNS = ["n", "r", "m", "p", "sigma", "kappa", "trials", "success_rate",
 class GridCell:
     n: int
     r: int
-    m: int = None        # measurement count (or None when p is given)
-    p: float = None      # observed fraction for entry-sampling experiments
+    m: int = None        # dense measurement count; exactly one of m and p
+    p: float = None      # observed fraction: entry sampling of round(p n^2) entries
     sigma: float = 0.0
     kappa: float = 1.0
 
     def __post_init__(self):
         if self.n < 1 or self.r < 1 or self.r > self.n:
             raise ValueError(f"bad cell dimensions n={self.n} r={self.r}")
-        if self.m is None and self.p is None:
-            raise ValueError("cell needs m or p")
+        if (self.m is None) == (self.p is None):
+            raise ValueError(f"a cell needs exactly one of m or p, got m={self.m} p={self.p}")
         if self.p is not None and not (0 < self.p <= 1):
             raise ValueError(f"p must be in (0, 1], got {self.p}")
         if self.m is not None and self.m < 1:
@@ -90,7 +96,7 @@ class ExperimentConfig:
     trials: int = 20
     seed: int = 0
     success_threshold: float = 1e-3
-    ensemble: str = "gaussian"      # measurement kind, see _ensemble
+    ensemble: str = "gaussian"      # dense kind of an m cell, see _ensemble
     spectrum_top: float = 1.0       # full-rank truth experiments
     spectrum_ratio: float = 0.8
     solver: SolverConfig = field(default_factory=SolverConfig)
@@ -107,11 +113,22 @@ class ExperimentConfig:
             raise ValueError("trials must be positive")
         if self.success_threshold <= 0:
             raise ValueError("success threshold must be positive")
-        if self.ensemble not in ("gaussian", "rademacher", "entry"):
-            raise ValueError(f"unknown ensemble kind {self.ensemble!r}")
+        if self.ensemble not in ("gaussian", "rademacher"):
+            raise ValueError(f"ensemble must be gaussian or rademacher, got "
+                             f"{self.ensemble!r} (a cell given by p samples entries)")
         if self.spectrum_top <= 0 or not (0 < self.spectrum_ratio <= 1):
             raise ValueError("need spectrum_top > 0 and spectrum_ratio in (0, 1], got "
                              f"{self.spectrum_top} and {self.spectrum_ratio}")
+        exp = self.experiment
+        for cell in self.cells:
+            if exp in ("completion-stability", "optspace-compare") and cell.p is None:
+                raise ValueError(f"{exp} samples entries: give p, not m, in [grid]")
+            if exp == "bias-variance" and cell.p != 1:
+                raise ValueError("bias-variance observes every entry: [grid] p must be 1")
+            if (exp in ("dantzig-scaling", "bias-variance", "instance-optimal")
+                    and cell.sigma == 0):
+                raise ValueError(f"{exp} sets lambda = 1.5 sqrt(2n) sigma: "
+                                 "[grid] sigma must be positive")
 
 
 @dataclass(frozen=True)
@@ -179,33 +196,15 @@ def _cell_m(cell):
     return cell.m if cell.m is not None else int(round(cell.p * cell.n * cell.n))
 
 
-def _entry_sampled(cell, cfg):
-    """Whether a cell samples entries: always in the two completion families,
-    in any family with ensemble = entry, and in phase-transition for a cell
-    given by p.  It sets the p column; bias-variance observes every entry
-    whatever it says (see _ensemble)."""
-    return (cfg.experiment in ("completion-stability", "optspace-compare")
-            or cfg.ensemble == "entry"
-            or (cfg.experiment == "phase-transition" and cell.p is not None))
-
-
-def _cell_p(cell, cfg):
-    """The p column: the cell's own p, else m / n^2 when it samples entries."""
-    if cell.p is None and _entry_sampled(cell, cfg):
-        return _cell_m(cell) / cell.n ** 2
-    return cell.p
-
-
 def _ensemble(cell, cfg, seed):
-    """The measurement operator of one trial of ``cell``."""
-    n, m = cell.n, _cell_m(cell)
-    if cfg.experiment == "bias-variance":
-        return vectorization_ensemble(n, n)
-    if _entry_sampled(cell, cfg):
-        return entry_sampling_ensemble(sample_omega(n, n, m, seed))
-    if cfg.ensemble == "rademacher":
-        return rademacher_ensemble(n, n, m, seed)
-    return gaussian_ensemble(n, n, m, seed)
+    """The measurement operator of one trial of ``cell``: entry sampling of
+    round(p n^2) entries for a cell given by p, else m rows of the config's
+    dense ensemble."""
+    n = cell.n
+    if cell.p is None:
+        make = rademacher_ensemble if cfg.ensemble == "rademacher" else gaussian_ensemble
+        return make(n, n, cell.m, seed)
+    return entry_sampling_ensemble(sample_omega(n, n, _cell_m(cell), seed))
 
 
 def _run_trial(cfg, cell_idx, trial_idx):
@@ -305,7 +304,7 @@ def run_experiment(cfg, jobs=1):
             extra["median_rel_err_nuclear"] = float(np.median(nuc))
             extra["median_err_ratio"] = float(np.median(rels / np.maximum(nuc, 1e-300)))
         cells.append(CellResult(
-            n=cell.n, r=cell.r, m=_cell_m(cell), p=_cell_p(cell, cfg),
+            n=cell.n, r=cell.r, m=_cell_m(cell), p=cell.p,
             sigma=cell.sigma, kappa=cell.kappa,
             trials=cfg.trials, successes=int(successes), failures=int(failures),
             non_convergences=int(nonconv),
@@ -401,11 +400,13 @@ def check_floors(result, floors=None):
 #   mode = product            (product | zip)
 #   n = 30, 40                lists are comma separated; scalars broadcast
 #   r = 2
-#   m = 300                   exactly one of m / m_per_nr / p
-#   sigma = 0
+#   m = 300                   exactly one of m / m_per_nr (dense rows) / p (entries);
+#                             the completion families need p, bias-variance p = 1
+#   sigma = 0                 positive in dantzig-scaling, bias-variance, instance-optimal
 #   [solver] / [optspace]     optional overrides of SolverConfig / OptspaceConfig fields
 #   [floors]                  optional acceptance floors for exit status (FLOORS)
-# plus the top-level keys success_threshold, ensemble, spectrum_top, spectrum_ratio.
+# plus the top-level keys success_threshold, ensemble (gaussian | rademacher: the
+# dense kind of an m cell), spectrum_top, spectrum_ratio.
 # All is checked at load: an unknown section, key or floor name is an error, and
 # so is a value not of its field's type ([grid] keys by GridCell's fields,
 # m_per_nr a float, mode a string).
@@ -472,11 +473,13 @@ def _reject_unknown(keys, allowed, what):
 def _typed(key, value, kind):
     """``value`` as a value of a field of type ``kind`` (int, float or str):
     an integral float becomes an int, an int stays as written in a float
-    field, and anything else (a list too) is a ValueError naming ``key``."""
+    field, and anything else (a list, inf or nan too) is a ValueError
+    naming ``key``."""
     if kind is str:
         ok = isinstance(value, str)
     else:
         ok = (isinstance(value, (int, float)) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max   # not inf, nan or past a float
               and (kind is float or isinstance(value, int) or value.is_integer()))
     if not ok:
         raise ValueError(f"{key} must be {kind.__name__}, got {value!r}")
@@ -541,7 +544,10 @@ def build_experiment_config(sections, seed_override=None):
         if m_per_nr is not None:
             if "m" in c or "p" in c:
                 raise ValueError("give exactly one of m, p, m_per_nr")
-            c["m"] = int(round(m_per_nr * c["n"] * c["r"]))
+            m = m_per_nr * c["n"] * c["r"]
+            if not abs(m) <= sys.float_info.max:
+                raise ValueError(f"[grid] m_per_nr * n * r is out of range: {m}")
+            c["m"] = int(round(m))
         # a float field keeps an int as written; the cell holds it as a float
         cells.append(GridCell(**{k: float(v) if kinds[k] is float else v
                                  for k, v in c.items()}))

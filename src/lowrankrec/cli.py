@@ -19,8 +19,8 @@ from ._version import VERSION
 from . import bench as bench_mod
 from .diagnostics import coherence, theory_advisor
 from .matcore import read_lrm, svd
-from .measure import (NoiseModel, add_noise, entry_sampling_ensemble,
-                      read_omega, vectorization_ensemble)
+from .measure import (NoiseModel, add_noise, adjoint_ensemble, apply_ensemble,
+                      entry_sampling_ensemble, read_omega, vectorization_ensemble)
 from .oracle import (completion_stability_bound, gaussian_noise_opnorm,
                      ideal_risk, instance_optimal_bound, minimax_bound,
                      optspace_noisy_bound)
@@ -93,11 +93,9 @@ def _load_problem(args):
             raise SystemExit(f"omega is {omega.n1} x {omega.n2} but matrix is "
                              f"{matrix.shape[0]} x {matrix.shape[1]}")
         ens = entry_sampling_ensemble(omega)
-        y = matrix[omega.pairs[:, 0], omega.pairs[:, 1]].copy()
     else:
         ens = vectorization_ensemble(*matrix.shape)
-        y = matrix.reshape(-1).copy()
-    return matrix, ens, y
+    return matrix, ens, apply_ensemble(ens, matrix)
 
 
 def _cmd_solve(args):
@@ -120,11 +118,12 @@ def _cmd_solve(args):
 
 
 def _cmd_optspace(args):
-    matrix, ens, _ = _load_problem(args)
+    _, ens, y = _load_problem(args)
     knobs = (("max_iters", args.max_iters), ("grad_tol", args.grad_tol),
              ("trim_multiplier", args.trim_mult))
     config = OptspaceConfig(**{k: v for k, v in knobs if v is not None})
-    rep = optspace(matrix * ens.omega.mask(), ens.omega, r=args.rank, config=config)
+    # A*(y) of entry sampling: the observed entries, zero elsewhere
+    rep = optspace(adjoint_ensemble(ens, y), ens.omega, r=args.rank, config=config)
     print(f"optspace: {_report_summary(rep)}")
     _write_report(rep, args.out)
     return 0

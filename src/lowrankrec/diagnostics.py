@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .matcore import RANK_RTOL, check_matrix
-from .measure import MeasurementEnsemble, apply_ensemble, apply_stack
+from .measure import (apply_ensemble, apply_stack, gaussian_ensemble,
+                      rademacher_ensemble, vectorization_ensemble)
 from .rand import spawn_rng, spawn_seeds
 
 __all__ = [
@@ -186,11 +187,12 @@ def concentration_probe(kind, n, m, t, trials=1000, seed=0):
     violations = 0
     for i in range(trials):
         if kind == "vectorization":
-            ens = MeasurementEnsemble(kind="vectorization", n1=n, n2=n, m=n * n)
+            ens = vectorization_ensemble(n, n)
         else:
             # fresh draw per trial, keyed deterministically off (seed, trial)
             child, = spawn_seeds(seed, 1, i, count=1)
-            ens = MeasurementEnsemble(kind=kind, n1=n, n2=n, m=m, seed=child)
+            make = gaussian_ensemble if kind == "gaussian" else rademacher_ensemble
+            ens = make(n, n, m, child)
         e = apply_ensemble(ens, x)
         if abs(float(e @ e) - 1.0) > t:
             violations += 1

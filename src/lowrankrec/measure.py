@@ -13,8 +13,16 @@ The kind only decides how A is stored, once, at construction: gaussian /
 rademacher keep the m x n1n2 matrix ``rows``; entry / vectorization keep
 ``index``, the row-major linear indices of vec(X) that A reads.
 ``apply_ensemble``, ``adjoint_ensemble`` and ``apply_stack`` branch on that
-storage and nothing else.  Rows are materialized explicitly, which is the
-point of this package's scale (n <= 100, m <= 20000); larger problems are
+storage and nothing else, and the package builds ensembles only through the
+four constructors below.  Three readers outside this module use the storage
+itself, each for what A and A* alone cannot give: solve's affine projection
+(closed form when ``rows`` is None, since A A* = I; else the Gram
+``rows @ rows.T``) and ``estimate_lipschitz`` (the rows' norm); oracle's
+``oracle_fit`` (per-column least squares on ``index``, or the design built
+from ``rows``); and diagnostics' ``rip_probe`` (the closed-form supremum of
+a selection, and the basis-matrix energies read off ``rows``).  Rows are
+materialized explicitly, which is the point of this package's scale
+(n <= 100, m <= 20000); larger problems are
 refused rather than silently paged.
 
 Finiteness is checked where data enters: the file readers and each

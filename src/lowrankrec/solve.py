@@ -73,9 +73,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .matcore import check_matrix, nuclear_norm, operator_norm, prox_nuclear
-from .measure import (MeasurementEnsemble, ObservationSet, adjoint_ensemble,
-                      apply_ensemble, entry_sampling_ensemble)
-from .rand import spawn_rng
+from .measure import adjoint_ensemble, apply_ensemble
 
 __all__ = [
     "SolverConfig",
@@ -104,7 +102,6 @@ CG_REL = 1e-1               # a projection inside DR cuts its warm-started CG re
                             # Gram products, 3-fold cost DR iterations);
 CG_FLOOR = 1e-14            # none goes below 1e-14 ||y||, the final projection's target
 CG_NULL_CURVATURE = 1e-12   # p'(A A*)p <= 1e-12 (mean eigenvalue) ||p||^2: a null direction
-GRAM_BLOCK = 64             # rows per block when forming the Gram A A*
 DR_MEMORY = 10              # Anderson memory of the DR loop: its last 10 differences
                             # (5 took 8-23% more DR iterations on phase_transition and
                             # optspace_compare, 15 saved at most 10%)
@@ -156,10 +153,11 @@ def _check_y(ens, y):
     return y
 
 
-def estimate_lipschitz(ens, iters=120, seed=0):
-    """Largest eigenvalue of A*A (the gradient Lipschitz constant), by power
-    iteration, with a 5% safety margin.  Exact 1.0 for a selection ensemble
-    (entry sampling, vectorization), whose A*A is an orthogonal projector.
+def estimate_lipschitz(ens):
+    """||A||^2, the largest eigenvalue of A*A (the gradient Lipschitz
+    constant), exactly: 1.0 for a selection ensemble (entry sampling,
+    vectorization), whose A*A is an orthogonal projector, and the squared
+    operator norm of the rows otherwise.
 
     A diagnostic: the solvers do not call it, since their step rule finds a
     local bound along the iterates (see the module docstring).  It stays
@@ -169,18 +167,7 @@ def estimate_lipschitz(ens, iters=120, seed=0):
     with that metric."""
     if ens.rows is None:
         return 1.0
-    rng = spawn_rng(seed, 977)
-    x = rng.standard_normal((ens.n1, ens.n2))
-    x /= np.linalg.norm(x)
-    lam = 1.0
-    for _ in range(iters):
-        w = adjoint_ensemble(ens, apply_ensemble(ens, x))
-        lam = float(np.vdot(x, w))
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            return 1.0
-        x = w / norm
-    return 1.05 * lam
+    return operator_norm(ens.rows) ** 2
 
 
 def _objective(tau, nuc, ax, y):
@@ -408,16 +395,6 @@ def solve_dantzig(ens, y, lam, config=None):
     return solve_penalized(ens, y, lam, config=config)
 
 
-def _gram(rows):
-    """A A* of a dense ensemble, m x m, built GRAM_BLOCK rows at a time into
-    one preallocated array (one rows @ rows.T holds more scratch memory)."""
-    m = rows.shape[0]
-    gram = np.empty((m, m))
-    for i in range(0, m, GRAM_BLOCK):
-        np.matmul(rows[i:i + GRAM_BLOCK], rows.T, out=gram[i:i + GRAM_BLOCK])
-    return gram
-
-
 def _cg(gram_times, b, mu, r, rel, floor, null_curv):
     """Conjugate gradients on (A A*) mu = b, with gram_times(p) = A A* p, from
     the warm start mu, whose residual b - A A* mu is r (None: formed here,
@@ -471,18 +448,19 @@ def _affine_projection(ens, y):
     the change in A(z) - y, so a warm start costs no Gram product.  The
     rel = 0 call forms its residual afresh, so the returned point's
     feasibility does not rest on the carried one.  Products with A A* use
-    the m x m Gram, formed here once, when m <= n1 n2
-    (the Gram is then no larger than the rows), and rows @ (rows.T @ p)
-    otherwise.  The Gram is never factorised: at the harness's m = 480 a
-    LAPACK factorisation's copies and workspace cost several megabytes of
-    peak memory, where CG needs a few m x m products."""
+    the m x m Gram rows @ rows.T, formed here once in one BLAS call (its
+    symmetric rank-k path, so the Gram is exactly symmetric), when
+    m <= n1 n2 (the Gram is then no larger than the rows), and
+    rows @ (rows.T @ p) otherwise.  The Gram is never factorised: at the
+    harness's m = 480 a LAPACK factorisation's copies and workspace cost
+    several megabytes of peak memory, where CG needs a few m x m products."""
     if ens.rows is None:
         def project(z, rel):
             return z - adjoint_ensemble(ens, apply_ensemble(ens, z) - y), 0.0, False
         return project
     rows = ens.rows
     if ens.m <= rows.shape[1]:
-        gram = _gram(rows)
+        gram = rows @ rows.T
 
         def gram_times(p):
             return gram @ p
@@ -633,12 +611,13 @@ def solve_noiseless(ens, y, config=None):
 def solve_lasso(ens, y, delta, config=None):
     """Minimize ||X||_* subject to ||A(X) - y||_2 <= delta.
 
-    Accepts either a MeasurementEnsemble or an ObservationSet (interpreted as
-    entry sampling with y in the stored Omega order).  The equality residual
-    of the penalized solution is monotone in tau, so the constrained solution
-    is a root in tau.  Continuation stages (tau0 = ||A*(y)||_op shrunk 4-fold
-    per stage, eps = 1e-3) run until one is feasible; that brackets the root
-    between a feasible and an infeasible tau.  Root-finding stages
+    Takes a MeasurementEnsemble, as the other programs do (entry sampling is
+    entry_sampling_ensemble(omega), with y in Omega's stored order).  The
+    equality residual of the penalized solution is monotone in tau, so the
+    constrained solution is a root in tau.  Continuation stages
+    (tau0 = ||A*(y)||_op shrunk 4-fold per stage, eps = 1e-3) run until one
+    is feasible; that brackets the root between a feasible and an
+    infeasible tau.  Root-finding stages
     (eps = 1e-4) then narrow the bracket to a ratio of 1 + 1e-4 by Illinois
     regula falsi on log(residual / delta) against log tau, each step kept
     half the tolerance inside the bracket (the secant method on the
@@ -653,10 +632,6 @@ def solve_lasso(ens, y, delta, config=None):
     (seeds 1-5, passes 1-3, against certified penalized solves bisected to
     a tau ratio of 1 + 1e-8), in 5-7 stages.
     """
-    if isinstance(ens, ObservationSet):
-        ens = entry_sampling_ensemble(ens)
-    if not isinstance(ens, MeasurementEnsemble):
-        raise TypeError("expected a MeasurementEnsemble or ObservationSet")
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     cfg = config or SolverConfig()

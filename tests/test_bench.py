@@ -3,12 +3,16 @@ bookkeeping, determinism, constant fitting, and file emission."""
 
 import json
 import re
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from lowrankrec.bench import (
     CSV_COLUMNS,
+    EXPERIMENTS,
     CellResult,
     ExperimentConfig,
     ExperimentResult,
@@ -21,9 +25,8 @@ from lowrankrec.bench import (
     result_csv,
     result_json,
     run_experiment,
-    _cell_p,
+    _cell_m,
     _ensemble,
-    _entry_sampled,
 )
 
 
@@ -207,6 +210,8 @@ def test_build_config_seed_override_and_floors():
 def test_grid_cell_validation():
     with pytest.raises(ValueError):
         GridCell(n=10, r=1)                  # no m and no p
+    with pytest.raises(ValueError, match="exactly one of m or p"):
+        GridCell(n=10, r=1, m=40, p=0.5)     # both
     with pytest.raises(ValueError):
         GridCell(n=10, r=1, p=1.5)
     with pytest.raises(ValueError):
@@ -224,8 +229,9 @@ def test_experiment_config_validation():
         tiny_config(cells=())
     with pytest.raises(ValueError, match="trials"):
         tiny_config(trials=0)
-    with pytest.raises(ValueError, match="ensemble"):
-        tiny_config(ensemble="fourier")
+    for kind in ("fourier", "entry"):   # entry sampling is said by a cell's p
+        with pytest.raises(ValueError, match="ensemble must be gaussian or rademacher"):
+            tiny_config(ensemble=kind)
     with pytest.raises(ValueError, match="spectrum_top"):
         tiny_config(spectrum_top=0.0)
     for ratio in (0.0, 1.5):
@@ -235,21 +241,33 @@ def test_experiment_config_validation():
 
 # --------------------------------------------------------- trial operator
 
-M_CELL = GridCell(n=10, r=1, m=40)     # an entry-sampled M_CELL reports p = 0.4
-P_CELL = GridCell(n=10, r=1, p=0.25)   # 25 measurements
-ENSEMBLES = ("gaussian", "rademacher", "entry")
-# (experiment, ensemble value, cell, operator kind, p column)
+M_CELL = GridCell(n=10, r=1, m=40, sigma=1e-2)      # 40 dense rows
+P_CELL = GridCell(n=10, r=1, p=0.25, sigma=1e-2)    # 25 sampled entries
+FULL_CELL = GridCell(n=10, r=1, p=1.0, sigma=1e-2)  # every entry
+# (experiment, ensemble value, cell, operator kind, p column): the cell
+# alone picks the operator, an m cell the config's dense ensemble and a p
+# cell entry sampling, in every family that accepts the cell
 OPERATOR_CASES = [
-    *[(exp, ens, M_CELL, ens, 0.4 if ens == "entry" else None)
-      for exp in ("phase-transition", "dantzig-scaling", "instance-optimal")
-      for ens in ENSEMBLES],
-    *[(exp, ens, M_CELL, "entry", 0.4)
-      for exp in ("completion-stability", "optspace-compare") for ens in ENSEMBLES],
-    # full observation whatever the ensemble, but ensemble = entry reports p
-    *[("bias-variance", ens, M_CELL, "vectorization", 0.4 if ens == "entry" else None)
-      for ens in ENSEMBLES],
+    ("phase-transition", "gaussian", M_CELL, "gaussian", None),
+    ("phase-transition", "rademacher", M_CELL, "rademacher", None),
+    ("phase-transition", "rademacher", P_CELL, "entry", 0.25),
+    ("dantzig-scaling", "gaussian", M_CELL, "gaussian", None),
+    ("dantzig-scaling", "rademacher", M_CELL, "rademacher", None),
+    ("dantzig-scaling", "rademacher", P_CELL, "entry", 0.25),
+    ("instance-optimal", "gaussian", M_CELL, "gaussian", None),
+    ("instance-optimal", "rademacher", M_CELL, "rademacher", None),
+    ("instance-optimal", "rademacher", P_CELL, "entry", 0.25),
+    ("completion-stability", "gaussian", P_CELL, "entry", 0.25),
+    ("completion-stability", "rademacher", P_CELL, "entry", 0.25),
+    ("completion-stability", "gaussian", FULL_CELL, "entry", 1.0),
+    ("optspace-compare", "gaussian", P_CELL, "entry", 0.25),
+    ("optspace-compare", "rademacher", P_CELL, "entry", 0.25),
+    ("optspace-compare", "gaussian", FULL_CELL, "entry", 1.0),
+    ("bias-variance", "gaussian", FULL_CELL, "entry", 1.0),
+    ("bias-variance", "rademacher", FULL_CELL, "entry", 1.0),
+    ("phase-transition", "gaussian", FULL_CELL, "entry", 1.0),
     ("phase-transition", "gaussian", P_CELL, "entry", 0.25),
-    ("dantzig-scaling", "gaussian", P_CELL, "gaussian", 0.25),
+    ("dantzig-scaling", "gaussian", P_CELL, "entry", 0.25),
 ]
 
 
@@ -258,17 +276,42 @@ def test_trial_operator_and_p_column(experiment, ensemble, cell, kind, p):
     cfg = tiny_config(experiment=experiment, ensemble=ensemble, cells=(cell,))
     ens = _ensemble(cell, cfg, 3)
     assert ens.kind == kind
-    assert ens.m == (100 if kind == "vectorization" else cell.m or 25)
-    assert _cell_p(cell, cfg) == p
-    assert _entry_sampled(cell, cfg) == (kind == "entry" or ensemble == "entry")
+    assert ens.m == _cell_m(cell) == (cell.m or round(p * 100))
+    # the p column is the cell's own p: the fraction of entries observed
+    assert cell.p == p
+    if kind == "entry":
+        assert ens.omega.m == ens.m and ens.m / 100 == p
+
+
+@pytest.mark.parametrize("experiment, cell, named", [
+    pytest.param("completion-stability", M_CELL, "give p, not m", id="m-completion"),
+    pytest.param("optspace-compare", M_CELL, "give p, not m", id="m-optspace"),
+    pytest.param("bias-variance", M_CELL, "p must be 1", id="m-bias-variance"),
+    pytest.param("bias-variance", P_CELL, "p must be 1", id="p-bias-variance"),
+    *[pytest.param(exp, GridCell(n=10, r=1, m=40), "sigma must be positive",
+                   id=f"sigma0-{exp}")
+      for exp in ("dantzig-scaling", "instance-optimal")],
+    pytest.param("bias-variance", GridCell(n=10, r=1, p=1.0), "sigma must be positive",
+                 id="sigma0-bias-variance"),
+])
+def test_experiment_config_rejects_cells_its_family_cannot_run(experiment, cell, named):
+    with pytest.raises(ValueError, match=named):
+        tiny_config(experiment=experiment, cells=(cell,))
+
+
+def test_sigma_zero_stays_valid_where_no_lambda_is_set():
+    for exp in ("phase-transition", "completion-stability", "optspace-compare"):
+        tiny_config(experiment=exp, cells=(GridCell(n=10, r=1, p=0.5),))
 
 
 def test_run_experiment_reports_the_p_column():
-    cfg = tiny_config(experiment="bias-variance", ensemble="entry", trials=1,
-                      cells=(GridCell(n=10, r=1, m=40, sigma=1e-2),))
+    # m and p are what the trial observed: every entry for bias-variance
+    cfg = tiny_config(experiment="bias-variance", trials=1, cells=(FULL_CELL,))
     res = run_experiment(cfg)
-    assert res.cells[0].p == 0.4
+    assert (res.cells[0].m, res.cells[0].p) == (100, 1.0)
     assert res.cells[0].formula_value is not None
+    res = run_experiment(tiny_config(trials=1, cells=(P_CELL, M_CELL)))
+    assert [(c.m, c.p) for c in res.cells] == [(25, 0.25), (40, None)]
 
 
 # --------------------------------------------------------- run_experiment
@@ -441,3 +484,145 @@ def test_result_json_sorted_and_parseable():
     parsed = json.loads(payload)
     assert list(parsed) == sorted(parsed)
     assert parsed["cells"][0]["median_sq_err"] == 1.0
+
+
+SVG = "{http://www.w3.org/2000/svg}"
+
+
+def plotted(tmp_path, cells, experiment="phase-transition"):
+    """The SVG that emit writes for a result over ``cells``, parsed, after
+    checking that a second emission is byte-identical."""
+    res = fake_result(cells, experiment)
+    texts = []
+    for name in ("a", "b"):
+        path = next(p for p in emit(res, tmp_path / name, fmt="csv", plot=True)
+                    if p.endswith(".svg"))
+        with open(path, "rb") as fh:
+            texts.append(fh.read())
+    assert texts[0] == texts[1]
+    return ET.fromstring(texts[0])
+
+
+def labels(root):
+    return [t.text for t in root.iter(f"{SVG}text")]
+
+
+def test_plot_line_over_one_varying_key(tmp_path):
+    cells = [fake_cell(m=m, success_rate=rate)
+             for m, rate in ((80, 1.0), (40, 0.25), (60, 0.5))]
+    root = plotted(tmp_path, cells)
+    assert "m" in labels(root) and "success rate" in labels(root)
+    assert len(list(root.iter(f"{SVG}circle"))) == 3
+    # the polyline runs in increasing m: 40, 60, 80 at rates 0.25, 0.5, 1
+    points = [tuple(map(float, pt.split(",")))
+              for pt in next(root.iter(f"{SVG}polyline")).get("points").split()]
+    assert [x for x, _ in points] == sorted(x for x, _ in points)
+    assert [y for _, y in points] == sorted((y for _, y in points), reverse=True)
+
+
+def test_plot_heat_map_over_two_varying_keys(tmp_path):
+    ms, sigmas = (40, 60, 80), (0.01, 0.1)
+    cells = [fake_cell(m=m, sigma=s, success_rate=i / 6)
+             for i, (m, s) in enumerate((m, s) for m in ms for s in sigmas)]
+    root = plotted(tmp_path, cells)
+    texts = labels(root)
+    assert "m" in texts and "sigma" in texts
+    grid = [r for r in root.iter(f"{SVG}rect") if r.get("stroke") == "#999"]
+    assert len(grid) == len(ms) * len(sigmas)
+    # one cell per grid point: the cells tile distinct positions
+    assert len({(r.get("x"), r.get("y")) for r in grid}) == len(grid)
+
+
+# ------------------------------------------------- config grammar, fuzzed
+
+KEYS = ("experiment", "trials", "seed", "ensemble", "success_threshold",
+        "spectrum_top", "spectrum_ratio", "mode", "n", "r", "m", "p", "m_per_nr",
+        "sigma", "kappa", "max_iters", "eq_tol", "grad_tol", "success_rate", "x")
+SCALARS = st.one_of(
+    st.integers(-3, 60).map(str),
+    st.sampled_from(["0.5", "1.0", "1e-3", "-1", "2.5", "1e308", "1e999", "inf",
+                     "nan", "true", "'zip'", "product", "zip", "entry", "gaussian",
+                     "rademacher", "abc", ""]),
+    st.sampled_from(EXPERIMENTS))
+LINES = st.one_of(
+    st.builds(lambda k, vs: f"{k} = {', '.join(vs)}", st.sampled_from(KEYS),
+              st.lists(SCALARS, min_size=1, max_size=3)),
+    st.sampled_from(["[grid]", "[solver]", "[optspace]", "[floors]", "[nope]", "[]",
+                     "# comment", "", "=", "n", "[grid", "key = a # b"]),
+    st.text(alphabet="[]=,#. -_abcmnpr0123456789\t", max_size=12))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(LINES, max_size=12))
+def test_config_grammar_raises_only_value_error(lines):
+    text = "\n".join(lines)
+    try:
+        build_experiment_config(parse_config_text(text))
+    except ValueError:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.text(max_size=80))
+def test_config_parser_raises_only_value_error_on_any_text(text):
+    try:
+        build_experiment_config(parse_config_text(text))
+    except ValueError:
+        pass
+
+
+def grid_texts():
+    """A config with a valid [grid] shape in every family, sampled by m, p or
+    m_per_nr, with sigma zero or positive: (text, family, knob, p values,
+    sigma)."""
+    def build(family, mode, ns, r, knob, values, sigma, ensemble):
+        lines = [f"experiment = {family}", f"ensemble = {ensemble}", "[grid]",
+                 f"mode = {mode}", f"n = {', '.join(map(str, ns))}", f"r = {r}",
+                 f"{knob} = {', '.join(map(str, values))}", f"sigma = {sigma}"]
+        return "\n".join(lines) + "\n", family, knob, values, sigma
+
+    def values(knob):
+        if knob == "p":
+            return st.lists(st.sampled_from([0.25, 0.5, 1, 1.0]), min_size=1, max_size=2)
+        if knob == "m":
+            return st.lists(st.integers(1, 40), min_size=1, max_size=2)
+        return st.lists(st.sampled_from([0.5, 2, 3.5]), min_size=1, max_size=1)
+
+    knobs = st.sampled_from(["m", "p", "m_per_nr"])
+    return knobs.flatmap(lambda knob: st.builds(
+        build, st.sampled_from(EXPERIMENTS), st.sampled_from(["product", "zip"]),
+        st.lists(st.integers(2, 6), min_size=1, max_size=2), st.integers(1, 2),
+        st.just(knob), values(knob), st.sampled_from([0, 0.01]),
+        st.sampled_from(["gaussian", "rademacher"])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(grid_texts())
+def test_generated_grids_build_cells_that_obey_the_operator_rule(case):
+    text, family, knob, values, sigma = case
+    by_p = knob == "p"
+    allowed = ((by_p or family not in ("completion-stability", "optspace-compare"))
+               and (family != "bias-variance" or (by_p and all(v == 1 for v in values)))
+               and (sigma > 0 or family not in ("dantzig-scaling", "bias-variance",
+                                                "instance-optimal")))
+    sections = parse_config_text(text)
+    zipped = sections["grid"]["mode"] == "zip"
+    lengths = {len(v) for v in sections["grid"].values() if isinstance(v, list)}
+    if zipped and len(lengths) > 1:
+        with pytest.raises(ValueError, match="zip grid"):
+            build_experiment_config(sections)
+        return
+    if not allowed:
+        with pytest.raises(ValueError, match="give p, not m|p must be 1|sigma"):
+            build_experiment_config(sections)
+        return
+    cfg = build_experiment_config(sections)
+    for cell in cfg.cells:
+        assert (cell.m is None) != (cell.p is None)
+        assert (cell.p is not None) == by_p
+        ens = _ensemble(cell, cfg, 0)
+        assert ens.m == _cell_m(cell)
+        assert ens.kind == ("entry" if by_p else cfg.ensemble)
+        if family == "bias-variance":
+            assert ens.m == cell.n ** 2

@@ -344,6 +344,29 @@ def test_bench_bad_config_value_returns_2(tmp_path, capsys, head, tail, floor, n
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("text, named", [
+    pytest.param(BENCH_CFG.format(m=40, floor=0.0) + "[grid]\np = 0.5\n",
+                 "exactly one of m or p, got m=40 p=0.5", id="m-and-p"),
+    pytest.param(BENCH_CFG.format(m=40, floor=0.0).replace(
+        "phase-transition", "completion-stability"), "give p, not m", id="m-completion"),
+    pytest.param("experiment = bias-variance\n[grid]\nn = 10\nr = 1\np = 0.5\n"
+                 "sigma = 0.01\n", "[grid] p must be 1", id="p-bias-variance"),
+    pytest.param("ensemble = entry\n" + BENCH_CFG.format(m=40, floor=0.0),
+                 "ensemble must be gaussian or rademacher, got 'entry'", id="ensemble-entry"),
+    pytest.param(BENCH_CFG.format(m=40, floor=0.0).replace(
+        "phase-transition", "dantzig-scaling"), "[grid] sigma must be positive",
+        id="sigma0-lambda"),
+])
+def test_bench_operator_rule_is_checked_at_load(tmp_path, capsys, text, named):
+    # a cell the trial operator rule refuses stops the run before any trial
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(text)
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert not (tmp_path / "r").exists()
+
+
 # ----------------------------------------------------------------- version
 
 def test_version_flag(capsys):

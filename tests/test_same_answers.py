@@ -44,7 +44,8 @@ def test_identical_records_are_the_same_answers():
     assert "max rel nuclear-norm diff 0;" in text
     assert ("max rel diff objective 0; equality_residual 0; dual_residual 0; "
             "flags differ in 0") in text
-    assert "prox steps 20 -> 20" in text
+    assert "iterations 18 -> 18 (differs in 0)" in text
+    assert "prox steps 20 -> 20 (differs in 0)" in text
     assert "converged=False 0 -> 0 (differs in 0)" in text
 
 
@@ -63,7 +64,7 @@ def test_differences_are_measured_but_only_gates_fail():
     assert "max rel nuclear-norm diff 3e-07" in text
     assert "max |d rel_err| 5e-05" in text
     assert "objective 3e-07; equality_residual 0; dual_residual 0;" in text
-    assert "prox steps 150 -> 50" in text
+    assert "prox steps 150 -> 50 (differs in 2)" in text
     assert "stage-iteration-cap 1 -> 0" in text
     assert "iteration-cap 0 -> 1" in text.split("stage-iteration-cap 1 -> 0")[1]
     # equal totals on each side still show the two flips
@@ -125,3 +126,17 @@ def test_identical_and_changed_estimates_are_reported_apart():
     assert "dual_residual 0.5;" in changed
     # a kind whose estimates are all bit-identical has no changed line to read
     assert group(lines, "b", "changed") == "    changed    0"
+
+
+def test_per_operation_work_differences_are_counted():
+    # +1 in one operation and -1 in another sum the same, but both differ
+    parent = [record("a", 1, prox_steps=10), record("a", 2, prox_steps=20),
+              record("a", 3, prox_steps=30)]
+    change = [record("a", 1, prox_steps=11), record("a", 2, prox_steps=19),
+              record("a", 3, prox_steps=30)]
+    change[2]["iterations"] += 2    # iterations move without the prox steps
+    lines, ok = same_answers.compare(parent, change)
+    assert ok
+    text = block(lines, "a")
+    assert "iterations 57 -> 59 (differs in 3)" in text
+    assert "prox steps 60 -> 60 (differs in 2)" in text

@@ -311,7 +311,8 @@ def test_lipschitz_dominates_gram_spectrum():
     gram = ens.rows @ ens.rows.T
     true_top = float(np.linalg.eigvalsh(gram).max())
     est = estimate_lipschitz(ens)
-    assert est >= true_top * 0.999  # 5% safety margin keeps it above
+    assert est >= true_top * 0.999
+    assert est == pytest.approx(true_top, rel=1e-12)   # exact: no margin
 
 
 # -------------------------------------------------------------- choose_lambda
@@ -663,11 +664,11 @@ def test_lasso_zero_delta_matches_noiseless():
     assert np.linalg.norm(a.estimate - b.estimate) <= 10 * cfg.eq_tol * np.linalg.norm(truth)
 
 
-def test_lasso_accepts_observation_set():
+def test_lasso_on_entry_sampling():
     truth = low_rank(6, 1, 19)
     omega = sample_omega(6, 6, 30, seed=7)
     y = truth[omega.pairs[:, 0], omega.pairs[:, 1]]
-    rep = solve_lasso(omega, y, 1e-8)
+    rep = solve_lasso(entry_sampling_ensemble(omega), y, 1e-8)
     assert rep.equality_residual <= 1e-8 * (1 + 1e-6) + 1e-12
 
 
