@@ -243,6 +243,7 @@ def test_experiment_config_validation():
 
 M_CELL = GridCell(n=10, r=1, m=40, sigma=1e-2)      # 40 dense rows
 P_CELL = GridCell(n=10, r=1, p=0.25, sigma=1e-2)    # 25 sampled entries
+P40_CELL = GridCell(n=10, r=1, p=0.4, sigma=1e-2)   # 40 sampled entries
 FULL_CELL = GridCell(n=10, r=1, p=1.0, sigma=1e-2)  # every entry
 # (experiment, ensemble value, cell, operator kind, p column): the cell
 # alone picks the operator, an m cell the config's dense ensemble and a p
@@ -257,11 +258,11 @@ OPERATOR_CASES = [
     ("instance-optimal", "gaussian", M_CELL, "gaussian", None),
     ("instance-optimal", "rademacher", M_CELL, "rademacher", None),
     ("instance-optimal", "rademacher", P_CELL, "entry", 0.25),
-    ("completion-stability", "gaussian", P_CELL, "entry", 0.25),
-    ("completion-stability", "rademacher", P_CELL, "entry", 0.25),
+    ("completion-stability", "gaussian", P40_CELL, "entry", 0.4),
+    ("completion-stability", "rademacher", P40_CELL, "entry", 0.4),
     ("completion-stability", "gaussian", FULL_CELL, "entry", 1.0),
-    ("optspace-compare", "gaussian", P_CELL, "entry", 0.25),
-    ("optspace-compare", "rademacher", P_CELL, "entry", 0.25),
+    ("optspace-compare", "gaussian", P40_CELL, "entry", 0.4),
+    ("optspace-compare", "rademacher", P40_CELL, "entry", 0.4),
     ("optspace-compare", "gaussian", FULL_CELL, "entry", 1.0),
     ("bias-variance", "gaussian", FULL_CELL, "entry", 1.0),
     ("bias-variance", "rademacher", FULL_CELL, "entry", 1.0),
@@ -283,20 +284,23 @@ def test_trial_operator_and_p_column(experiment, ensemble, cell, kind, p):
         assert ens.omega.m == ens.m and ens.m / 100 == p
 
 
-@pytest.mark.parametrize("experiment, cell, named", [
-    pytest.param("completion-stability", M_CELL, "give p, not m", id="m-completion"),
-    pytest.param("optspace-compare", M_CELL, "give p, not m", id="m-optspace"),
-    pytest.param("bias-variance", M_CELL, "p must be 1", id="m-bias-variance"),
-    pytest.param("bias-variance", P_CELL, "p must be 1", id="p-bias-variance"),
-    *[pytest.param(exp, GridCell(n=10, r=1, m=40), "sigma must be positive",
+@pytest.mark.parametrize("experiment, ensemble, cell, named", [
+    pytest.param("completion-stability", "gaussian", M_CELL, "give p, not m",
+                 id="m-completion"),
+    pytest.param("optspace-compare", "gaussian", M_CELL, "give p, not m", id="m-optspace"),
+    *[pytest.param("bias-variance", ens, M_CELL, "p must be 1", id=f"m-bias-variance-{ens}")
+      for ens in ("gaussian", "rademacher")],
+    pytest.param("bias-variance", "gaussian", P_CELL, "p must be 1", id="p-bias-variance"),
+    *[pytest.param(exp, "gaussian", GridCell(n=10, r=1, m=40), "sigma must be positive",
                    id=f"sigma0-{exp}")
       for exp in ("dantzig-scaling", "instance-optimal")],
-    pytest.param("bias-variance", GridCell(n=10, r=1, p=1.0), "sigma must be positive",
-                 id="sigma0-bias-variance"),
+    pytest.param("bias-variance", "gaussian", GridCell(n=10, r=1, p=1.0),
+                 "sigma must be positive", id="sigma0-bias-variance"),
 ])
-def test_experiment_config_rejects_cells_its_family_cannot_run(experiment, cell, named):
+def test_experiment_config_rejects_cells_its_family_cannot_run(experiment, ensemble, cell,
+                                                               named):
     with pytest.raises(ValueError, match=named):
-        tiny_config(experiment=experiment, cells=(cell,))
+        tiny_config(experiment=experiment, ensemble=ensemble, cells=(cell,))
 
 
 def test_sigma_zero_stays_valid_where_no_lambda_is_set():
