@@ -23,12 +23,14 @@ Beside that exact comparison it prints a gate-level one: gates are "same"
 when the exit codes match (floor violations exit 1) and every cell's
 successes, failures and non-convergences match, and "differ" otherwise.  A
 change that moves rel_err at rounding level then reads results "differ"
-but gates "same".
+but gates "same".  Successes are "same" when the exit codes and every
+cell's successes match, so a trial that moves from non-converged to a
+converged failure reads gates "differ" but successes "same".
 
 With ``--out FILE.json`` it also writes a ledger: the parent commit, --jobs,
 and per config each side's wall time and exit code, the differences and the
-config-echo notes, the verdict ("identical" or "differ") and the gates
-("same" or "differ").  The file is rewritten after every config.
+config-echo notes, the verdict ("identical" or "differ"), the gates and
+the successes ("same" or "differ").  The file is rewritten after every config.
 
 Exits 1 when any config's results differ.  Standard library only.
 """
@@ -123,16 +125,16 @@ def compare(parent, change):
     return diffs, echo
 
 
-def gates(parent, change):
+def gates(parent, change, keys=GATE_COUNTS):
     """Gate-level verdict of two runs, each (exit code, load_outputs dict):
-    "same" when the exit codes and every cell's GATE_COUNTS match."""
+    "same" when the exit codes and every cell's ``keys`` counts match."""
     def counts(out):
-        return [{k: cell.get(k) for k in GATE_COUNTS} for cell in out.get("cells", [])]
+        return [{k: cell.get(k) for k in keys} for cell in out.get("cells", [])]
     (p_code, p_out), (c_code, c_out) = parent, change
     return "same" if p_code == c_code and counts(p_out) == counts(c_out) else "differ"
 
 
-def ledger_entry(config, runs, diffs, echo, gate):
+def ledger_entry(config, runs, diffs, echo, gate, successes):
     """One config's ledger record; ``runs`` maps side -> (exit code, outputs,
     wall seconds)."""
     return {
@@ -143,6 +145,7 @@ def ledger_entry(config, runs, diffs, echo, gate):
         "echo_notes": echo,
         "verdict": "differ" if diffs else "identical",
         "gates": gate,
+        "successes": successes,
     }
 
 
@@ -165,17 +168,18 @@ def main(argv=None):
                 runs[side] = (code, load_outputs(out_dir), wall)
             diffs, echo = compare(runs["parent"][:2], runs["change"][:2])
             gate = gates(runs["parent"][:2], runs["change"][:2])
+            succ = gates(runs["parent"][:2], runs["change"][:2], ("successes",))
             ok &= not diffs
             print(f"{config.name}: wall parent {runs['parent'][2]:.2f} s, change "
                   f"{runs['change'][2]:.2f} s; exit {runs['parent'][0]} / "
                   f"{runs['change'][0]}; "
                   + ("results identical" if not diffs else "RESULTS DIFFER: "
                      + ", ".join(diffs))
-                  + f"; gates {gate}")
+                  + f"; gates {gate}, successes {succ}")
             if echo:
                 print(f"  note: config echo differs in {', '.join(echo)}")
             if args.out:
-                ledger["configs"].append(ledger_entry(config, runs, diffs, echo, gate))
+                ledger["configs"].append(ledger_entry(config, runs, diffs, echo, gate, succ))
                 Path(args.out).write_text(json.dumps(ledger, indent=1) + "\n")
     print("same results" if ok else "RESULTS DIFFER")
     return 0 if ok else 1

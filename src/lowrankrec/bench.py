@@ -85,8 +85,10 @@ class GridCell:
             raise ValueError(f"p must be in (0, 1], got {self.p}")
         if self.m is not None and self.m < 1:
             raise ValueError(f"m must be positive, got {self.m}")
-        if self.sigma < 0 or self.kappa < 1:
-            raise ValueError("need sigma >= 0 and kappa >= 1")
+        if not 0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
+        if not 1 <= self.kappa < math.inf:
+            raise ValueError(f"kappa must be finite and >= 1, got {self.kappa}")
 
 
 @dataclass(frozen=True)
@@ -111,14 +113,19 @@ class ExperimentConfig:
             raise ValueError("experiment grid is empty")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if self.success_threshold <= 0:
-            raise ValueError("success threshold must be positive")
+        if not 0 < self.success_threshold < math.inf:
+            raise ValueError("success_threshold must be positive and finite, got "
+                             f"{self.success_threshold}")
         if self.ensemble not in ("gaussian", "rademacher"):
             raise ValueError(f"ensemble must be gaussian or rademacher, got "
                              f"{self.ensemble!r} (a cell given by p samples entries)")
-        if self.spectrum_top <= 0 or not (0 < self.spectrum_ratio <= 1):
-            raise ValueError("need spectrum_top > 0 and spectrum_ratio in (0, 1], got "
-                             f"{self.spectrum_top} and {self.spectrum_ratio}")
+        if not 0 < self.spectrum_top < math.inf or not 0 < self.spectrum_ratio <= 1:
+            raise ValueError("need spectrum_top > 0 finite and spectrum_ratio in (0, 1], "
+                             f"got {self.spectrum_top} and {self.spectrum_ratio}")
+        _reject_unknown(self.floors, FLOORS, "floors")
+        for key, value in self.floors.items():
+            if not math.isfinite(value):
+                raise ValueError(f"floor {key} must be finite, got {value}")
         exp = self.experiment
         for cell in self.cells:
             if exp in ("completion-stability", "optspace-compare") and cell.p is None:
@@ -352,8 +359,8 @@ def check_floors(result, floors=None):
     (empty list = all floors met).  The FLOORS names: success_rate (min over
     cells), last_success_rate (the last grid cell's success rate),
     bound_rate (min over cells), max_rel_err (max over cells), ratio_spread
-    (max/min of per-cell fitted constants).  A config names no other floor
-    (build_experiment_config rejects it); a direct caller that does gets an
+    (max/min of per-cell fitted constants).  An ExperimentConfig names no
+    other floor (it rejects one); ``floors`` passed here that does gets an
     "unknown floor" violation."""
     floors = result.config.get("floors", {}) if floors is None else floors
     bad = []
@@ -407,6 +414,7 @@ def check_floors(result, floors=None):
 #   [floors]                  optional acceptance floors for exit status (FLOORS)
 # plus the top-level keys success_threshold, ensemble (gaussian | rademacher: the
 # dense kind of an m cell), spectrum_top, spectrum_ratio.
+# A value is an int, else a float, else a string (quotes optional).
 # All is checked at load: an unknown section, key or floor name is an error, and
 # so is a value not of its field's type ([grid] keys by GridCell's fields,
 # m_per_nr a float, mode a string).
@@ -416,9 +424,6 @@ def _parse_scalar(tok):
     tok = tok.strip()
     if len(tok) >= 2 and tok[0] == tok[-1] and tok[0] in "'\"":
         return tok[1:-1]
-    low = tok.lower()
-    if low in ("true", "false"):
-        return low == "true"
     try:
         return int(tok)
     except ValueError:
@@ -616,31 +621,23 @@ def _plot_svg(result):
     return heat_map(xs, ys, grid, title=title, xlabel=kx, ylabel=ky)
 
 
-def emit(result, out_dir, fmt="both", plot=False):
+def emit(result, out_dir, plot=False):
     """Write result files into out_dir; returns the list of paths written.
 
-    fmt is csv | json | both.  CSV carries the per-cell summary; JSON carries
-    the config echo, version, and full per-trial detail.  plot=True adds an
-    SVG of the success rate over the grid.
+    The CSV carries the per-cell summary; the JSON carries the config echo,
+    version, and full per-trial detail.  plot=True adds an SVG of the
+    success rate over the grid.
     """
     import pathlib
 
-    if fmt not in ("csv", "json", "both"):
-        raise ValueError(f"format must be csv, json, or both, got {fmt!r}")
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    stem = result.experiment
-    written = []
-    if fmt in ("csv", "both"):
-        path = out / f"{stem}.csv"
-        path.write_text(result_csv(result))
-        written.append(str(path))
-    if fmt in ("json", "both"):
-        path = out / f"{stem}.json"
-        path.write_text(result_json(result))
-        written.append(str(path))
+    texts = [("csv", result_csv(result)), ("json", result_json(result))]
     if plot:
-        path = out / f"{stem}.svg"
-        path.write_text(_plot_svg(result))
+        texts.append(("svg", _plot_svg(result)))
+    written = []
+    for suffix, text in texts:
+        path = out / f"{result.experiment}.{suffix}"
+        path.write_text(text)
         written.append(str(path))
     return written

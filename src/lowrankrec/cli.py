@@ -161,7 +161,7 @@ def _cmd_bench(args):
         sections = bench_mod.parse_config_text(fh.read())
     cfg = bench_mod.build_experiment_config(sections, seed_override=args.seed)
     result = bench_mod.run_experiment(cfg, jobs=args.jobs)
-    written = bench_mod.emit(result, args.out, fmt=args.format, plot=args.plot)
+    written = bench_mod.emit(result, args.out, plot=args.plot)
     for path in written:
         print(f"wrote {path}")
     for c in result.cells:
@@ -260,7 +260,6 @@ def build_parser():
                    help="override the seed in the config file")
     e.add_argument("--jobs", type=int, default=1,
                    help="worker processes for trials")
-    e.add_argument("--format", choices=("csv", "json", "both"), default="both")
     e.add_argument("--plot", action="store_true",
                    help="emit an SVG of the success-rate grid")
     e.set_defaults(func=_cmd_bench)

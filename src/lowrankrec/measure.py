@@ -53,8 +53,6 @@ __all__ = [
     "add_noise",
     "write_omega",
     "read_omega",
-    "write_vector",
-    "read_vector",
 ]
 
 MAX_DIM_PRODUCT = 10_000   # n1*n2 cap for materialized ensembles
@@ -100,12 +98,6 @@ class ObservationSet:
     def p(self):
         """Observed fraction m / (n1*n2)."""
         return self.m / (self.n1 * self.n2)
-
-    def mask(self):
-        w = np.zeros((self.n1, self.n2))
-        if self.m:
-            w[self.pairs[:, 0], self.pairs[:, 1]] = 1.0
-        return w
 
 
 def sample_omega(n1, n2, m, seed):
@@ -264,8 +256,7 @@ def add_noise(y, noise):
 
 # --- text formats ----------------------------------------------------------
 #
-# Observation sets:   omega <n1> <n2> <m>    header, then m lines "i j"
-# Measurement vectors: one value per line.
+# Observation sets: omega <n1> <n2> <m> header, then m lines "i j"
 
 
 def write_omega(path, omega):
@@ -303,21 +294,3 @@ def read_omega(path):
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
-
-def write_vector(path, v):
-    v = np.asarray(v, dtype=float).ravel()
-    with open(path, "w") as fh:
-        for x in v:
-            fh.write(format(x, ".17g") + "\n")
-
-
-def read_vector(path):
-    with open(path) as fh:
-        vals = [ln for ln in (raw.strip() for raw in fh) if ln]
-    try:
-        v = np.array([float(x) for x in vals])
-    except ValueError:
-        raise ValueError(f"{path}: non-numeric entry in vector file") from None
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{path}: vector entries must be finite")
-    return v

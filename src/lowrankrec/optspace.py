@@ -18,8 +18,9 @@ arXiv 1212.0467).  With R held, row i of L solves the k x k normal equations
                      z_i = sum_{j in Omega_i} y_ij r_j,
 
 and the columns of R likewise with L held.  The rank grows one component
-at a time from the state's rank-1 point, each new one seeded from the top
-singular pair of the rescaled residual, as Incremental OptSpace proposes
+at a time from the state's rank-1 point, each new one seeded from a
+power-iteration estimate of the top singular pair of the rescaled residual
+(uncertified; see _top_pair), as Incremental OptSpace proposes
 for ill-conditioned matrices (Keshavan, Montanari and Oh, arXiv 0906.2027):
 a descent from the full-rank spectral start can stall on a weak component
 that its start does not see.  See optspace_descent for the stage rule.
@@ -39,8 +40,8 @@ Omega's row and column groups are laid out once per descent (_OmegaIndex).
 A sweep then costs O(m r^2) for the group sums of both half-sweeps, plus
 one batched r x r solve per row and per column; the certificate adds O(m r)
 for E V S^T and E^T U S as row and column group sums of the residual.  No
-n1 x n2 matrix is formed inside the descent: the residual's top singular
-pair comes from power iteration on its entries.
+n1 x n2 matrix is formed inside the descent: a rank seed comes from power
+iteration on the residual's entries.
 
 F and its gradient both scale as the data squared, so the descent stops at
 a gradient norm <= grad_tol ||P_Omega(Y)||_F^2, a scale-free test.
@@ -80,10 +81,12 @@ class OptspaceConfig:
     trim_multiplier: float = 2.0  # degree cap = multiplier * m / n
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-        if self.grad_tol <= 0 or self.trim_multiplier <= 0:
-            raise ValueError("grad_tol and trim_multiplier must be positive")
+        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
+        for name in ("grad_tol", "trim_multiplier"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -248,10 +251,14 @@ def _fit(l, r, rows, cols, y):
 
 
 def _top_pair(resid, index, n1, n2, p):
-    """Top singular pair (a, sigma, b) of (1/p) E, E the n1 x n2 matrix that
-    holds ``resid`` on Omega and zero elsewhere, by power iteration on E's
-    entries alone; it starts from the constant unit vector, so it is
-    deterministic.  sigma is 0 when E vanishes."""
+    """An uncertified estimate (a, sigma, b) of the top singular pair of
+    (1/p) E, E the n1 x n2 matrix that holds ``resid`` on Omega and zero
+    elsewhere, by power iteration on E's entries alone from the constant
+    unit vector, so it is deterministic; sigma is 0 when E vanishes.  It
+    stops when sigma grows by less than POWER_RTOL, so where sigma_2 is
+    near sigma_1 the vectors can be far off; the sweeps fit the new
+    component anyway.  An exact pair seeds worse: it can be zero on rows
+    and columns the component must fit, where the iterate keeps a weight."""
     b = np.full(n2, 1.0 / math.sqrt(n2))
     sigma = 0.0
     for _ in range(POWER_ITERS):
@@ -283,8 +290,8 @@ def optspace_descent(state, y_obs, omega, config=None):
       and rebalances L and R into frames U, V and singular values S;
     * an intermediate rank k < r ends after STAGE_SWEEPS sweeps or at the
       first sweep that lowers the fit by less than STAGE_RTOL of its value;
-      rank k + 1 is then seeded from the top singular pair of the rescaled
-      residual (1/p) P_Omega(Y - L R^T);
+      rank k + 1 is then seeded from a power-iteration estimate of the top
+      singular pair of the rescaled residual (1/p) P_Omega(Y - L R^T);
     * the final rank ends at the certificate, checked after every sweep at
       its U, S, V: with L of full column rank, S is there the exact inner
       fit and the gradient the tangent gradient of F (module docstring).

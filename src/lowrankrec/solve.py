@@ -115,8 +115,8 @@ class SolverConfig:
     eq_tol: float = 1e-6    # relative feasibility target, noiseless program
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
+        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
         if not (0 < self.eq_tol < 1):
             raise ValueError("eq_tol must be in (0, 1)")
 

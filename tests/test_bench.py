@@ -28,6 +28,8 @@ from lowrankrec.bench import (
     _cell_m,
     _ensemble,
 )
+from lowrankrec.optspace import OptspaceConfig
+from lowrankrec.solve import SolverConfig
 
 
 def tiny_config(**overrides):
@@ -86,7 +88,7 @@ def test_parse_config_scalar_coercion():
     top = sections[""]
     assert top["a"] == 3 and isinstance(top["a"], int)
     assert top["b"] == 2.5
-    assert top["c"] is True
+    assert top["c"] == "true"   # no config key takes a bool
     assert top["d"] == "hello"
     assert top["e"] == "quoted"
     assert top["f"] == [1, "x", 2.0]
@@ -237,6 +239,35 @@ def test_experiment_config_validation():
     for ratio in (0.0, 1.5):
         with pytest.raises(ValueError, match="spectrum_ratio"):
             tiny_config(spectrum_ratio=ratio)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _cell(**kwargs):
+    return GridCell(n=10, r=1, m=5, **kwargs)
+
+
+@pytest.mark.parametrize("make, kwargs, named", [
+    *[pytest.param(_cell, {k: v}, k, id=f"cell-{k}-{v}")
+      for k in ("sigma", "kappa") for v in (NAN, INF)],
+    *[pytest.param(tiny_config, {k: v}, k, id=f"experiment-{k}-{v}")
+      for k in ("success_threshold", "spectrum_top") for v in (NAN, INF)],
+    pytest.param(tiny_config, {"floors": {"sucess_rate": 0.5}}, "sucess_rate",
+                 id="floor-name"),
+    *[pytest.param(tiny_config, {"floors": {"success_rate": v}}, "success_rate",
+                   id=f"floor-value-{v}") for v in (NAN, INF)],
+    *[pytest.param(cls, {"max_iters": v}, "max_iters", id=f"{cls.__name__}-max_iters-{v}")
+      for cls in (SolverConfig, OptspaceConfig) for v in (NAN, 2.5)],
+    *[pytest.param(OptspaceConfig, {k: v}, k, id=f"OptspaceConfig-{k}-{v}")
+      for k in ("grad_tol", "trim_multiplier") for v in (NAN, INF)],
+])
+def test_settings_reject_non_finite_values(make, kwargs, named):
+    # each settings dataclass checks its own fields, so a library caller's
+    # nan or inf stops at construction, with the field named, as a config
+    # file's does at load
+    with pytest.raises(ValueError, match=named):
+        make(**kwargs)
 
 
 # --------------------------------------------------------- trial operator
@@ -451,7 +482,7 @@ def test_result_csv_shape_and_stability():
 def test_emit_writes_requested_files(tmp_path):
     res = run_experiment(tiny_config(trials=1,
                                      cells=(GridCell(n=10, r=1, m=60),)))
-    paths = emit(res, tmp_path / "out", fmt="both", plot=True)
+    paths = emit(res, tmp_path / "out", plot=True)
     names = sorted(p.rsplit("/", 1)[-1] for p in paths)
     assert names == ["phase-transition.csv", "phase-transition.json",
                      "phase-transition.svg"]
@@ -466,20 +497,14 @@ def test_emit_writes_requested_files(tmp_path):
 
 def test_emit_rerun_byte_identical(tmp_path):
     cfg = tiny_config(trials=2, cells=(GridCell(n=10, r=1, m=50),))
-    first = emit(run_experiment(cfg), tmp_path / "a", fmt="csv")
-    second = emit(run_experiment(cfg), tmp_path / "b", fmt="csv")
+    first = emit(run_experiment(cfg), tmp_path / "a")
+    second = emit(run_experiment(cfg), tmp_path / "b")
     text_a = open(first[0]).read()
     text_b = open(second[0]).read()
     # the wall-clock column is the only thing allowed to differ
     col = CSV_COLUMNS.index("seconds")
     for row_a, row_b in zip(text_a.strip().split("\n"), text_b.strip().split("\n")):
         assert row_a.split(",")[:col] == row_b.split(",")[:col]
-
-
-def test_emit_rejects_bad_format(tmp_path):
-    res = fake_result([fake_cell()])
-    with pytest.raises(ValueError, match="format"):
-        emit(res, tmp_path, fmt="yaml")
 
 
 def test_result_json_sorted_and_parseable():
@@ -499,7 +524,7 @@ def plotted(tmp_path, cells, experiment="phase-transition"):
     res = fake_result(cells, experiment)
     texts = []
     for name in ("a", "b"):
-        path = next(p for p in emit(res, tmp_path / name, fmt="csv", plot=True)
+        path = next(p for p in emit(res, tmp_path / name, plot=True)
                     if p.endswith(".svg"))
         with open(path, "rb") as fh:
             texts.append(fh.read())

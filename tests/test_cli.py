@@ -257,8 +257,7 @@ def test_bench_cell_line_carries_kappa_fitted_constant_and_extras(tmp_path, caps
     cfg = tmp_path / "stab.cfg"
     cfg.write_text("experiment = completion-stability\ntrials = 2\nseed = 1\n"
                    "[grid]\nn = 8\nr = 1\np = 0.7\nsigma = 1e-3\nkappa = 2\n")
-    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "s"),
-                 "--format", "json"]) == 0
+    assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "s")]) == 0
     line = next(ln for ln in capsys.readouterr().out.splitlines()
                 if ln.startswith("cell "))
     payload = json.loads((tmp_path / "s" / "completion-stability.json").read_text())
@@ -282,7 +281,7 @@ def test_bench_seed_override_changes_results(tmp_path):
     cfg.write_text(BENCH_CFG.format(m=30, floor=0.0))
     for seed, name in [("1", "a"), ("2", "b")]:
         assert main(["bench", "--config", str(cfg), "--seed", seed,
-                     "--out", str(tmp_path / name), "--format", "json"]) in (0, 1)
+                     "--out", str(tmp_path / name)]) in (0, 1)
     rec_a = json.loads((tmp_path / "a" / "phase-transition.json").read_text())
     rec_b = json.loads((tmp_path / "b" / "phase-transition.json").read_text())
     assert rec_a["seed"] == 1 and rec_b["seed"] == 2

@@ -12,9 +12,8 @@ from lowrankrec.measure import (MeasurementEnsemble, NoiseModel,
                                 entry_sampling_ensemble,
                                 gaussian_ensemble,
                                 project_omega, rademacher_ensemble,
-                                read_omega, read_vector, sample_omega,
-                                vectorization_ensemble, write_omega,
-                                write_vector)
+                                read_omega, sample_omega,
+                                vectorization_ensemble, write_omega)
 
 
 def all_entries(n1, n2):
@@ -27,7 +26,7 @@ def test_observation_set_basics():
     o = ObservationSet(2, 3, [(1, 2), (0, 0)])
     assert o.m == 2 and o.p == 2 / 6
     assert o.pairs[0].tolist() == [0, 0]  # stored row-major sorted
-    assert o.mask().tolist() == [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
+    assert o.pairs.tolist() == [[0, 0], [1, 2]]
 
 
 def test_observation_set_rejects_bad_pairs():
@@ -42,7 +41,7 @@ def test_observation_set_rejects_bad_pairs():
 def test_observation_set_empty_is_allowed():
     o = ObservationSet(2, 2, [])
     assert o.m == 0 and o.p == 0.0
-    assert np.all(o.mask() == 0)
+    assert o.pairs.shape == (0, 2)
 
 
 # --------------------------------------------------------------- sample_omega
@@ -50,7 +49,7 @@ def test_observation_set_empty_is_allowed():
 def test_sample_omega_full():
     o = sample_omega(3, 4, 12, seed=0)
     assert o.m == 12
-    assert np.all(o.mask() == 1.0)
+    assert o.pairs.tolist() == [[i, j] for i in range(3) for j in range(4)]
 
 
 def test_sample_omega_deterministic_and_distinct():
@@ -303,7 +302,6 @@ def test_file_formats_roundtrip_rectangular(tmp_path, n1, extra, tall, data):
     pairs = sorted(data.draw(st.sets(st.tuples(st.integers(0, n1 - 1),
                                                st.integers(0, n2 - 1)))))
     omega = ObservationSet(n1, n2, pairs)
-    v = np.array(data.draw(st.lists(FINITE, max_size=12)))
     path = tmp_path / "f.txt"
 
     write_lrm(path, m)
@@ -312,12 +310,10 @@ def test_file_formats_roundtrip_rectangular(tmp_path, n1, extra, tall, data):
     back = read_omega(path)
     assert (back.n1, back.n2) == (n1, n2)
     assert np.array_equal(back.pairs, omega.pairs)
-    write_vector(path, v)
-    assert np.array_equal(read_vector(path), v)
 
 
-@given(text=st.sampled_from(["lrm 2 3\n1 2 3\n4 5 6\n", "omega 2 3 2\n0 1\n1 2\n",
-                             "0.5\n-2\n"]), drop_last=st.booleans(), data=st.data())
+@given(text=st.sampled_from(["lrm 2 3\n1 2 3\n4 5 6\n", "omega 2 3 2\n0 1\n1 2\n"]),
+       drop_last=st.booleans(), data=st.data())
 @settings(deadline=None, max_examples=200,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_malformed_files_raise_only_value_error(tmp_path, text, drop_last, data):
@@ -331,7 +327,7 @@ def test_malformed_files_raise_only_value_error(tmp_path, text, drop_last, data)
         lines.pop()
     path = tmp_path / "f.txt"
     path.write_text("".join(" ".join(ln) + "\n" for ln in lines))
-    for reader in (read_lrm, read_omega, read_vector):
+    for reader in (read_lrm, read_omega):
         try:
             reader(path)
         except ValueError:
@@ -344,9 +340,3 @@ def test_omega_index_beyond_int64_names_the_file(tmp_path):
     with pytest.raises(ValueError, match="huge.omega"):
         read_omega(path)
 
-
-def test_vector_roundtrip(tmp_path):
-    y = np.random.default_rng(3).standard_normal(9) * 1e4
-    path = tmp_path / "y.vec"
-    write_vector(path, y)
-    assert np.array_equal(read_vector(path), y)

@@ -8,9 +8,10 @@ import same_configs  # noqa: E402  (a script, importable from scripts/)
 CSV = "n,r,m,success_rate,seconds\n10,1,60,{rate},{seconds}\n"
 
 
-def write_run(out_dir, rate=1.0, seconds=0.5, rel_err=1e-7, optspace=None):
+def write_run(out_dir, rate=1.0, seconds=0.5, rel_err=1e-7, optspace=None, nonconv=0):
     """A synthetic bench output directory: one cell of two trials, one
-    trial record."""
+    trial record; ``nonconv`` of the trials that did not succeed did not
+    converge."""
     out_dir.mkdir(parents=True)
     (out_dir / "phase-transition.csv").write_text(CSV.format(rate=rate, seconds=seconds))
     successes = round(2 * rate)
@@ -18,7 +19,7 @@ def write_run(out_dir, rate=1.0, seconds=0.5, rel_err=1e-7, optspace=None):
         "config": {"trials": 1, "optspace": optspace or {"max_iters": 500},
                    "cells": [{"n": 10}]},
         "cells": [{"n": 10, "success_rate": rate, "successes": successes,
-                   "failures": 2 - successes, "non_convergences": 0,
+                   "failures": 2 - successes - nonconv, "non_convergences": nonconv,
                    "seconds": seconds}],
         "trials": [[{"rel_err": rel_err, "seconds": seconds}]],
     }
@@ -51,6 +52,18 @@ def test_gates_separate_rounding_from_count_differences(tmp_path):
     assert same_configs.gates((0, a), (0, counts)) == "differ"
     assert same_configs.gates((0, a), (1, a)) == "differ"
     assert same_configs.gates((2, {}), (2, {})) == "same"
+
+
+def test_successes_separate_convergence_moves_from_success_moves(tmp_path):
+    # one trial moves from non-converged to a converged failure, with the
+    # same successes in every cell (phase_transition in CONFIGS_18.json)
+    parent = (1, write_run(tmp_path / "a", rate=0.5, nonconv=1))
+    change = (1, write_run(tmp_path / "b", rate=0.5))
+    assert same_configs.gates(parent, change) == "differ"
+    assert same_configs.gates(parent, change, ("successes",)) == "same"
+    fewer = (1, write_run(tmp_path / "c", rate=0.0))
+    assert same_configs.gates(change, fewer, ("successes",)) == "differ"
+    assert same_configs.gates(change, (0, change[1]), ("successes",)) == "differ"
 
 
 def test_config_echo_differences_are_notes(tmp_path):
@@ -89,6 +102,7 @@ def test_out_writes_a_ledger_of_wall_times_and_verdicts(tmp_path, monkeypatch):
     assert [c["config"] for c in ledger["configs"]] == ["a.cfg", "b.cfg"]
     assert [c["verdict"] for c in ledger["configs"]] == ["identical", "differ"]
     assert [c["gates"] for c in ledger["configs"]] == ["same", "differ"]
+    assert [c["successes"] for c in ledger["configs"]] == ["same", "differ"]
     assert ledger["configs"][1]["differences"] == ["csv differ", "cells differ"]
     assert all(c["wall_s"] == {"parent": 2.0, "change": 1.0} for c in ledger["configs"])
     assert all(c["exit"] == {"parent": 0, "change": 0} for c in ledger["configs"])
