@@ -166,9 +166,9 @@ def main(argv=None):
                 out_dir = Path(tmp) / "out" / side / str(k)
                 code, wall = run_bench(trees[side], config, out_dir, args.jobs)
                 runs[side] = (code, load_outputs(out_dir), wall)
-            diffs, echo = compare(runs["parent"][:2], runs["change"][:2])
-            gate = gates(runs["parent"][:2], runs["change"][:2])
-            succ = gates(runs["parent"][:2], runs["change"][:2], ("successes",))
+            pair = (runs["parent"][:2], runs["change"][:2])
+            diffs, echo = compare(*pair)
+            gate, succ = gates(*pair), gates(*pair, ("successes",))
             ok &= not diffs
             print(f"{config.name}: wall parent {runs['parent'][2]:.2f} s, change "
                   f"{runs['change'][2]:.2f} s; exit {runs['parent'][0]} / "
