@@ -36,12 +36,21 @@ E^T U S = 0 in U and V equal their tangent projections, which are F's
 gradient on the frames.  The certificate is ||E V S^T||_F^2 +
 ||E^T U S||_F^2 at the state's own S, with no second least-squares solve.
 
-Omega's row and column groups are laid out once per descent (_OmegaIndex).
-A sweep then costs O(m r^2) for the group sums of both half-sweeps, plus
-one batched r x r solve per row and per column; the certificate adds O(m r)
-for E V S^T and E^T U S as row and column group sums of the residual.  No
-n1 x n2 matrix is formed inside the descent: a rank seed comes from power
-iteration on the residual's entries.
+Omega and the data on it are laid out once per descent (_Omega), in one
+of two layouts picked by Omega's observed fraction p.  From p =
+DENSE_FRACTION (1/8) on, the layout is dense: the n1 x n2 0/1 mask M and
+the masked data Y_Omega, so every sum over Omega is a BLAS product.  A
+half-sweep's Grams are M P, P holding the products r_j r_j^T row by row,
+its right-hand sides Y_Omega R; the residual is E = M o (L R^T) - Y_Omega,
+the gradients E V S^T and E^T U S, and a rank seed's power iteration
+multiplies by E and E^T.  A sweep then costs O(n1 n2 r^2) flops whatever
+m is.  Below that fraction the layout is grouped: Omega's entries sorted
+into row and column groups, summed with np.take and np.add.reduceat, so a
+sweep costs O(m r^2) for the group sums and the certificate O(m r), but
+at gather speed, and no n1 x n2 matrix is formed.  The two cost the same
+between p = 0.1 and 0.15 (measured at rank 3, n = 300 and 400, one BLAS
+thread).  Either layout adds one batched r x r solve per row and per
+column to a sweep.
 
 F and its gradient both scale as the data squared, so the descent stops at
 a gradient norm <= grad_tol ||P_Omega(Y)||_F^2, a scale-free test.
@@ -71,6 +80,7 @@ STAGE_SWEEPS = 10   # sweeps an intermediate rank gets at most
 STAGE_RTOL = 1e-2   # an intermediate rank ends at a smaller relative decrease
 POWER_ITERS = 100   # power iterations for a rank seed at most
 POWER_RTOL = 1e-6   # ... ending when the singular value grows less, relatively
+DENSE_FRACTION = 0.125  # observed fraction from which Omega is laid out dense
 
 
 @dataclass(frozen=True)
@@ -111,7 +121,8 @@ def trim(y_obs, omega, multiplier=2.0):
     A row is over-observed when it holds more than multiplier * m / n1
     observed entries (columns likewise, with n2).  Removal shrinks m, so the
     rule is iterated to a fixed point; the result therefore satisfies its own
-    degree caps, and trimming an already-trimmed pair changes nothing.
+    degree caps, and trimming an already-trimmed pair changes nothing.  When
+    no row or column is over its cap, the given ``omega`` comes back itself.
     """
     y_obs = check_matrix(y_obs)
     if y_obs.shape != (omega.n1, omega.n2):
@@ -129,8 +140,9 @@ def trim(y_obs, omega, multiplier=2.0):
             break
         keep = ~(bad_rows[pairs[:, 0]] | bad_cols[pairs[:, 1]])
         pairs = pairs[keep]
-    trimmed_omega = ObservationSet(n1=omega.n1, n2=omega.n2, pairs=pairs)
-    return project_omega(trimmed_omega, y_obs), trimmed_omega
+    if pairs is not omega.pairs:   # some entry was removed
+        omega = ObservationSet(n1=omega.n1, n2=omega.n2, pairs=pairs)
+    return project_omega(omega, y_obs), omega
 
 
 def spectral_init(trimmed, omega, r):
@@ -157,78 +169,143 @@ def spectral_init(trimmed, omega, r):
             f"requested rank {r} exceeds achievable rank {achievable} of the data")
     v = vt.T
     rows, cols = omega.pairs[:, 0], omega.pairs[:, 1]
-    obj = _fit(u * sv, v, rows, cols, trimmed[rows, cols])[0]
+    resid = _entry_residual(u * sv, v, rows, cols, trimmed[rows, cols])
+    obj = 0.5 * float(resid @ resid)
     return OptspaceState(u=u, s=np.diag(sv), v=v, objective=obj, iteration=0,
                          history=(obj,))
 
 
-class _OmegaIndex:
-    """Omega's layout for the group sums of one descent, built once.
+class _Omega:
+    """Omega and the data on it, laid out once for the sums of one descent.
 
-    Entries run in the row-major order ObservationSet keeps (``rows``,
-    ``cols``, observed values ``y``); ``row_starts`` opens each non-empty row
-    group, whose row is ``row_ids``.  ``col_perm`` sorts the entries by
-    column, ``col_starts`` opens each non-empty column group of that order,
-    whose column is ``col_ids``, and ``rows_by_col`` is ``rows[col_perm]``.
-    Empty rows and columns get no group, so ``np.add.reduceat`` never sees
-    an empty segment.
+    The layout follows Omega's observed fraction p (``dense`` overrides it):
+
+    * dense, p >= DENSE_FRACTION: the 0/1 mask ``mask`` and the masked data
+      ``y_mat``, both n1 x n2, so each sum over Omega is one BLAS product
+      with one of them, O(n1 n2 k) flops whatever m is;
+    * grouped, below it: the entries in the row-major order ObservationSet
+      keeps (``rows``, ``cols``, observed values ``y``), summed group by
+      group with np.take and np.add.reduceat, O(m k) at gather speed.
+      ``groups[side]`` is (the other index of each entry, the start of each
+      group, y) in that side's grouped order; ``col_perm`` sorts the
+      entries by column.
+
+    Side 0 groups Omega by row (the rows of L), side 1 by column (the rows
+    of R).  ``ids[side]`` lists the rows or columns with entries: an empty
+    one gets no group, so np.add.reduceat never sees an empty segment, and
+    no system.  The constructor's ``y`` holds the observed values in
+    Omega's row-major order.
     """
 
-    def __init__(self, omega, y_obs):
-        self.rows = np.ascontiguousarray(omega.pairs[:, 0])
-        self.cols = np.ascontiguousarray(omega.pairs[:, 1])
-        self.y = y_obs[self.rows, self.cols]
-        self.row_ids, self.row_starts = np.unique(self.rows, return_index=True)
-        self.col_perm = np.argsort(self.cols, kind="stable")
-        self.rows_by_col = self.rows[self.col_perm]
-        self.y_by_col = self.y[self.col_perm]
-        self.col_ids, self.col_starts = np.unique(self.cols[self.col_perm],
-                                                  return_index=True)
+    def __init__(self, omega, y, dense=None):
+        rows = np.ascontiguousarray(omega.pairs[:, 0])
+        cols = np.ascontiguousarray(omega.pairs[:, 1])
+        self.shape = (omega.n1, omega.n2)
+        self.p = omega.p
+        self.dense = omega.p >= DENSE_FRACTION if dense is None else dense
+        if self.dense:
+            self.mask = np.zeros(self.shape)
+            self.mask[rows, cols] = 1.0
+            self.y_mat = np.zeros(self.shape)
+            self.y_mat[rows, cols] = y
+            self.ids = (np.flatnonzero(self.mask.any(axis=1)),
+                        np.flatnonzero(self.mask.any(axis=0)))
+        else:
+            self.rows, self.cols, self.y = rows, cols, y
+            row_ids, row_starts = np.unique(rows, return_index=True)
+            self.col_perm = np.argsort(cols, kind="stable")
+            col_ids, col_starts = np.unique(cols[self.col_perm], return_index=True)
+            self.ids = (row_ids, col_ids)
+            self.groups = ((cols, row_starts, y),
+                           (rows[self.col_perm], col_starts, y[self.col_perm]))
+
+    def residual(self, l, r):
+        """E = L R^T - Y on Omega: the n1 x n2 matrix, zero off Omega
+        (dense), or its entries in Omega's order (grouped)."""
+        if self.dense:
+            e = l @ r.T
+            e *= self.mask
+            e -= self.y_mat
+            return e
+        return _entry_residual(l, r, self.rows, self.cols, self.y)
+
+    def normal_equations(self, fixed, side):
+        """The k x k systems W_i x_i = z_i of a half-sweep, one per row
+        (side 0) or column (side 1) in ``ids[side]``, as stacked (W, z):
+        W_i = sum_{j in Omega_i} f_j f_j^T and z_i = sum_{j in Omega_i} y_ij
+        f_j, f_j the rows of ``fixed``.  Dense: W = M P, P holding f_j f_j^T
+        row by row, and z = Y_Omega F (both transposed on side 1)."""
+        k = fixed.shape[1]
+        if self.dense:
+            mask, y_mat = self.mask, self.y_mat
+            if side:
+                mask, y_mat = mask.T, y_mat.T
+            ids = self.ids[side]
+            outer = (fixed[:, :, None] * fixed[:, None]).reshape(-1, k * k)
+            return (mask @ outer)[ids].reshape(-1, k, k), (y_mat @ fixed)[ids, :, None]
+        gather, starts, y = self.groups[side]
+        fc = np.take(fixed.T, gather, axis=1)                  # (k, m)
+        gram = np.add.reduceat((fc[:, None] * fc[None]).reshape(k * k, -1), starts,
+                               axis=1).T.reshape(-1, k, k)
+        return gram, np.add.reduceat(fc * y, starts, axis=1).T[..., None]
+
+    def times(self, e, x, side):
+        """E x (side 0) or E^T x (side 1), E from residual(): ``x`` is a
+        vector, or a block of k columns passed transposed, (k, n), with an
+        (n', k) result."""
+        if self.dense:
+            return (e.T if side else e) @ x.T
+        if x.ndim == 1:
+            out, gather = (self.cols, self.rows) if side else (self.rows, self.cols)
+            return np.bincount(out, weights=e * x[gather], minlength=self.shape[side])
+        gather, starts, _ = self.groups[side]
+        if side:
+            e = e[self.col_perm]
+        g = np.zeros((self.shape[side], x.shape[0]))
+        g[self.ids[side]] = np.add.reduceat(np.take(x, gather, axis=1) * e, starts,
+                                            axis=1).T
+        return g
 
 
-def _gradient(u, s, v, resid, index):
+def _entry_residual(l, r, rows, cols, y):
+    """L R^T - Y at the entries (``rows``, ``cols``) that observe ``y``.
+    The factors are gathered transposed, so the sum runs over the k rows of
+    two contiguous (k, m) arrays, as the group sums do."""
+    return (np.take(l.T, rows, axis=1) * np.take(r.T, cols, axis=1)).sum(axis=0) - y
+
+
+def _gradient(u, s, v, resid, om):
     """Gradients of 1/2 ||P_Omega(U S V^T - Y)||_F^2 in U and V, and their
-    squared norm, from ``resid`` = U S V^T - Y on Omega in ``index`` order.
-
-    R V S^T and R^T U S, R the residual scattered onto Omega, are sums over
-    Omega's row and column groups of the residual-weighted rows of V S^T and
-    U S: O(m r) for m entries.
-    """
-    gu = np.zeros_like(u)
-    gu[index.row_ids] = np.add.reduceat(
-        np.take(s @ v.T, index.cols, axis=1) * resid, index.row_starts, axis=1).T
-    gv = np.zeros_like(v)
-    gv[index.col_ids] = np.add.reduceat(
-        np.take(s.T @ u.T, index.rows_by_col, axis=1) * resid[index.col_perm],
-        index.col_starts, axis=1).T
+    squared norm, from ``resid`` = U S V^T - Y on Omega as om.residual
+    gives it: E V S^T and E^T U S, E the residual scattered onto Omega."""
+    gu = om.times(resid, s @ v.T, 0)
+    gv = om.times(resid, s.T @ u.T, 1)
     return gu, gv, float((gu * gu).sum() + (gv * gv).sum())
 
 
-def _half_sweep(fixed, gather, starts, ids, y, n):
-    """Exact least-squares rows of one factor of X = L R^T, the other held.
+def _half_sweep(fixed, om, side):
+    """Exact least-squares rows of one factor of X = L R^T, the other,
+    ``fixed``, held: L's rows on side 0 (R held), R's on side 1 (L held).
 
-    ``gather`` names, entry by entry in the grouped order of ``y``, the row
-    of ``fixed`` each observation pairs with; ``starts`` opens each group,
-    whose row is ``ids``.  Row i solves W_i x_i = z_i, W_i = sum_j f_j f_j^T
-    and z_i = sum_j y_ij f_j over its group: one batched k x k solve, O(m k^2)
-    for the group sums.  A row without entries stays zero.  A system whose
-    smallest eigenvalue is at most 1e-12 of its largest (fewer than k
+    Row i solves W_i x_i = z_i over its group of Omega (om.normal_equations)
+    in one batched k x k solve.  A row without entries stays zero.  A system
+    whose smallest eigenvalue is at most 1e-12 of its largest (fewer than k
     entries, or a degenerate fixed factor) gets the minimum-norm solution
     instead.  Returns (factor, any system deficient).
     """
-    k = fixed.shape[1]
-    fc = np.take(fixed.T, gather, axis=1)                  # (k, m)
-    gram = np.add.reduceat((fc[:, None] * fc[None]).reshape(k * k, -1), starts,
-                           axis=1).T.reshape(-1, k, k)
-    rhs = np.add.reduceat(fc * y, starts, axis=1).T[..., None]
+    gram, rhs = om.normal_equations(fixed, side)
     eigs = np.linalg.eigvalsh(gram)
     bad = eigs[:, 0] <= 1e-12 * eigs[:, -1]
-    sol = np.empty(rhs.shape)
-    sol[~bad] = np.linalg.solve(gram[~bad], rhs[~bad])
-    sol[bad] = np.linalg.pinv(gram[bad]) @ rhs[bad]
-    out = np.zeros((n, k))
-    out[ids] = sol[..., 0]
-    return out, bool(bad.any())
+    deficient = bool(bad.any())
+    if deficient:
+        sol = np.empty(rhs.shape)
+        sol[~bad] = np.linalg.solve(gram[~bad], rhs[~bad])
+        sol[bad] = np.linalg.pinv(gram[bad]) @ rhs[bad]
+    else:
+        sol = np.linalg.solve(gram, rhs)
+    out = np.zeros((om.shape[side], fixed.shape[1]))
+    out[om.ids[side]] = sol[..., 0]
+    return out, deficient
 
 
 def _rebalance(l, r):
@@ -241,38 +318,38 @@ def _rebalance(l, r):
     return q_l @ p, sv, q_r @ qt.T
 
 
-def _fit(l, r, rows, cols, y):
-    """(1/2 ||P_Omega(L R^T - Y)||_F^2, that residual), Omega's entries
-    (``rows``, ``cols``) observing ``y``.  The factors are gathered
-    transposed, so the sum runs over the k rows of two contiguous (k, m)
-    arrays, as the other group sums do."""
-    resid = (np.take(l.T, rows, axis=1) * np.take(r.T, cols, axis=1)).sum(axis=0) - y
-    return 0.5 * float(resid @ resid), resid
+def _fit(l, r, om):
+    """(1/2 ||P_Omega(L R^T - Y)||_F^2, that residual as om.residual gives
+    it)."""
+    resid = om.residual(l, r)
+    flat = resid.ravel()
+    return 0.5 * float(flat @ flat), resid
 
 
-def _top_pair(resid, index, n1, n2, p):
+def _top_pair(resid, om):
     """An uncertified estimate (a, sigma, b) of the top singular pair of
     (1/p) E, E the n1 x n2 matrix that holds ``resid`` on Omega and zero
-    elsewhere, by power iteration on E's entries alone from the constant
-    unit vector, so it is deterministic; sigma is 0 when E vanishes.  It
+    elsewhere, by power iteration with E and E^T from the constant unit
+    vector, so it is deterministic; sigma is 0 when E vanishes.  It
     stops when sigma grows by less than POWER_RTOL, so where sigma_2 is
     near sigma_1 the vectors can be far off; the sweeps fit the new
     component anyway.  An exact pair seeds worse: it can be zero on rows
     and columns the component must fit, where the iterate keeps a weight."""
+    n2 = om.shape[1]
     b = np.full(n2, 1.0 / math.sqrt(n2))
     sigma = 0.0
     for _ in range(POWER_ITERS):
-        a = np.bincount(index.rows, weights=resid * b[index.cols], minlength=n1)
+        a = om.times(resid, b, 0)
         norm_a = np.linalg.norm(a)
         if norm_a == 0:
             return a, 0.0, b
         a /= norm_a
-        b = np.bincount(index.cols, weights=resid * a[index.rows], minlength=n2)
+        b = om.times(resid, a, 1)
         prev, sigma = sigma, float(np.linalg.norm(b))
         b /= sigma
         if sigma - prev <= POWER_RTOL * sigma:
             break
-    return a, sigma / p, b
+    return a, sigma / om.p, b
 
 
 def optspace_descent(state, y_obs, omega, config=None):
@@ -298,12 +375,15 @@ def optspace_descent(state, y_obs, omega, config=None):
 
     ``max_iters`` caps the sweeps over all ranks; a run that spends it early
     still seeds the remaining ranks, so the result has rank r, and its S is
-    then the rebalanced seed, not an inner fit.  One sweep costs O(m r^2)
-    for m entries at rank r, and no n1 x n2 matrix is formed.  ``history``
-    is the fit 1/2 ||P_Omega(L R^T - Y)||_F^2 at the rank-1 start and after
-    each sweep; each sweep is an exact block minimization, and a new
-    component cannot raise the fit of the sweep that follows it, so the
-    history is nonincreasing.  ``iteration`` adds the sweeps to the state's
+    then the rebalanced seed, not an inner fit.  Omega is laid out once,
+    dense from an observed fraction of DENSE_FRACTION on, grouped below it
+    (module docstring): one sweep costs O(n1 n2 r^2) flops in BLAS products
+    on the dense layout, and O(m r^2) for m entries on the grouped one,
+    where no n1 x n2 matrix is formed.  ``history`` is the fit
+    1/2 ||P_Omega(L R^T - Y)||_F^2 at the rank-1 start and after each
+    sweep; each sweep is an exact block minimization, and a new component
+    cannot raise the fit of the sweep that follows it, so the history is
+    nonincreasing.  ``iteration`` adds the sweeps to the state's
     count, and the returned state is U, S, V with the fit and the gradient
     norm there.
     """
@@ -316,16 +396,17 @@ def optspace_descent(state, y_obs, omega, config=None):
     p, sv, qt = np.linalg.svd(state.s)
     if not sv[-1] > RANK_RTOL * sv[0]:
         raise ValueError(f"the state's S is singular (singular values {sv})")
-    index = _OmegaIndex(omega, y_obs)
-    grad_tol = cfg.grad_tol * float(index.y @ index.y)
+    y = y_obs[omega.pairs[:, 0], omega.pairs[:, 1]]
+    om = _Omega(omega, y)
+    grad_tol = cfg.grad_tol * float(y @ y)
     u, s, v = state.u, state.s, state.v
-    fit, resid = _fit(u @ s, v, index.rows, index.cols, index.y)
-    gnorm2 = _gradient(u, s, v, resid, index)[2]
+    fit, resid = _fit(u @ s, v, om)
+    gnorm2 = _gradient(u, s, v, resid, om)[2]
     sweeps, history, deficient = 0, [fit], False
     if math.sqrt(gnorm2) > grad_tol:
         root = math.sqrt(sv[0])
         sweeps, history, deficient, (u, s, v, fit, gnorm2) = _incremental_als(
-            u @ p[:, :1] * root, v @ qt[:1].T * root, u.shape[1], index, omega,
+            u @ p[:, :1] * root, v @ qt[:1].T * root, u.shape[1], om,
             cfg.max_iters, grad_tol)
     return OptspaceState(u=u, s=s, v=v, objective=fit,
                          iteration=state.iteration + sweeps,
@@ -334,11 +415,11 @@ def optspace_descent(state, y_obs, omega, config=None):
                          grad_norm=math.sqrt(gnorm2))
 
 
-def _incremental_als(l, r, rank, index, omega, max_sweeps, grad_tol):
+def _incremental_als(l, r, rank, om, max_sweeps, grad_tol):
     """The sweeps of optspace_descent from the rank-1 point L R^T: returns
     (sweeps, history, some half-sweep system deficient, (U, S, V, fit,
     gradient norm^2) at the end)."""
-    fit, resid = _fit(l, r, index.rows, index.cols, index.y)
+    fit, resid = _fit(l, r, om)
     history = [fit]
     deficient = False
     sweeps = 0
@@ -346,20 +427,18 @@ def _incremental_als(l, r, rank, index, omega, max_sweeps, grad_tol):
         final = l.shape[1] == rank
         stage = 0
         while sweeps < max_sweeps and (final or stage < STAGE_SWEEPS):
-            l, d_rows = _half_sweep(r, index.cols, index.row_starts, index.row_ids,
-                                    index.y, omega.n1)
-            r, d_cols = _half_sweep(l, index.rows_by_col, index.col_starts,
-                                    index.col_ids, index.y_by_col, omega.n2)
+            l, d_rows = _half_sweep(r, om, 0)
+            r, d_cols = _half_sweep(l, om, 1)
             u, sv, v = _rebalance(l, r)
             root = np.sqrt(sv)
             l, r = u * root, v * root
             deficient = deficient or d_rows or d_cols
             sweeps += 1
             stage += 1
-            fit, resid = _fit(l, r, index.rows, index.cols, index.y)
+            fit, resid = _fit(l, r, om)
             history.append(fit)
             if final:
-                gnorm2 = _gradient(u, np.diag(sv), v, resid, index)[2]
+                gnorm2 = _gradient(u, np.diag(sv), v, resid, om)[2]
                 if math.sqrt(gnorm2) <= grad_tol:
                     break
             elif history[-2] - fit < STAGE_RTOL * history[-2]:
@@ -367,12 +446,12 @@ def _incremental_als(l, r, rank, index, omega, max_sweeps, grad_tol):
         if final:
             if not stage:   # the budget ran out before this rank's first sweep
                 u, sv, v = _rebalance(l, r)
-                gnorm2 = _gradient(u, np.diag(sv), v, resid, index)[2]
+                gnorm2 = _gradient(u, np.diag(sv), v, resid, om)[2]
             return sweeps, history, deficient, (u, np.diag(sv), v, fit, gnorm2)
-        a, sigma, b = _top_pair(-resid, index, omega.n1, omega.n2, omega.p)
+        a, sigma, b = _top_pair(-resid, om)
         root = math.sqrt(sigma)
         l, r = np.column_stack([l, root * a]), np.column_stack([r, root * b])
-        fit, resid = _fit(l, r, index.rows, index.cols, index.y)
+        fit, resid = _fit(l, r, om)
 
 
 def estimate_rank(trimmed, p):

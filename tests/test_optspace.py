@@ -1,7 +1,9 @@
 """Tests for the trim / spectral-init / alternating-least-squares completion
 pipeline."""
 
+import functools
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from lowrankrec.measure import (
 from lowrankrec.optspace import (
     OptspaceConfig,
     OptspaceState,
-    _OmegaIndex,
+    _Omega,
     _fit,
     _gradient,
     _half_sweep,
@@ -64,6 +66,18 @@ def test_trim_uniform_degrees_unchanged():
     np.testing.assert_array_equal(tm, yo)
 
 
+def test_trim_without_removal_returns_the_given_omega():
+    # nobody over the cap: the given Omega comes back itself, not a rebuilt
+    # copy, with the data projected onto it
+    n = 6
+    pairs = [(i, j) for i in range(n) for j in ((i) % n, (i + 1) % n)]
+    omega = ObservationSet(n, n, np.array(pairs))
+    y = np.arange(1.0, 37.0).reshape(6, 6)
+    tm, tom = trim(y, omega)
+    assert tom is omega
+    np.testing.assert_array_equal(tm, project_omega(omega, y))
+
+
 def test_trim_zeroes_fully_observed_row():
     # one row holding a third of all observations while the average row
     # degree is 3: degree 30 > 2 * 90/30, so the whole row goes
@@ -77,7 +91,7 @@ def test_trim_zeroes_fully_observed_row():
     omega = ObservationSet(n, n, np.array(pairs))
     y = np.ones((n, n))
     tm, tom = trim(project_omega(omega, y), omega)
-    assert tom.m == 60
+    assert tom is not omega and tom.m == 60
     assert not tm[0].any()           # the greedy row is gone
     assert tm[1:].any()              # everyone else survived
     assert not (tom.pairs[:, 0] == 0).any()
@@ -169,10 +183,9 @@ def test_spectral_init_objective_is_the_fit_on_the_trimmed_entries():
     _, _, omega, yobs = completion_instance(40, 2, 480, 3)
     tm, tom = trim(yobs, omega)
     state = spectral_init(tm, tom, 2)
-    index = _OmegaIndex(tom, tm)
+    om = _Omega(tom, tm[tom.pairs[:, 0], tom.pairs[:, 1]], dense=False)
     sv = np.diag(state.s)
-    assert state.objective == _fit(state.u * sv, state.v, index.rows, index.cols,
-                                   index.y)[0]
+    assert state.objective == _fit(state.u * sv, state.v, om)[0]
 
 
 def test_spectral_start_from_top_svd_matches_the_full_svd(monkeypatch):
@@ -291,9 +304,10 @@ def on_omega(u, s, v, y_obs, omega):
 @settings(deadline=None, max_examples=60)
 def test_inner_s_and_gradient_match_dense_reference(n1, n2, r, density, empty_rows,
                                                     empty_cols, seed):
-    # the gradients in U and V at an arbitrary S on rectangular Omegas with
-    # whole rows and columns unobserved, as trim leaves them before
-    # spectral_init; empty groups must get zero gradient
+    # the fit and the gradients in U and V at an arbitrary S on rectangular
+    # Omegas with whole rows and columns unobserved, as trim leaves them
+    # before spectral_init, in both layouts; empty groups must get zero
+    # gradient, and the dense residual is zero off Omega
     rng = np.random.default_rng(seed)
     mask = rng.random((n1, n2)) < density
     mask[rng.choice(n1, size=empty_rows, replace=False)] = False
@@ -303,26 +317,38 @@ def test_inner_s_and_gradient_match_dense_reference(n1, n2, r, density, empty_ro
     y = project_omega(omega, rng.normal(size=(n1, n2)))
     u = np.linalg.qr(rng.normal(size=(n1, r)))[0]
     v = np.linalg.qr(rng.normal(size=(n2, r)))[0]
-    index = _OmegaIndex(omega, y)
     s = rng.normal(size=(r, r))
-    gu, gv, gnorm2 = _gradient(u, s, v, on_omega(u, s, v, y, omega), index)
+    ref_resid = on_omega(u, s, v, y, omega)
     ref_gu, ref_gv = dense_gradient(u, s, v, y, omega)
-    np.testing.assert_allclose(gu, ref_gu, atol=1e-12)
-    np.testing.assert_allclose(gv, ref_gv, atol=1e-12)
-    assert gnorm2 == pytest.approx(float((ref_gu ** 2).sum() + (ref_gv ** 2).sum()),
-                                   rel=1e-10)
+    rows, cols = omega.pairs[:, 0], omega.pairs[:, 1]
+    for dense in (False, True):
+        om = _Omega(omega, y[rows, cols], dense=dense)
+        fit, resid = _fit(u @ s, v, om)
+        if dense:
+            assert not resid[~mask].any()
+            resid_on = resid[rows, cols]
+        else:
+            resid_on = resid
+        np.testing.assert_allclose(resid_on, ref_resid, atol=1e-12)
+        assert fit == pytest.approx(0.5 * float(ref_resid @ ref_resid), rel=1e-10)
+        gu, gv, gnorm2 = _gradient(u, s, v, resid, om)
+        np.testing.assert_allclose(gu, ref_gu, atol=1e-12)
+        np.testing.assert_allclose(gv, ref_gv, atol=1e-12)
+        assert gnorm2 == pytest.approx(
+            float((ref_gu ** 2).sum() + (ref_gv ** 2).sum()), rel=1e-10)
 
 
 # ------------------------------------------------------------ half-sweep
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_fit_equals_gather_and_sum_bit_for_bit(k):
+    # the grouped layout's fit, entry by entry in Omega's order
     rng = np.random.default_rng(k)
     omega = sample_omega(50, 40, 700, seed=k)
     rows, cols = omega.pairs[:, 0], omega.pairs[:, 1]
     l, r, y = rng.normal(size=(50, k)), rng.normal(size=(40, k)), rng.normal(size=700)
     resid = (l[rows] * r[cols]).sum(axis=1) - y
-    fit, got = _fit(l, r, rows, cols, y)
+    fit, got = _fit(l, r, _Omega(omega, y, dense=False))
     assert np.array_equal(got, resid)
     assert fit == 0.5 * float(resid @ resid)
 
@@ -344,9 +370,10 @@ def dense_half_sweep(fixed, y, mask):
 @settings(deadline=None, max_examples=60)
 def test_half_sweeps_match_dense_reference(n1, n2, k, density, empty_rows, empty_cols,
                                            sparse_rows, seed):
-    # both half-sweeps of a rectangular Omega with empty rows and columns,
-    # which stay zero, and rows holding fewer than k entries, whose systems
-    # are singular: those get the minimum-norm fit and raise the flag
+    # both half-sweeps, in both layouts, of a rectangular Omega with empty
+    # rows and columns, which stay zero, and rows holding fewer than k
+    # entries, whose systems are singular: those get the minimum-norm fit
+    # and raise the flag
     rng = np.random.default_rng(seed)
     mask = rng.random((n1, n2)) < density
     mask[rng.choice(n1, size=empty_rows, replace=False)] = False
@@ -357,16 +384,13 @@ def test_half_sweeps_match_dense_reference(n1, n2, k, density, empty_rows, empty
     mask[n1 - 1, n2 - 1] = True
     omega = ObservationSet(n1, n2, np.argwhere(mask))
     y = project_omega(omega, rng.normal(size=(n1, n2)))
-    index = _OmegaIndex(omega, y)
     lf = rng.normal(size=(n1, k))
     rf = rng.normal(size=(n2, k))
-
-    sides = (
-        (_half_sweep(rf, index.cols, index.row_starts, index.row_ids, index.y, n1),
-         rf, y, mask),
-        (_half_sweep(lf, index.rows_by_col, index.col_starts, index.col_ids,
-                     index.y_by_col, n2), lf, y.T, mask.T),
-    )
+    sides = []
+    for dense in (False, True):
+        om = _Omega(omega, y[omega.pairs[:, 0], omega.pairs[:, 1]], dense=dense)
+        sides += [(_half_sweep(rf, om, 0), rf, y, mask),
+                  (_half_sweep(lf, om, 1), lf, y.T, mask.T)]
     for (got, deficient), fixed, target, side_mask in sides:
         ref = dense_half_sweep(fixed, target, side_mask)
         counts = side_mask.sum(axis=1)
@@ -381,6 +405,40 @@ def test_half_sweeps_match_dense_reference(n1, n2, k, density, empty_rows, empty
             if counts[i] < k or np.linalg.cond(design) < 1e4:
                 # singular: the minimum-norm fit; well conditioned: the fit
                 np.testing.assert_allclose(got[i], ref[i], rtol=1e-6, atol=1e-8)
+
+
+def test_layout_follows_the_observed_fraction():
+    # Omega is laid out dense from DENSE_FRACTION of its entries on, grouped
+    # below; the choice reads Omega alone
+    n = 20
+    at = math.ceil(optspace_mod.DENSE_FRACTION * n * n)
+    for m, dense in ((1, False), (at - 1, False), (at, True), (n * n, True)):
+        omega = sample_omega(n, n, m, seed=m)
+        assert _Omega(omega, np.ones(m)).dense == dense, m
+
+
+@pytest.mark.parametrize("kappa", [1.0, 10.0])
+def test_layouts_take_the_same_sweeps_to_the_same_estimate(monkeypatch, kappa):
+    # 120 x 120 at p = 0.3, rank 3, noise 1e-3: the whole pipeline on the
+    # dense and on the grouped layout sweeps alike and agrees to rounding
+    n, r = 120, 3
+    spec = LowRankSpec(n, n, r, (kappa, kappa ** 0.5, 1.0), "random-orthogonal", 61)
+    truth, _ = gen_low_rank(spec)
+    omega = sample_omega(n, n, int(0.3 * n * n), seed=62)
+    yobs = project_omega(omega, truth)
+    yobs[omega.pairs[:, 0], omega.pairs[:, 1]] += add_noise(np.zeros(omega.m),
+                                                            NoiseModel(1e-3, seed=63))
+    layout = optspace_mod._Omega
+    reps = []
+    for dense in (False, True):
+        monkeypatch.setattr(optspace_mod, "_Omega",
+                            functools.partial(layout, dense=dense))
+        reps.append(optspace(yobs, omega, r=r))
+    grouped, dense = reps
+    assert grouped.converged and dense.converged
+    assert grouped.iterations == dense.iterations >= 1
+    assert (np.linalg.norm(dense.estimate - grouped.estimate)
+            <= 1e-12 * np.linalg.norm(grouped.estimate))
 
 
 def test_optspace_certifies_ill_conditioned_noisy_truth():
