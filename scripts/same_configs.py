@@ -16,7 +16,7 @@ Per config it prints the wall time of each side's run, then compares:
   * the CSV, without its ``seconds`` column;
   * the JSON ``cells`` and ``trials``, without their ``seconds`` fields.
 A difference in any of them is a result difference.  Keys of the JSON config
-echo that differ (dotted, e.g. ``optspace.grad_tol``) are printed as a note,
+echo that differ (dotted, e.g. ``solver.max_iters``) are printed as a note,
 not a failure, since a change may add or drop a setting on purpose.
 
 Beside that exact comparison it prints a gate-level one: gates are "same"

@@ -32,12 +32,12 @@ import numpy as np
 
 from ._version import VERSION
 from .matcore import LowRankSpec, gen_low_rank, geometric_spectrum
-from .measure import (NoiseModel, add_noise, adjoint_ensemble, apply_ensemble,
-                      entry_sampling_ensemble, gaussian_ensemble, rademacher_ensemble,
-                      sample_omega)
+from .measure import (MAX_DIM_PRODUCT, MAX_MEASUREMENTS, NoiseModel, add_noise,
+                      adjoint_ensemble, apply_ensemble, entry_sampling_ensemble,
+                      gaussian_ensemble, rademacher_ensemble, sample_omega)
 from .oracle import (completion_stability_bound, ideal_risk,
                      instance_optimal_bound)
-from .optspace import OptspaceConfig, optspace
+from .optspace import optspace
 from .rand import spawn_seeds
 from .solve import (SolverConfig, choose_delta, choose_lambda, solve_dantzig,
                     solve_lasso, solve_noiseless)
@@ -67,6 +67,11 @@ CSV_COLUMNS = ["n", "r", "m", "p", "sigma", "kappa", "trials", "success_rate",
                "median_rel_err", "median_sq_err", "fitted_constant",
                "failures", "seconds"]
 
+SUCCESS_REL_ERR = 1e-3   # a converged trial at or below this rel_err succeeds
+SPECTRUM_TOP = 1.0       # the truth's spectrum in bias-variance and instance-
+SPECTRUM_RATIO = 0.8     # optimal, SPECTRUM_TOP SPECTRUM_RATIO^i; elsewhere by kappa
+
+
 @dataclass(frozen=True)
 class GridCell:
     n: int
@@ -83,8 +88,14 @@ class GridCell:
             raise ValueError(f"a cell needs exactly one of m or p, got m={self.m} p={self.p}")
         if self.p is not None and not (0 < self.p <= 1):
             raise ValueError(f"p must be in (0, 1], got {self.p}")
+        if self.p is not None and _cell_m(self) < 1:
+            raise ValueError(f"p = {self.p} samples round(p n^2) = 0 entries at n = {self.n}")
         if self.m is not None and self.m < 1:
             raise ValueError(f"m must be positive, got {self.m}")
+        if self.m is not None and (self.n * self.n > MAX_DIM_PRODUCT
+                                   or self.m > MAX_MEASUREMENTS):
+            raise ValueError(f"an m cell's dense rows need n^2 <= {MAX_DIM_PRODUCT} and "
+                             f"m <= {MAX_MEASUREMENTS}, got n={self.n} m={self.m}")
         if not 0 <= self.sigma < math.inf:
             raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not 1 <= self.kappa < math.inf:
@@ -97,12 +108,8 @@ class ExperimentConfig:
     cells: tuple
     trials: int = 20
     seed: int = 0
-    success_threshold: float = 1e-3
     ensemble: str = "gaussian"      # dense kind of an m cell, see _ensemble
-    spectrum_top: float = 1.0       # full-rank truth experiments
-    spectrum_ratio: float = 0.8
     solver: SolverConfig = field(default_factory=SolverConfig)
-    optspace: OptspaceConfig = field(default_factory=OptspaceConfig)
     floors: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -113,15 +120,9 @@ class ExperimentConfig:
             raise ValueError("experiment grid is empty")
         if self.trials < 1:
             raise ValueError("trials must be positive")
-        if not 0 < self.success_threshold < math.inf:
-            raise ValueError("success_threshold must be positive and finite, got "
-                             f"{self.success_threshold}")
         if self.ensemble not in ("gaussian", "rademacher"):
             raise ValueError(f"ensemble must be gaussian or rademacher, got "
                              f"{self.ensemble!r} (a cell given by p samples entries)")
-        if not 0 < self.spectrum_top < math.inf or not 0 < self.spectrum_ratio <= 1:
-            raise ValueError("need spectrum_top > 0 finite and spectrum_ratio in (0, 1], "
-                             f"got {self.spectrum_top} and {self.spectrum_ratio}")
         _reject_unknown(self.floors, FLOORS, "floors")
         for key, value in self.floors.items():
             if not math.isfinite(value):
@@ -136,6 +137,9 @@ class ExperimentConfig:
                     and cell.sigma == 0):
                 raise ValueError(f"{exp} sets lambda = 1.5 sqrt(2n) sigma: "
                                  "[grid] sigma must be positive")
+            if exp in ("bias-variance", "instance-optimal") and cell.kappa != 1:
+                raise ValueError(f"{exp} draws the truth's spectrum without kappa: "
+                                 f"[grid] kappa must be 1, got {cell.kappa:g}")
 
 
 @dataclass(frozen=True)
@@ -188,7 +192,7 @@ def _kappa_spectrum(r, kappa):
 
 def _spectrum_of(cell, cfg):
     if cfg.experiment in ("bias-variance", "instance-optimal"):
-        return geometric_spectrum(cell.r, cfg.spectrum_top, cfg.spectrum_ratio)
+        return geometric_spectrum(cell.r, SPECTRUM_TOP, SPECTRUM_RATIO)
     return _kappa_spectrum(cell.r, cell.kappa)
 
 
@@ -235,7 +239,7 @@ def _run_trial(cfg, cell_idx, trial_idx):
             cell.n, ens.m / cell.n ** 2, delta).value
     elif exp == "optspace-compare":
         # A*(y) of entry sampling: the observed entries, zero elsewhere
-        rep = optspace(adjoint_ensemble(ens, y), ens.omega, r=cell.r, config=cfg.optspace)
+        rep = optspace(adjoint_ensemble(ens, y), ens.omega, r=cell.r)
         rep_nuc = solve_noiseless(ens, y, cfg.solver)
         record["rel_err_nuclear"] = float(np.linalg.norm(rep_nuc.estimate - truth)) / tnorm
         record["nuclear_converged"] = bool(rep_nuc.converged)
@@ -260,7 +264,7 @@ def _run_trial(cfg, cell_idx, trial_idx):
         "abs_err": err,
         "sq_err": err * err,
         "converged": bool(rep.converged),
-        "success": bool(rep.converged and rel <= cfg.success_threshold),
+        "success": bool(rep.converged and rel <= SUCCESS_REL_ERR),
         "seconds": time.perf_counter() - t0,
     })
     return record
@@ -410,10 +414,12 @@ def check_floors(result, floors=None):
 #   m = 300                   exactly one of m / m_per_nr (dense rows) / p (entries);
 #                             the completion families need p, bias-variance p = 1
 #   sigma = 0                 positive in dantzig-scaling, bias-variance, instance-optimal
-#   [solver] / [optspace]     optional overrides of SolverConfig / OptspaceConfig fields
+#   kappa = 1                 1 in bias-variance and instance-optimal
+#   [solver]                  optional overrides of SolverConfig fields
 #   [floors]                  optional acceptance floors for exit status (FLOORS)
-# plus the top-level keys success_threshold, ensemble (gaussian | rademacher: the
-# dense kind of an m cell), spectrum_top, spectrum_ratio.
+# plus the top-level key ensemble (gaussian | rademacher: the dense kind of an m
+# cell).  SUCCESS_REL_ERR, SPECTRUM_TOP, SPECTRUM_RATIO and OptSpace's settings
+# (optspace-compare runs OptspaceConfig()) are fixed.
 # A value is an int, else a float, else a string (quotes optional).
 # All is checked at load: an unknown section, key or floor name is an error, and
 # so is a value not of its field's type ([grid] keys by GridCell's fields,
@@ -466,7 +472,7 @@ def _as_list(v):
     return list(v) if isinstance(v, list) else [v]
 
 
-SECTIONS = ("", "grid", "solver", "optspace", "floors")
+SECTIONS = ("", "grid", "solver", "floors")
 
 
 def _reject_unknown(keys, allowed, what):
@@ -510,9 +516,8 @@ def build_experiment_config(sections, seed_override=None):
     ValueError naming it."""
     _reject_unknown(sections, SECTIONS, "sections")
     main = _section(sections, "", _kinds(ExperimentConfig,
-                                         skip=("cells", "solver", "optspace", "floors")))
+                                         skip=("cells", "solver", "floors")))
     solver = SolverConfig(**_section(sections, "solver", _kinds(SolverConfig)))
-    opts = OptspaceConfig(**_section(sections, "optspace", _kinds(OptspaceConfig)))
     floors = _section(sections, "floors", dict.fromkeys(FLOORS, float))
     grid = dict(sections.get("grid", {}))
     if "experiment" not in main:
@@ -559,8 +564,7 @@ def build_experiment_config(sections, seed_override=None):
 
     if seed_override is not None:
         main["seed"] = int(seed_override)
-    return ExperimentConfig(cells=tuple(cells), solver=solver, optspace=opts,
-                            floors=floors, **main)
+    return ExperimentConfig(cells=tuple(cells), solver=solver, floors=floors, **main)
 
 
 # --- emission ---------------------------------------------------------------

@@ -45,10 +45,9 @@ def _report_summary(rep):
             f"converged={rep.converged} flags={flags}")
 
 
-def _solver_config(args):
-    if args.max_iters is None:
-        return SolverConfig()
-    return SolverConfig(max_iters=args.max_iters)
+def _config(cls, args):
+    """``cls`` (SolverConfig or OptspaceConfig) with --max-iters, if given."""
+    return cls() if args.max_iters is None else cls(max_iters=args.max_iters)
 
 
 def _cmd_diagnose(args):
@@ -102,7 +101,7 @@ def _cmd_solve(args):
     matrix, ens, y = _load_problem(args)
     if args.seed is not None and args.sigma > 0:
         y = add_noise(y, NoiseModel(args.sigma, args.seed))
-    cfg = _solver_config(args)
+    cfg = _config(SolverConfig, args)
     n = max(matrix.shape)
     if args.program == "noiseless":
         rep = solve_noiseless(ens, y, cfg)
@@ -119,11 +118,9 @@ def _cmd_solve(args):
 
 def _cmd_optspace(args):
     _, ens, y = _load_problem(args)
-    knobs = (("max_iters", args.max_iters), ("grad_tol", args.grad_tol),
-             ("trim_multiplier", args.trim_mult))
-    config = OptspaceConfig(**{k: v for k, v in knobs if v is not None})
     # A*(y) of entry sampling: the observed entries, zero elsewhere
-    rep = optspace(adjoint_ensemble(ens, y), ens.omega, r=args.rank, config=config)
+    rep = optspace(adjoint_ensemble(ens, y), ens.omega, r=args.rank,
+                   config=_config(OptspaceConfig, args))
     print(f"optspace: {_report_summary(rep)}")
     _write_report(rep, args.out)
     return 0
@@ -221,13 +218,8 @@ def build_parser():
     o.add_argument("--omega", required=True, help="observed-entry file")
     o.add_argument("--rank", type=int, default=None,
                    help="target rank (default: estimated from the spectrum)")
-    o.add_argument("--trim-mult", type=float, default=None,
-                   help="degree threshold multiplier for trimming")
     o.add_argument("--max-iters", type=int, default=None,
                    help="cap on the descent's sweeps, counted over all ranks")
-    o.add_argument("--grad-tol", type=float, default=None,
-                   help="certificate: gradient norm relative to "
-                        "||P_Omega(Y)||_F^2")
     o.add_argument("--out", default=None, help="write the full report as JSON")
     o.set_defaults(func=_cmd_optspace)
 
@@ -284,6 +276,8 @@ def main(argv=None):
         if missing:
             parser.error(f"bound {args.bound!r} needs --"
                          + " --".join(m.replace("_", "-") for m in missing))
+    if args.command == "bench" and args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:

@@ -53,7 +53,9 @@ thread).  Either layout adds one batched r x r solve per row and per
 column to a sweep.
 
 F and its gradient both scale as the data squared, so the descent stops at
-a gradient norm <= grad_tol ||P_Omega(Y)||_F^2, a scale-free test.
+a gradient norm <= GRAD_TOL ||P_Omega(Y)||_F^2, a scale-free test.
+Trimming caps each row's and column's observed entries at TRIM_MULTIPLIER
+times the mean, Keshavan, Montanari and Oh's cap of 2|E|/n.
 optspace's report comes from solve's one report builder.
 """
 
@@ -81,22 +83,17 @@ STAGE_RTOL = 1e-2   # an intermediate rank ends at a smaller relative decrease
 POWER_ITERS = 100   # power iterations for a rank seed at most
 POWER_RTOL = 1e-6   # ... ending when the singular value grows less, relatively
 DENSE_FRACTION = 0.125  # observed fraction from which Omega is laid out dense
+GRAD_TOL = 1e-8     # stop at a gradient norm <= GRAD_TOL ||P_Omega(Y)||_F^2
+TRIM_MULTIPLIER = 2.0   # trimming's degree cap, TRIM_MULTIPLIER m / n
 
 
 @dataclass(frozen=True)
 class OptspaceConfig:
     max_iters: int = 500
-    grad_tol: float = 1e-8       # stop when the gradient norm falls to
-                                 # grad_tol * ||P_Omega(Y)||_F^2 (scale-free)
-    trim_multiplier: float = 2.0  # degree cap = multiplier * m / n
 
     def __post_init__(self):
         if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
             raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters!r}")
-        for name in ("grad_tol", "trim_multiplier"):
-            value = getattr(self, name)
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 @dataclass(frozen=True)
@@ -115,10 +112,10 @@ class OptspaceState:
         return self.u @ self.s @ self.v.T
 
 
-def trim(y_obs, omega, multiplier=2.0):
+def trim(y_obs, omega):
     """Zero out over-observed rows and columns.
 
-    A row is over-observed when it holds more than multiplier * m / n1
+    A row is over-observed when it holds more than TRIM_MULTIPLIER * m / n1
     observed entries (columns likewise, with n2).  Removal shrinks m, so the
     rule is iterated to a fixed point; the result therefore satisfies its own
     degree caps, and trimming an already-trimmed pair changes nothing.  When
@@ -127,15 +124,13 @@ def trim(y_obs, omega, multiplier=2.0):
     y_obs = check_matrix(y_obs)
     if y_obs.shape != (omega.n1, omega.n2):
         raise ValueError(f"shape {y_obs.shape} does not match Omega")
-    if multiplier <= 0:
-        raise ValueError("multiplier must be positive")
     pairs = omega.pairs
     while pairs.shape[0]:
         m = pairs.shape[0]
         row_deg = np.bincount(pairs[:, 0], minlength=omega.n1)
         col_deg = np.bincount(pairs[:, 1], minlength=omega.n2)
-        bad_rows = row_deg > multiplier * m / omega.n1
-        bad_cols = col_deg > multiplier * m / omega.n2
+        bad_rows = row_deg > TRIM_MULTIPLIER * m / omega.n1
+        bad_cols = col_deg > TRIM_MULTIPLIER * m / omega.n2
         if not bad_rows.any() and not bad_cols.any():
             break
         keep = ~(bad_rows[pairs[:, 0]] | bad_cols[pairs[:, 1]])
@@ -251,13 +246,10 @@ class _Omega:
 
     def times(self, e, x, side):
         """E x (side 0) or E^T x (side 1), E from residual(): ``x`` is a
-        vector, or a block of k columns passed transposed, (k, n), with an
-        (n', k) result."""
+        block of k columns passed transposed, (k, n), with an (n', k)
+        result."""
         if self.dense:
             return (e.T if side else e) @ x.T
-        if x.ndim == 1:
-            out, gather = (self.cols, self.rows) if side else (self.rows, self.cols)
-            return np.bincount(out, weights=e * x[gather], minlength=self.shape[side])
         gather, starts, _ = self.groups[side]
         if side:
             e = e[self.col_perm]
@@ -336,20 +328,20 @@ def _top_pair(resid, om):
     component anyway.  An exact pair seeds worse: it can be zero on rows
     and columns the component must fit, where the iterate keeps a weight."""
     n2 = om.shape[1]
-    b = np.full(n2, 1.0 / math.sqrt(n2))
+    b = np.full((1, n2), 1.0 / math.sqrt(n2))   # one-row blocks for om.times
     sigma = 0.0
     for _ in range(POWER_ITERS):
-        a = om.times(resid, b, 0)
+        a = om.times(resid, b, 0).T
         norm_a = np.linalg.norm(a)
         if norm_a == 0:
-            return a, 0.0, b
+            return a[0], 0.0, b[0]
         a /= norm_a
-        b = om.times(resid, a, 1)
+        b = om.times(resid, a, 1).T
         prev, sigma = sigma, float(np.linalg.norm(b))
         b /= sigma
         if sigma - prev <= POWER_RTOL * sigma:
             break
-    return a, sigma / om.p, b
+    return a[0], sigma / om.p, b[0]
 
 
 def optspace_descent(state, y_obs, omega, config=None):
@@ -398,7 +390,7 @@ def optspace_descent(state, y_obs, omega, config=None):
         raise ValueError(f"the state's S is singular (singular values {sv})")
     y = y_obs[omega.pairs[:, 0], omega.pairs[:, 1]]
     om = _Omega(omega, y)
-    grad_tol = cfg.grad_tol * float(y @ y)
+    grad_tol = GRAD_TOL * float(y @ y)
     u, s, v = state.u, state.s, state.v
     fit, resid = _fit(u @ s, v, om)
     gnorm2 = _gradient(u, s, v, resid, om)[2]
@@ -480,14 +472,14 @@ def optspace(y_obs, omega, r=None, config=None):
     operator of Omega: its estimate is U S V^T at the final state and its
     objective ||S||_*, the estimate's nuclear norm since U and V have
     orthonormal columns.  It is converged at a gradient norm at most
-    grad_tol yy or F at most 1e-18 yy, yy = ||P_Omega(Y)||_F^2; a descent
+    GRAD_TOL yy or F at most 1e-18 yy, yy = ||P_Omega(Y)||_F^2; a descent
     that spends max_iters sweeps unconverged is flagged ``iteration-cap``,
     and one whose least-squares systems were singular somewhere
     ``inner-rank-deficient``.  An empty Omega is a ValueError.
     """
     cfg = config or OptspaceConfig()
     y_obs = check_matrix(y_obs)
-    trimmed, trimmed_omega = trim(y_obs, omega, cfg.trim_multiplier)
+    trimmed, trimmed_omega = trim(y_obs, omega)
     if not np.count_nonzero(trimmed):
         # Nothing survives trimming to seed the spectral stage, so the zero
         # matrix is the only guess the pipeline can produce.  It fits the
@@ -504,7 +496,7 @@ def optspace(y_obs, omega, r=None, config=None):
     yy = float(y @ y)
     flags = ("inner-rank-deficient",) if state.rank_deficient else ()
     converged = (state.objective <= 1e-18 * yy
-                 or state.grad_norm <= cfg.grad_tol * yy)
+                 or state.grad_norm <= GRAD_TOL * yy)
     # from iteration 0, only a run to the cap counts max_iters iterations
     if not converged and state.iteration == cfg.max_iters:
         flags += ("iteration-cap",)

@@ -17,6 +17,7 @@ from lowrankrec.bench import (
     ExperimentConfig,
     ExperimentResult,
     GridCell,
+    SUCCESS_REL_ERR,
     build_experiment_config,
     check_floors,
     emit,
@@ -154,7 +155,7 @@ BASE_CFG = "experiment = phase-transition\n[grid]\nn = 10\nr = 1\nm = 50\n"
     pytest.param("", "[floor]\nsuccess_rate = 1\n", "floor", id="section"),
     pytest.param("", "[solver]\nbogus = 3\n", "bogus", id="solver"),
     pytest.param("", "[solver]\nfista_tol = 1e-9\n", "fista_tol", id="removed-solver-knob"),
-    pytest.param("", "[optspace]\ngrad_toll = 1e-6\n", "grad_toll", id="optspace"),
+    pytest.param("", "[optspace]\nmax_iters = 50\n", "optspace", id="optspace"),
 ])
 def test_build_config_rejects_unknown_sections_and_keys(head, tail, named):
     with pytest.raises(ValueError, match=f"unknown .*'{named}'"):
@@ -177,9 +178,9 @@ def test_build_config_types_values_at_load():
             ("trials = 2.5\n", "", "trials"),
             ("ensemble = 3\n", "", "ensemble"),
             ("seed = true\n", "", "seed"),
-            ("spectrum_top = 1, 2\n", "", "spectrum_top"),
+            ("seed = 1, 2\n", "", "seed"),
             ("", "[solver]\nmax_iters = 2.5\n", "max_iters"),
-            ("", "[optspace]\ntrim_multiplier = big\n", "trim_multiplier"),
+            ("", "[solver]\neq_tol = big\n", "eq_tol"),
             ("", "[floors]\nbound_rate = high\n", "bound_rate"),
             ("", "[grid]\nn = 10.5\n", "n"),
             ("", "[grid]\nsigma = 0, x\n", "sigma"),
@@ -191,12 +192,10 @@ def test_build_config_types_values_at_load():
             BASE_CFG + "[floors]\nsucess_rate = 0.5\n"))
 
 
-def test_build_config_reads_solver_and_optspace_sections():
+def test_build_config_reads_solver_section():
     cfg = build_experiment_config(parse_config_text(
-        BASE_CFG + "[solver]\nmax_iters = 30\neq_tol = 1e-5\n"
-        "[optspace]\ngrad_tol = 1e-6\n"))
+        BASE_CFG + "[solver]\nmax_iters = 30\neq_tol = 1e-5\n"))
     assert cfg.solver.max_iters == 30 and cfg.solver.eq_tol == 1e-5
-    assert cfg.optspace.grad_tol == 1e-6
 
 
 def test_build_config_seed_override_and_floors():
@@ -222,6 +221,16 @@ def test_grid_cell_validation():
         GridCell(n=10, r=0, m=5)
     with pytest.raises(ValueError):
         GridCell(n=10, r=1, m=5, kappa=0.5)
+    # what the trial's operator would refuse is refused with the cell
+    with pytest.raises(ValueError, match="round"):
+        GridCell(n=3, r=1, p=0.01)          # round(p n^2) = 0 entries
+    GridCell(n=3, r=1, p=0.06)              # round(0.54) = 1 entry
+    with pytest.raises(ValueError, match="dense rows need"):
+        GridCell(n=128, r=1, m=40)          # n^2 past measure.MAX_DIM_PRODUCT
+    with pytest.raises(ValueError, match="dense rows need"):
+        GridCell(n=10, r=1, m=20_001)       # m past measure.MAX_MEASUREMENTS
+    GridCell(n=100, r=1, m=20_000)
+    GridCell(n=128, r=1, p=0.5)             # entry sampling has no cap
 
 
 def test_experiment_config_validation():
@@ -234,11 +243,6 @@ def test_experiment_config_validation():
     for kind in ("fourier", "entry"):   # entry sampling is said by a cell's p
         with pytest.raises(ValueError, match="ensemble must be gaussian or rademacher"):
             tiny_config(ensemble=kind)
-    with pytest.raises(ValueError, match="spectrum_top"):
-        tiny_config(spectrum_top=0.0)
-    for ratio in (0.0, 1.5):
-        with pytest.raises(ValueError, match="spectrum_ratio"):
-            tiny_config(spectrum_ratio=ratio)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -251,16 +255,12 @@ def _cell(**kwargs):
 @pytest.mark.parametrize("make, kwargs, named", [
     *[pytest.param(_cell, {k: v}, k, id=f"cell-{k}-{v}")
       for k in ("sigma", "kappa") for v in (NAN, INF)],
-    *[pytest.param(tiny_config, {k: v}, k, id=f"experiment-{k}-{v}")
-      for k in ("success_threshold", "spectrum_top") for v in (NAN, INF)],
     pytest.param(tiny_config, {"floors": {"sucess_rate": 0.5}}, "sucess_rate",
                  id="floor-name"),
     *[pytest.param(tiny_config, {"floors": {"success_rate": v}}, "success_rate",
                    id=f"floor-value-{v}") for v in (NAN, INF)],
     *[pytest.param(cls, {"max_iters": v}, "max_iters", id=f"{cls.__name__}-max_iters-{v}")
       for cls in (SolverConfig, OptspaceConfig) for v in (NAN, 2.5)],
-    *[pytest.param(OptspaceConfig, {k: v}, k, id=f"OptspaceConfig-{k}-{v}")
-      for k in ("grad_tol", "trim_multiplier") for v in (NAN, INF)],
 ])
 def test_settings_reject_non_finite_values(make, kwargs, named):
     # each settings dataclass checks its own fields, so a library caller's
@@ -327,6 +327,12 @@ def test_trial_operator_and_p_column(experiment, ensemble, cell, kind, p):
       for exp in ("dantzig-scaling", "instance-optimal")],
     pytest.param("bias-variance", "gaussian", GridCell(n=10, r=1, p=1.0),
                  "sigma must be positive", id="sigma0-bias-variance"),
+    pytest.param("bias-variance", "gaussian", GridCell(n=10, r=1, p=1.0, sigma=0.1,
+                                                       kappa=20.0),
+                 "kappa must be 1", id="kappa-bias-variance"),
+    pytest.param("instance-optimal", "gaussian", GridCell(n=10, r=2, m=40, sigma=0.1,
+                                                          kappa=20.0),
+                 "kappa must be 1", id="kappa-instance-optimal"),
 ])
 def test_experiment_config_rejects_cells_its_family_cannot_run(experiment, ensemble, cell,
                                                                named):
@@ -362,6 +368,14 @@ def test_phase_transition_run_accounting_and_ordering():
     # more measurements cannot hurt at this scale: the well-sampled cell wins
     assert res.cells[1].success_rate >= res.cells[0].success_rate
     assert res.cells[1].median_rel_err <= 1e-3
+
+
+def test_trial_success_is_convergence_within_success_rel_err():
+    # below and above the transition: both verdicts occur, each by the rule
+    recs = [r for cell in run_experiment(tiny_config()).detail for r in cell]
+    assert {r["success"] for r in recs} == {False, True}
+    for r in recs:
+        assert r["success"] == (r["converged"] and r["rel_err"] <= SUCCESS_REL_ERR)
 
 
 def test_run_experiment_deterministic_and_parallel_equivalent():
@@ -564,9 +578,8 @@ def test_plot_heat_map_over_two_varying_keys(tmp_path):
 
 # ------------------------------------------------- config grammar, fuzzed
 
-KEYS = ("experiment", "trials", "seed", "ensemble", "success_threshold",
-        "spectrum_top", "spectrum_ratio", "mode", "n", "r", "m", "p", "m_per_nr",
-        "sigma", "kappa", "max_iters", "eq_tol", "grad_tol", "success_rate", "x")
+KEYS = ("experiment", "trials", "seed", "ensemble", "mode", "n", "r", "m", "p",
+        "m_per_nr", "sigma", "kappa", "max_iters", "eq_tol", "success_rate", "x")
 SCALARS = st.one_of(
     st.integers(-3, 60).map(str),
     st.sampled_from(["0.5", "1.0", "1e-3", "-1", "2.5", "1e308", "1e999", "inf",
@@ -576,7 +589,7 @@ SCALARS = st.one_of(
 LINES = st.one_of(
     st.builds(lambda k, vs: f"{k} = {', '.join(vs)}", st.sampled_from(KEYS),
               st.lists(SCALARS, min_size=1, max_size=3)),
-    st.sampled_from(["[grid]", "[solver]", "[optspace]", "[floors]", "[nope]", "[]",
+    st.sampled_from(["[grid]", "[solver]", "[floors]", "[nope]", "[]",
                      "# comment", "", "=", "n", "[grid", "key = a # b"]),
     st.text(alphabet="[]=,#. -_abcmnpr0123456789\t", max_size=12))
 

@@ -174,9 +174,18 @@ def test_optspace_accepts_knobs(tmp_path, truth_files):
     truth, _, mpath, opath = truth_files
     out = tmp_path / "rep.json"
     assert main(["optspace", "--matrix", mpath, "--omega", opath,
-                 "--rank", "2", "--trim-mult", "2.5", "--max-iters", "3",
-                 "--grad-tol", "1e-6", "--out", str(out)]) == 0
+                 "--rank", "2", "--max-iters", "3", "--out", str(out)]) == 0
     assert read_report(out)["iterations"] <= 3
+
+
+def test_optspace_has_no_tolerance_or_trimming_flags(truth_files, capsys):
+    # the certificate's tolerance and the trimming cap are module constants
+    _, _, mpath, opath = truth_files
+    for flag, value in (("--grad-tol", "1e-6"), ("--trim-mult", "2.5")):
+        with pytest.raises(SystemExit) as exc:
+            main(["optspace", "--matrix", mpath, "--omega", opath, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------ bounds
@@ -295,9 +304,24 @@ def test_bench_missing_config_returns_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bench_jobs_below_one_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(BENCH_CFG.format(m=60, floor=0.0))
+    for jobs in ("0", "-3"):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--config", str(cfg), "--jobs", jobs,
+                  "--out", str(tmp_path / "r")])
+        assert exc.value.code == 2
+        assert "error: --jobs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("head, tail, named", [
     pytest.param("trails = 1\nsede = 5\n", "", ("trails", "sede"), id="top-level"),
     pytest.param("", "[solver]\nbogus = 3\n", ("bogus",), id="solver"),
+    pytest.param("success_threshold = 1e-2\nspectrum_top = 2\nspectrum_ratio = 0.5\n", "",
+                 ("success_threshold", "spectrum_top", "spectrum_ratio"), id="removed-keys"),
+    pytest.param("", "[optspace]\ngrad_tol = 1e-6\n", ("optspace",), id="removed-section"),
 ])
 def test_bench_unknown_config_key_returns_2(tmp_path, capsys, head, tail, named):
     # a misspelt key must neither run with defaults nor end in a traceback
@@ -313,15 +337,11 @@ def test_bench_unknown_config_key_returns_2(tmp_path, capsys, head, tail, named)
 @pytest.mark.parametrize("head, tail, floor, named", [
     pytest.param("", "[solver]\nmax_iters = abc\n", 0.0, "max_iters", id="solver"),
     pytest.param("", "[solver]\nmax_iters = 2.5\n", 0.0, "max_iters", id="int-field"),
-    pytest.param("", "[optspace]\ngrad_tol = x\n", 0.0, "grad_tol", id="optspace"),
-    pytest.param("success_threshold = abc\n", "", 0.0, "success_threshold",
-                 id="top-level"),
-    pytest.param("spectrum_ratio = abc\n", "", 0.0, "spectrum_ratio",
-                 id="instance-optimal"),
+    pytest.param("ensemble = 3\n", "", 0.0, "ensemble", id="top-level"),
+    pytest.param("", "[grid]\nsigma = 0.01\nkappa = 1, 20\n", 0.0,
+                 "[grid] kappa must be 1, got 20", id="instance-optimal"),
     pytest.param("", "", "abc", "success_rate", id="floor-value"),
     pytest.param("", "sucess_rate = 0.5\n", 0.0, "sucess_rate", id="floor-name"),
-    pytest.param("spectrum_ratio = 2.0\n", "", 0.0, "spectrum_ratio", id="spectrum-range"),
-    pytest.param("spectrum_top = 0\n", "", 0.0, "spectrum_top", id="spectrum-top"),
     pytest.param("", "[grid]\nn = 10.5\n", 0.0, "[grid] n", id="grid-int"),
     pytest.param("", "[grid]\nm = 40, 40.7\n", 0.0, "[grid] m", id="grid-list"),
     pytest.param("", "[grid]\nn = abc\n", 0.0, "[grid] n", id="grid-text"),
@@ -331,7 +351,7 @@ def test_bench_unknown_config_key_returns_2(tmp_path, capsys, head, tail, named)
 def test_bench_bad_config_value_returns_2(tmp_path, capsys, head, tail, floor, named):
     # a bad value or floor name stops the run at load, before any trial
     text = head + BENCH_CFG.format(m=60, floor=floor) + tail
-    if named == "spectrum_ratio":
+    if named.startswith("[grid] kappa"):   # its spectrum is drawn without kappa
         text = text.replace("phase-transition", "instance-optimal")
     if named == "[grid] m_per_nr":
         text = text.replace("m = 60\n", "")   # m_per_nr replaces m
@@ -355,6 +375,11 @@ def test_bench_bad_config_value_returns_2(tmp_path, capsys, head, tail, floor, n
     pytest.param(BENCH_CFG.format(m=40, floor=0.0).replace(
         "phase-transition", "dantzig-scaling"), "[grid] sigma must be positive",
         id="sigma0-lambda"),
+    pytest.param("experiment = completion-stability\n[grid]\nn = 3\nr = 1\np = 0.01\n"
+                 "sigma = 0.01\n", "p = 0.01 samples round(p n^2) = 0 entries",
+                 id="p-no-entries"),
+    pytest.param(BENCH_CFG.format(m=40, floor=0.0) + "[grid]\nn = 64, 128\n",
+                 "got n=128 m=40", id="m-dense-cap"),
 ])
 def test_bench_operator_rule_is_checked_at_load(tmp_path, capsys, text, named):
     # a cell the trial operator rule refuses stops the run before any trial

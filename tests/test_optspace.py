@@ -18,6 +18,7 @@ from lowrankrec.measure import (
     sample_omega,
 )
 from lowrankrec.optspace import (
+    GRAD_TOL,
     OptspaceConfig,
     OptspaceState,
     _Omega,
@@ -97,6 +98,20 @@ def test_trim_zeroes_fully_observed_row():
     assert not (tom.pairs[:, 0] == 0).any()
 
 
+def test_trim_cap_is_twice_the_mean_degree():
+    # TRIM_MULTIPLIER m / n: a row at the cap stays, one entry past it goes
+    n = 10
+    pairs = [(0, j) for j in range(4)]
+    for i in range(1, 9):
+        pairs += [(i, (2 * i) % n), (i, (2 * i + 1) % n)]
+    assert optspace_mod.TRIM_MULTIPLIER * len(pairs) / n == 4   # row 0's degree
+    omega = ObservationSet(n, n, np.array(pairs))
+    assert trim(np.ones((n, n)), omega)[1] is omega
+    omega = ObservationSet(n, n, np.array(pairs + [(0, 4)]))    # 5 > 4.2
+    tm, tom = trim(np.ones((n, n)), omega)
+    assert tom.m == 16 and not tm[0].any()
+
+
 def test_trim_empty_unchanged():
     omega = ObservationSet(4, 4, np.empty((0, 2), dtype=int))
     y = np.zeros((4, 4))
@@ -124,8 +139,6 @@ def test_trim_rejects_bad_inputs():
     omega = ObservationSet(3, 3, np.array([[0, 0]]))
     with pytest.raises(ValueError):
         trim(np.zeros((2, 3)), omega)
-    with pytest.raises(ValueError):
-        trim(np.zeros((3, 3)), omega, multiplier=0.0)
 
 
 # ------------------------------------------------------- spectral_init
@@ -407,6 +420,27 @@ def test_half_sweeps_match_dense_reference(n1, n2, k, density, empty_rows, empty
                 np.testing.assert_allclose(got[i], ref[i], rtol=1e-6, atol=1e-8)
 
 
+def test_rank_seed_is_the_same_on_both_layouts():
+    # _top_pair's power iteration through either layout's E x and E^T x:
+    # the same pair to rounding, near the top pair of (1/p) E
+    rng = np.random.default_rng(5)
+    n1, n2 = 40, 30
+    omega = sample_omega(n1, n2, 500, seed=6)
+    rows, cols = omega.pairs[:, 0], omega.pairs[:, 1]
+    resid = rng.normal(size=omega.m)
+    e = np.zeros((n1, n2))
+    e[rows, cols] = resid
+    pairs = [optspace_mod._top_pair(e if dense else resid,
+                                    _Omega(omega, resid, dense=dense))
+             for dense in (False, True)]
+    (a, sigma, b), (a_d, sigma_d, b_d) = pairs
+    assert a.shape == (n1,) and b.shape == (n2,)
+    assert sigma == pytest.approx(sigma_d, rel=1e-12)
+    np.testing.assert_allclose(a, a_d, atol=1e-10)
+    np.testing.assert_allclose(b, b_d, atol=1e-10)
+    assert sigma == pytest.approx(np.linalg.norm(e / omega.p, 2), rel=1e-3)
+
+
 def test_layout_follows_the_observed_fraction():
     # Omega is laid out dense from DENSE_FRACTION of its entries on, grouped
     # below; the choice reads Omega alone
@@ -572,7 +606,7 @@ def test_optspace_report_from_final_state(n1, n2, m, kappa, max_iters):
     gu, gv = dense_gradient(state.u, state.s, state.v, yobs, omega)
     dense_norm = np.sqrt((gu ** 2).sum() + (gv ** 2).sum())
     assert state.grad_norm == pytest.approx(dense_norm, rel=1e-6)
-    assert rep.converged == (dense_norm <= cfg.grad_tol * (yobs ** 2).sum())
+    assert rep.converged == (dense_norm <= GRAD_TOL * (yobs ** 2).sum())
     if max_iters < 500:
         assert rep.iterations == max_iters and not rep.converged
         assert "iteration-cap" in rep.flags
@@ -674,9 +708,6 @@ def test_optspace_certifies_recovery_at_both_condition_numbers():
 def test_optspace_config_validation():
     with pytest.raises(ValueError):
         OptspaceConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        OptspaceConfig(grad_tol=0.0)
-    with pytest.raises(ValueError):
-        OptspaceConfig(trim_multiplier=-1.0)
-    with pytest.raises(TypeError):
-        OptspaceConfig(ls_shrink=0.5)   # a module constant, not a field
+    for name in ("grad_tol", "trim_multiplier", "ls_shrink"):
+        with pytest.raises(TypeError):   # module constants, not fields
+            OptspaceConfig(**{name: 0.5})
