@@ -342,6 +342,9 @@ def test_bench_unknown_config_key_returns_2(tmp_path, capsys, head, tail, named)
                  "[grid] kappa must be 1, got 20", id="instance-optimal"),
     pytest.param("", "", "abc", "success_rate", id="floor-value"),
     pytest.param("", "sucess_rate = 0.5\n", 0.0, "sucess_rate", id="floor-name"),
+    # the truth spectrum is fixed now: an old config that still sets it is refused
+    pytest.param("spectrum_ratio = 2.0\n", "", 0.0, "spectrum_ratio", id="spectrum-range"),
+    pytest.param("spectrum_top = 0\n", "", 0.0, "spectrum_top", id="spectrum-top"),
     pytest.param("", "[grid]\nn = 10.5\n", 0.0, "[grid] n", id="grid-int"),
     pytest.param("", "[grid]\nm = 40, 40.7\n", 0.0, "[grid] m", id="grid-list"),
     pytest.param("", "[grid]\nn = abc\n", 0.0, "[grid] n", id="grid-text"),
