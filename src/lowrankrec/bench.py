@@ -423,7 +423,8 @@ def check_floors(result, floors=None):
 # A value is an int, else a float, else a string (quotes optional).
 # All is checked at load: an unknown section, key or floor name is an error, and
 # so is a value not of its field's type ([grid] keys by GridCell's fields,
-# m_per_nr a float, mode a string).
+# m_per_nr a float, mode a string), and so is a key set twice in one section
+# (a repeated section header merges into the first).
 
 
 def _parse_scalar(tok):
@@ -444,7 +445,7 @@ def _parse_scalar(tok):
 def parse_config_text(text):
     """Parse the key = value / [section] grammar into {section: {key: value}}.
     Top-level keys live under the '' section; comma-separated values become
-    lists."""
+    lists.  A key set twice in one section is a ValueError naming its line."""
     sections = {"": {}}
     current = ""
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -461,6 +462,9 @@ def parse_config_text(text):
         key = key.strip()
         if not key:
             raise ValueError(f"line {lineno}: empty key")
+        if key in sections[current]:
+            where = f"[{current}] " if current else ""
+            raise ValueError(f"line {lineno}: {where}{key} is set twice")
         if "," in val:
             sections[current][key] = [_parse_scalar(t) for t in val.split(",")]
         else:

@@ -89,7 +89,7 @@ def _load_problem(args):
     if args.omega:
         omega = read_omega(args.omega)
         if (omega.n1, omega.n2) != matrix.shape:
-            raise SystemExit(f"omega is {omega.n1} x {omega.n2} but matrix is "
+            raise ValueError(f"omega is {omega.n1} x {omega.n2} but matrix is "
                              f"{matrix.shape[0]} x {matrix.shape[1]}")
         ens = entry_sampling_ensemble(omega)
     else:
@@ -129,7 +129,7 @@ def _cmd_optspace(args):
 def _parse_sigmas(text):
     vals = [float(t) for t in text.split(",") if t.strip()]
     if not vals:
-        raise SystemExit("--sigmas needs at least one value")
+        raise ValueError("--sigmas needs at least one value")
     return np.array(vals)
 
 

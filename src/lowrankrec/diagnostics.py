@@ -25,11 +25,6 @@ __all__ = [
     "theory_advisor",
 ]
 
-# Deterministic basis probes e_i e_j^T are added to rip_probe whenever the
-# matrix has at most this many entries.
-BASIS_PROBE_LIMIT = 10_000
-
-
 @dataclass(frozen=True)
 class CoherenceReport:
     """Coherence statistics of a rank-r factorization, all scaled so that the
@@ -117,47 +112,31 @@ def rip_probe(ens, r, probes=500, seed=0):
 
     Evaluates max |1 - ||A(X)||^2| over random unit-Frobenius probes of every
     rank k <= r (so the probe family is nested in r and the estimate is
-    monotone), plus all basis matrices e_i e_j^T when n1*n2 is small.  Every
-    probe is feasible for the defining supremum, so the value never overstates
-    the true constant.
+    monotone), plus all basis matrices e_i e_j^T.  Every probe is feasible
+    for the defining supremum, so the value never overstates the true
+    constant.  An entry-sampling ensemble has that supremum in closed form:
+    0 when every entry is observed (A is then a permutation isometry), else
+    1, from an unobserved e_i e_j^T (|1 - 0| = 1, and no probe of a
+    contraction exceeds that).
     """
     if r < 1 or r > min(ens.n1, ens.n2):
         raise ValueError(f"rank must be in [1, {min(ens.n1, ens.n2)}], got {r}")
     if probes < 0:
         raise ValueError("probe count must be nonnegative")
 
-    def done(value):
-        return RipEstimate(r=int(r), delta_hat=float(value), probes=int(probes),
-                           seed=int(seed))
-
-    # A selection of entries (entry sampling, vectorization) has its probe
-    # supremum in closed form unless it is large and partial; the closed form
-    # skips the numerics, so exact isometries report exactly zero.
     if ens.rows is None:
-        if ens.m == ens.n1 * ens.n2:
-            return done(0.0)  # every entry observed: a permutation isometry
-        if ens.n1 * ens.n2 <= BASIS_PROBE_LIMIT:
-            # some e_i e_j^T is unobserved, giving |0 - 1| = 1; no probe of a
-            # contraction can exceed that, so 1 is the family supremum
-            return done(1.0)
-
-    delta = 0.0
-    stack = []
-    for t in range(probes):
-        for k in range(1, r + 1):
-            rng = spawn_rng(seed, t, k)
-            stack.append(_random_probe(rng, ens.n1, ens.n2, k))
-    if stack:
-        vals = apply_stack(ens, np.stack(stack))
-        energies = (vals * vals).sum(axis=1)
-        delta = float(np.abs(energies - 1.0).max())
-
-    if ens.rows is not None and ens.n1 * ens.n2 <= BASIS_PROBE_LIMIT:
+        delta = 0.0 if ens.m == ens.n1 * ens.n2 else 1.0
+    else:
         # exact maximum of |1 - ||A(e_i e_j^T)||^2| over all basis matrices
         energies = (ens.rows * ens.rows).sum(axis=0)
-        delta = max(delta, float(np.abs(energies - 1.0).max()))
-
-    return done(delta)
+        delta = float(np.abs(energies - 1.0).max())
+        stack = [_random_probe(spawn_rng(seed, t, k), ens.n1, ens.n2, k)
+                 for t in range(probes) for k in range(1, r + 1)]
+        if stack:
+            vals = apply_stack(ens, np.stack(stack))
+            energies = (vals * vals).sum(axis=1)
+            delta = max(delta, float(np.abs(energies - 1.0).max()))
+    return RipEstimate(r=int(r), delta_hat=delta, probes=int(probes), seed=int(seed))
 
 
 def concentration_bound(m, t):

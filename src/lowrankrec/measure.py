@@ -6,12 +6,13 @@ A(X) = (<A_1, X>, ..., <A_m, X>).  Supported kinds:
 * gaussian     - iid N(0, 1/m) entries in each A_i (near-isometric in
                  expectation: E ||A(X)||^2 = ||X||_F^2),
 * rademacher   - iid +-1/sqrt(m) entries,
-* entry        - A_i = e_{a_i} e_{b_i}^T over a fixed observed set Omega,
-* vectorization- m = n1*n2 and A(X) is row-major vec(X), so A* A = identity.
+* entry        - A_i = e_{a_i} e_{b_i}^T over a fixed observed set Omega.
+                 ``vectorization_ensemble`` is entry sampling over every
+                 entry: m = n1*n2 and A(X) is row-major vec(X), so A* A = I.
 
 The kind only decides how A is stored, once, at construction: gaussian /
-rademacher keep the m x n1n2 matrix ``rows``; entry / vectorization keep
-``index``, the row-major linear indices of vec(X) that A reads.
+rademacher keep the m x n1n2 matrix ``rows``; entry keeps ``index``, the
+row-major linear indices of vec(X) that A reads.
 ``apply_ensemble``, ``adjoint_ensemble`` and ``apply_stack`` branch on that
 storage and nothing else, and the package builds ensembles only through the
 four constructors below.  Three readers outside this module use the storage
@@ -133,14 +134,14 @@ def project_omega(omega, x):
 
 @dataclass(frozen=True)
 class MeasurementEnsemble:
-    kind: str                    # gaussian | rademacher | entry | vectorization
+    kind: str                    # gaussian | rademacher | entry
     n1: int
     n2: int
     m: int
     seed: int = 0
     omega: ObservationSet = None
     # exactly one of these is set: the m x n1n2 matrix of a dense kind, or
-    # the linear indices of vec(X) that a selection kind reads
+    # the linear indices of vec(X) that entry sampling reads
     rows: np.ndarray = field(default=None, init=False, repr=False, compare=False)
     index: np.ndarray = field(default=None, init=False, repr=False, compare=False)
 
@@ -170,11 +171,6 @@ class MeasurementEnsemble:
                 raise ValueError(f"m={self.m} does not match |Omega|={self.omega.m}")
             pairs = self.omega.pairs
             object.__setattr__(self, "index", pairs[:, 0] * self.n2 + pairs[:, 1])
-        elif self.kind == "vectorization":
-            if self.m != self.n1 * self.n2:
-                raise ValueError(
-                    f"vectorization requires m = n1*n2 = {self.n1 * self.n2}, got {self.m}")
-            object.__setattr__(self, "index", np.arange(self.m))
         else:
             raise ValueError(f"unknown ensemble kind {self.kind!r}")
 
@@ -193,7 +189,9 @@ def entry_sampling_ensemble(omega):
 
 
 def vectorization_ensemble(n1, n2):
-    return MeasurementEnsemble(kind="vectorization", n1=n1, n2=n2, m=n1 * n2)
+    """Entry sampling over every entry: A(X) is row-major vec(X)."""
+    pairs = np.column_stack(np.unravel_index(np.arange(n1 * n2), (n1, n2)))
+    return entry_sampling_ensemble(ObservationSet(n1=n1, n2=n2, pairs=pairs))
 
 
 def apply_ensemble(ens, x):

@@ -127,12 +127,12 @@ def test_solve_noise_injection_is_seeded(tmp_path, truth_files):
     assert np.abs(outs[0] - outs[2]).max() > 0
 
 
-def test_solve_shape_mismatch_exits(tmp_path, truth_files):
+def test_solve_shape_mismatch_exits(tmp_path, capsys, truth_files):
     _, _, mpath, _ = truth_files
     small = tmp_path / "small.txt"
     write_omega(small, ObservationSet(3, 3, np.array([[0, 0]])))
-    with pytest.raises(SystemExit):
-        main(["solve", "--matrix", mpath, "--omega", str(small)])
+    assert main(["solve", "--matrix", mpath, "--omega", str(small)]) == 2
+    assert "error: omega is 3 x 3 but matrix is" in capsys.readouterr().err
 
 
 def test_solve_missing_file_returns_2(tmp_path, capsys):
@@ -233,6 +233,11 @@ def test_bounds_missing_parameters_exit_2():
     assert exc.value.code == 2
 
 
+def test_bounds_empty_sigmas_returns_2(capsys):
+    assert main(["bounds", "--bound", "ideal", "--n", "10", "--sigmas", ","]) == 2
+    assert "error: --sigmas needs at least one value" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------- bench
 
 BENCH_CFG = """
@@ -322,6 +327,7 @@ def test_bench_jobs_below_one_exits_2(tmp_path, capsys):
     pytest.param("success_threshold = 1e-2\nspectrum_top = 2\nspectrum_ratio = 0.5\n", "",
                  ("success_threshold", "spectrum_top", "spectrum_ratio"), id="removed-keys"),
     pytest.param("", "[optspace]\ngrad_tol = 1e-6\n", ("optspace",), id="removed-section"),
+    pytest.param("", "[solver]\neq_tol = 1e-5\n", ("eq_tol",), id="removed-solver-key"),
 ])
 def test_bench_unknown_config_key_returns_2(tmp_path, capsys, head, tail, named):
     # a misspelt key must neither run with defaults nor end in a traceback
@@ -381,7 +387,7 @@ def test_bench_bad_config_value_returns_2(tmp_path, capsys, head, tail, floor, n
     pytest.param("experiment = completion-stability\n[grid]\nn = 3\nr = 1\np = 0.01\n"
                  "sigma = 0.01\n", "p = 0.01 samples round(p n^2) = 0 entries",
                  id="p-no-entries"),
-    pytest.param(BENCH_CFG.format(m=40, floor=0.0) + "[grid]\nn = 64, 128\n",
+    pytest.param(BENCH_CFG.format(m=40, floor=0.0).replace("n = 10", "n = 64, 128"),
                  "got n=128 m=40", id="m-dense-cap"),
 ])
 def test_bench_operator_rule_is_checked_at_load(tmp_path, capsys, text, named):

@@ -105,6 +105,10 @@ def test_rip_entry_sampling_detects_null_space():
                                   if (i, j) != (1, 2)])
     est = rip_probe(entry_sampling_ensemble(omega), r=1, probes=20, seed=0)
     assert est.delta_hat == 1.0
+    # the closed form holds at any size, past 100 x 100 too
+    omega = sample_omega(101, 101, 5000, seed=0)
+    est = rip_probe(entry_sampling_ensemble(omega), r=2, probes=50, seed=0)
+    assert est.delta_hat == 1.0
 
 
 def test_rip_full_entry_sampling_is_isometry():

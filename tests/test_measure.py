@@ -226,7 +226,8 @@ def test_ensemble_caps_and_validation():
     with pytest.raises(ValueError):
         entry_sampling_ensemble(ObservationSet(3, 3, []))
     with pytest.raises(ValueError):
-        MeasurementEnsemble(kind="vectorization", n1=2, n2=2, m=3, seed=0)
+        MeasurementEnsemble(kind="entry", n1=2, n2=2, m=3,
+                            omega=ObservationSet(2, 2, [(0, 0), (1, 1)]))
     with pytest.raises(ValueError):
         apply_ensemble(vectorization_ensemble(2, 2), np.eye(3))
     with pytest.raises(ValueError):

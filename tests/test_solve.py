@@ -319,7 +319,9 @@ def test_lipschitz_dominates_gram_spectrum():
 
 def test_choose_lambda_values():
     assert choose_lambda(50, 0.0) == 0.0
-    assert abs(choose_lambda(50, 1.0, c_mult=1.0) - 10.0) < 1e-12
+    # 1.5 sqrt(2 n) sigma: 15 at n = 50, sigma = 1
+    assert choose_lambda(50, 1.0) == 1.5 * (2 * 50) ** 0.5 * 1.0 == 15.0
+    assert choose_lambda(8, 0.1) == 1.5 * (2 * 8) ** 0.5 * 0.1
     with pytest.raises(ValueError):
         choose_lambda(0, 1.0)
     with pytest.raises(ValueError):
@@ -356,7 +358,7 @@ def test_noiseless_vectorization_recovers_exactly():
     truth = low_rank(9, 3, 11)
     ens = vectorization_ensemble(9, 9)
     y = apply_ensemble(ens, truth)
-    rep = solve_noiseless(ens, y, SolverConfig(eq_tol=1e-9))
+    rep = solve_noiseless(ens, y)
     assert rel_err(rep.estimate, truth) <= 1e-8
     assert rep.converged
 
@@ -798,10 +800,9 @@ def test_report_json_dict_fields():
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iters=0)
-    with pytest.raises(ValueError):
-        SolverConfig(eq_tol=1.0)
-    # the engine's stop rule, the continuation factor and the bisection's
-    # end are constants, not settings
-    for removed in ("fista_tol", "continuation_factor", "bisection_iters"):
+    # the engine's stop rule, the continuation factor, the bisection's end
+    # and the noiseless program's feasibility target are constants, not settings
+    assert SolverConfig().eq_tol == 1e-6
+    for removed in ("fista_tol", "continuation_factor", "bisection_iters", "eq_tol"):
         with pytest.raises(TypeError):
             SolverConfig(**{removed: 1})
