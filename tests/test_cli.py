@@ -340,30 +340,36 @@ def test_bench_unknown_config_key_returns_2(tmp_path, capsys, head, tail, named)
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("head, tail, floor, named", [
-    pytest.param("", "[solver]\nmax_iters = abc\n", 0.0, "max_iters", id="solver"),
-    pytest.param("", "[solver]\nmax_iters = 2.5\n", 0.0, "max_iters", id="int-field"),
-    pytest.param("ensemble = 3\n", "", 0.0, "ensemble", id="top-level"),
-    pytest.param("", "[grid]\nsigma = 0.01\nkappa = 1, 20\n", 0.0,
+@pytest.mark.parametrize("head, swap, tail, floor, named", [
+    pytest.param("", None, "[solver]\nmax_iters = abc\n", 0.0, "max_iters", id="solver"),
+    pytest.param("", None, "[solver]\nmax_iters = 2.5\n", 0.0, "max_iters", id="int-field"),
+    pytest.param("ensemble = 3\n", None, "", 0.0, "ensemble", id="top-level"),
+    pytest.param("", None, "[grid]\nsigma = 0.01\nkappa = 1, 20\n", 0.0,
                  "[grid] kappa must be 1, got 20", id="instance-optimal"),
-    pytest.param("", "", "abc", "success_rate", id="floor-value"),
-    pytest.param("", "sucess_rate = 0.5\n", 0.0, "sucess_rate", id="floor-name"),
+    pytest.param("", None, "", "abc", "success_rate", id="floor-value"),
+    pytest.param("", None, "sucess_rate = 0.5\n", 0.0, "sucess_rate", id="floor-name"),
     # the truth spectrum is fixed now: an old config that still sets it is refused
-    pytest.param("spectrum_ratio = 2.0\n", "", 0.0, "spectrum_ratio", id="spectrum-range"),
-    pytest.param("spectrum_top = 0\n", "", 0.0, "spectrum_top", id="spectrum-top"),
-    pytest.param("", "[grid]\nn = 10.5\n", 0.0, "[grid] n", id="grid-int"),
-    pytest.param("", "[grid]\nm = 40, 40.7\n", 0.0, "[grid] m", id="grid-list"),
-    pytest.param("", "[grid]\nn = abc\n", 0.0, "[grid] n", id="grid-text"),
-    pytest.param("", "[grid]\nm_per_nr = abc\n", 0.0, "[grid] m_per_nr",
-                 id="grid-m-per-nr"),
+    pytest.param("spectrum_ratio = 2.0\n", None, "", 0.0, "spectrum_ratio",
+                 id="spectrum-range"),
+    pytest.param("spectrum_top = 0\n", None, "", 0.0, "spectrum_top", id="spectrum-top"),
+    # a [grid] key is rewritten in place: set twice, it would stop at parse instead
+    pytest.param("", ("n = 10\n", "n = 10.5\n"), "", 0.0,
+                 "[grid] n must be int, got 10.5", id="grid-int"),
+    pytest.param("", ("m = 60\n", "m = 40, 40.7\n"), "", 0.0,
+                 "[grid] m must be int, got 40.7", id="grid-list"),
+    pytest.param("", ("n = 10\n", "n = abc\n"), "", 0.0,
+                 "[grid] n must be int, got 'abc'", id="grid-text"),
+    pytest.param("", ("m = 60\n", "m_per_nr = abc\n"), "", 0.0,   # m_per_nr replaces m
+                 "[grid] m_per_nr must be float, got 'abc'", id="grid-m-per-nr"),
 ])
-def test_bench_bad_config_value_returns_2(tmp_path, capsys, head, tail, floor, named):
+def test_bench_bad_config_value_returns_2(tmp_path, capsys, head, swap, tail, floor, named):
     # a bad value or floor name stops the run at load, before any trial
     text = head + BENCH_CFG.format(m=60, floor=floor) + tail
+    if swap is not None:
+        assert swap[0] in text
+        text = text.replace(*swap)
     if named.startswith("[grid] kappa"):   # its spectrum is drawn without kappa
         text = text.replace("phase-transition", "instance-optimal")
-    if named == "[grid] m_per_nr":
-        text = text.replace("m = 60\n", "")   # m_per_nr replaces m
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(text)
     assert main(["bench", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
