@@ -22,11 +22,12 @@ Per workload and operation kind it prints:
     instance's truth; the largest relative difference of each report
     scalar (objective, equality_residual, dual_residual); and in how many
     operations the report's flags differ;
-  * iterations, prox steps (SVDs), the `stage-iteration-cap` and
-    `iteration-cap` flags and the `converged=False` reports summed on each
-    side, and in how many operations `iterations`, `prox_steps` and
-    `converged` differ (equal sums can hide a +1 in one operation and a -1
-    in another).
+  * iterations, prox steps (SVDs), restarts (momentum resets; rejected
+    Anderson points in the noiseless program), the `stage-iteration-cap`
+    and `iteration-cap` flags and the `converged=False` reports summed on
+    each side, and in how many operations `iterations`, `prox_steps`,
+    `restarts` and `converged` differ (equal sums can hide a +1 in one
+    operation and a -1 in another).
 
 Exits 1 when any gate outcome differs or the two sides did not run the same
 operations.  harness-jobs2 is left out: its operation is a whole bench run
@@ -91,6 +92,7 @@ def collect(tree, seeds, passes):
                         "digest": hashlib.sha256(est.tobytes()).hexdigest(),
                         "iterations": int(result.iterations),
                         "prox_steps": int(getattr(result, "prox_steps", 0)),
+                        "restarts": int(getattr(result, "restarts", 0)),
                         "capped": CAP_FLAG in result.flags,
                         "iter_capped": ITER_CAP_FLAG in result.flags,
                         "unconverged": not result.converged,
@@ -173,6 +175,8 @@ def compare(parent, change):
             f"(differs in {differ_in('iterations')}), "
             f"prox steps {total('prox_steps', 0)} -> {total('prox_steps', 1)} "
             f"(differs in {differ_in('prox_steps')}), "
+            f"restarts {total('restarts', 0)} -> {total('restarts', 1)} "
+            f"(differs in {differ_in('restarts')}), "
             f"{CAP_FLAG} {total('capped', 0)} -> {total('capped', 1)}, "
             f"{ITER_CAP_FLAG} {total('iter_capped', 0)} -> {total('iter_capped', 1)}, "
             f"converged=False {total('unconverged', 0)} -> {total('unconverged', 1)} "

@@ -77,10 +77,18 @@ def oracle_fit(u, ens, y):
     return u @ sol.reshape(r, ens.n2)
 
 
+def _check_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 def _check_spectrum(sigmas):
     s = np.asarray(sigmas, dtype=float).ravel()
     if s.size == 0:
         raise ValueError("spectrum must be nonempty")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("singular values must be finite")
     if np.any(s < 0):
         raise ValueError("singular values must be nonnegative")
     return s
@@ -90,6 +98,7 @@ def ideal_risk(sigmas, n, sigma_noise):
     """1/2 sum_i min(sigma_i^2, n sigma_noise^2): the keep-or-kill risk of an
     oracle that retains exactly the components worth estimating."""
     s = _check_spectrum(sigmas)
+    _check_finite(n=n, sigma=sigma_noise)
     value = 0.5 * float(np.minimum(s * s, n * sigma_noise ** 2).sum())
     return BoundReport(name="ideal-risk", value=value,
                        inputs={"n": n, "sigma": sigma_noise,
@@ -100,6 +109,7 @@ def oracle_risk_scan(sigmas, n, sigma_noise):
     """Exhaustive scan of rank cutoffs: min over r of
     sum_{i>r} sigma_i^2 + n r sigma_noise^2.  Returns (best_r, value)."""
     s = _check_spectrum(sigmas)
+    _check_finite(n=n, sigma=sigma_noise)
     tails = np.concatenate([np.cumsum((s * s)[::-1])[::-1], [0.0]])
     values = [tails[r] + n * r * sigma_noise ** 2 for r in range(s.size + 1)]
     best = int(np.argmin(values))
@@ -109,6 +119,7 @@ def oracle_risk_scan(sigmas, n, sigma_noise):
 def minimax_bound(n, r, sigma, delta_r=0.0):
     """n r sigma^2 / (1 + delta_r): the minimax risk floor over rank-r
     matrices, tightened by the isometry constant of the ensemble."""
+    _check_finite(n=n, r=r, sigma=sigma)
     if not (0 <= delta_r < 1):
         raise ValueError(f"delta_r must be in [0, 1), got {delta_r}")
     if n < 1 or r < 1:
@@ -122,6 +133,7 @@ def instance_optimal_bound(sigmas, n, sigma_noise, r_bar):
     """sum_{i<=r_bar} min(sigma_i^2, n sigma^2) + sum_{i>r_bar} sigma_i^2:
     the per-instance risk reference at truncation level r_bar."""
     s = _check_spectrum(sigmas)
+    _check_finite(n=n, sigma=sigma_noise)
     if not (0 <= r_bar <= s.size):
         raise ValueError(f"r_bar must be in [0, {s.size}], got {r_bar}")
     head = np.minimum(s[:r_bar] ** 2, n * sigma_noise ** 2).sum()
@@ -133,6 +145,7 @@ def instance_optimal_bound(sigmas, n, sigma_noise, r_bar):
 def completion_stability_bound(n, p, delta):
     """Frobenius stability guarantee for the residual-ball program on an
     entry-sampled matrix: 4 sqrt((2 + p) n / p) delta + 2 delta."""
+    _check_finite(n=n, p=p, delta=delta)
     if not (0 < p <= 1):
         raise ValueError(f"p must be in (0, 1], got {p}")
     if n < 1 or delta < 0:
@@ -144,6 +157,7 @@ def completion_stability_bound(n, p, delta):
 
 def optspace_noisy_bound(n, m, r, kappa, noise_opnorm):
     """Spectral-pipeline error bound kappa^2 (n^2 sqrt(r) / m) * ||P_Omega(Z)||_op."""
+    _check_finite(n=n, m=m, r=r, kappa=kappa, noise_opnorm=noise_opnorm)
     if n < 1 or m < 1 or r < 1:
         raise ValueError("n, m, r must be positive")
     if kappa < 1:
@@ -159,6 +173,7 @@ def optspace_noisy_bound(n, m, r, kappa, noise_opnorm):
 def gaussian_noise_opnorm(n, m, sigma):
     """Typical ||P_Omega(Z)||_op for iid Gaussian noise on m of n^2 entries:
     sqrt(m log(n) / n) * sigma."""
+    _check_finite(n=n, m=m, sigma=sigma)
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
     if sigma < 0:

@@ -15,15 +15,13 @@ prox and A(x).  The smooth part is quadratic, so the test is exact, and it
 costs nothing: the engine already holds A(x) and A(z).  L starts at 1.0, the
 scale at which every ensemble is normalised (E ||A(X)||^2 = ||X||^2), and the
 lasso's continuation and root-finding stages hand the last accepted L (and
-the point, with its A(X) and nuclear norm) to the next stage
-(Beck and Teboulle, SIAM J. Imaging Sci. 2009; Scheinberg, Goldfarb and Bai,
-Found. Comput. Math. 2014).
+the point, with its A(X)) to the next stage (Beck and Teboulle, SIAM J.
+Imaging Sci. 2009; Scheinberg, Goldfarb and Bai, Found. Comput. Math. 2014).
 
-Momentum is reset by two rules: on an objective increase (the step is retaken
-from the incumbent, so accepted iterates never increase the objective), and
-by the gradient scheme of O'Donoghue and Candes (arXiv 1204.3982) when the
-step just taken moves against its own generalized gradient.  The second rule
-cuts the slow, oscillating momentum phases of small-tau continuation stages.
+Momentum is reset by the gradient scheme of O'Donoghue and Candes (arXiv
+1204.3982) when the step just taken moves against its own generalized
+gradient.  The rule cuts the slow, oscillating momentum phases of small-tau
+continuation stages.  The engine evaluates no objective value.
 
 Stop rule, one eps per solve.  A solve stops at the first accepted step
 x = prox_{tau/L}(z - grad/L) with both L ||x - z||_F <= eps tau (L (z - x) is
@@ -133,7 +131,7 @@ class SolverReport:
     residual_path: tuple = ()  # equality residual at each visited tau
     flags: tuple = ()
     stage_iterations: tuple = ()  # iterations at each visited tau
-    restarts: int = 0          # momentum resets, by either restart rule; noiseless
+    restarts: int = 0          # momentum resets by the gradient rule; noiseless
                                # program: rejected Anderson points
     prox_steps: int = 0        # prox evaluations (SVDs), curvature retries included
 
@@ -170,11 +168,6 @@ def estimate_lipschitz(ens):
     return operator_norm(ens.rows) ** 2
 
 
-def _objective(tau, nuc, ax, y):
-    r = ax - y
-    return tau * nuc + 0.5 * float(r @ r)
-
-
 class _Stages:
     """The penalized stages of one solve, in visit order, and what one stage
     hands the next: the last accepted step bound L and the running counts."""
@@ -186,42 +179,19 @@ class _Stages:
         self.prox_steps = 0     # prox evaluations, curvature retries included
 
 
-def _prox_step(ens, y, tau, z, az, grad, stages):
-    """One proximal gradient step from z, where A(z) = az and grad is the
-    gradient there, at the first of L, 2L, 4L, ... (L = stages.lip) that
-    passes the local curvature test ||A(x - z)||^2 <= L ||x - z||^2.  The
-    smooth part is quadratic, so the test is exactly the condition that the
-    step's quadratic model bounds it.  Sets stages.lip to the accepted L and
-    returns (x, A(x), ||x||_*, objective at x)."""
-    floor = CURVATURE_SLACK * float(y @ y)   # rounding in A(x) - A(z)
-    lip = stages.lip
-    while True:
-        x, nuc = prox_nuclear(z - grad / lip, tau / lip)
-        ax = apply_ensemble(ens, x)
-        stages.prox_steps += 1
-        ad = ax - az
-        if float(ad @ ad) <= lip * float(np.vdot(x - z, x - z)) + floor:
-            break
-        lip *= 2.0
-    stages.lip = lip
-    return x, ax, nuc, _objective(tau, nuc, ax, y)
-
-
 def _penalized_core(ens, y, tau, start, stages, max_iters, eps):
-    """Monotone accelerated proximal descent on the penalized objective.
+    """Accelerated proximal descent on the penalized objective.
 
     Step rule: each iteration computes the gradient at the momentum point z
     once, first tries the step bound L <- LIP_SHRINK * L, and doubles L
     (recomputing only the prox and A(x)) until the local curvature test
-    passes; the accepted L carries over to the next iteration and, through
+    ||A(x - z)||^2 <= L ||x - z||^2 passes.  The smooth part is quadratic, so
+    the test is exactly the condition that the step's quadratic model bounds
+    it.  The accepted L carries over to the next iteration and, through
     ``stages``, to the next stage.
 
-    Momentum is reset (t = 1, no momentum on that step) by either of two
-    rules.  Objective rule: a step from the momentum point that increases
-    the objective is retaken from the incumbent; a step from the incumbent
-    that passes the curvature test cannot increase it, so if it still does
-    the numerical floor is reached and the solve stops.  Gradient rule
-    (O'Donoghue and Candes, "Adaptive restart for accelerated gradient
+    Momentum is reset (t = 1, no momentum on the next step) by the gradient
+    rule of O'Donoghue and Candes ("Adaptive restart for accelerated gradient
     schemes", arXiv 1204.3982): after an accepted step x -> x_new taken from
     the momentum point z, momentum is reset when <z - x_new, x_new - x> > 0,
     i.e. when the step's generalized gradient points against the direction
@@ -231,57 +201,47 @@ def _penalized_core(ens, y, tau, start, stages, max_iters, eps):
     from z with L ||x_new - z||_F <= eps tau, the prox-gradient mapping at z
     against the penalty level, ends the solve if the certificate
     ||A*(y - A(x_new))||_op <= tau (1 + eps) holds, and otherwise cuts that
-    threshold fourfold.  The same certificate decides converged at the
-    objective floor and at max_iters, where an uncertified solve is flagged
-    ``iteration-cap``.  The objective comparisons and both tests are
-    relative, so scaling y scales the iterates and nothing else.
+    threshold fourfold.  The same certificate decides converged at
+    max_iters, where an uncertified solve is flagged ``iteration-cap``.  Both
+    tests are relative, so scaling y scales the iterates and nothing else.
 
-    ``start`` is the point (x0, A(x0), ||x0||_*) the solve starts from; the
-    returned point has the same form, so a stage hands the next its start
-    without measuring it again.  Records the stage (tau, residual,
-    iterations) and its restarts in ``stages``.  Returns (point, converged,
-    flags).
+    ``start`` is the point (x0, A(x0)) the solve starts from; the returned
+    point has the same form, so a stage hands the next its start without
+    measuring it again.  Records the stage (tau, residual, iterations) and
+    its restarts in ``stages``.  Returns (point, ||x||_* of the point as the
+    last prox gave it, converged, flags).
     """
-    x0, ax, nuc = start
-    x = x0.copy()
-    fx = _objective(tau, nuc, ax, y)
-    z, az = x, ax   # z is x exactly when the next step carries no momentum
+    x, ax = start
+    z, az = x, ax
     t = 1.0
     mapping_tol = eps * tau
+    floor = CURVATURE_SLACK * float(y @ y)   # rounding in A(x) - A(z)
     flags = ()
     it = 0
     while it < max_iters:
         it += 1
-        stages.lip *= LIP_SHRINK
         grad = adjoint_ensemble(ens, az - y)
-        x_new, ax_new, nuc_new, f_new = _prox_step(ens, y, tau, z, az, grad, stages)
-        slack = 1e-12 * fx   # fx > 0: y is not zero here
-        if f_new > fx + slack and z is not x:
-            # overshoot: restart momentum at the incumbent
-            z, az, t = x, ax, 1.0
-            stages.restarts += 1
-            grad = adjoint_ensemble(ens, ax - y)
-            x_new, ax_new, nuc_new, f_new = _prox_step(ens, y, tau, z, az, grad,
-                                                       stages)
-        if f_new > fx + slack:
-            # numerical floor: no descent direction left
-            flags = ("objective-floor",)
-            converged = _certified(ens, y, ax, tau, eps)
-            break
+        lip = stages.lip * LIP_SHRINK
+        while True:
+            x_new, nuc = prox_nuclear(z - grad / lip, tau / lip)
+            ax_new = apply_ensemble(ens, x_new)
+            stages.prox_steps += 1
+            ad = ax_new - az
+            if float(ad @ ad) <= lip * float(np.vdot(x_new - z, x_new - z)) + floor:
+                break
+            lip *= 2.0
+        stages.lip = lip
         step = x_new - x
         # the prox-gradient mapping at z, taken before the momentum update moves z
-        small = stages.lip * np.linalg.norm(x_new - z) <= mapping_tol
+        small = lip * np.linalg.norm(x_new - z) <= mapping_tol
         if np.vdot(z - x_new, step) > 0:
             t = 1.0   # gradient restart
             stages.restarts += 1
         t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         beta = (t - 1.0) / t_new
-        if beta > 0.0:
-            z = x_new + beta * step
-            az = ax_new + beta * (ax_new - ax)  # A is linear; no extra measurement
-        else:
-            z, az = x_new, ax_new
-        x, ax, nuc, fx, t = x_new, ax_new, nuc_new, f_new, t_new
+        z = x_new + beta * step
+        az = ax_new + beta * (ax_new - ax)  # A is linear; no extra measurement
+        x, ax, t = x_new, ax_new, t_new
         if small:
             if _certified(ens, y, ax, tau, eps):
                 converged = True
@@ -294,7 +254,7 @@ def _penalized_core(ens, y, tau, start, stages, max_iters, eps):
     stages.taus.append(tau)
     stages.residuals.append(float(np.linalg.norm(ax - y)))
     stages.iterations.append(it)
-    return (x, ax, nuc), converged, flags
+    return (x, ax), nuc, converged, flags
 
 
 def _certified(ens, y, ax, tau, eps):
@@ -339,14 +299,14 @@ def solve_penalized(ens, y, tau, config=None, x0=None):
     """
     cfg = config or SolverConfig()
     y = _check_y(ens, y)
-    if tau <= 0:
-        raise ValueError(f"tau must be positive, got {tau}")
+    if not 0 < tau < math.inf:
+        raise ValueError(f"tau must be positive and finite, got {tau}")
     x0 = np.zeros((ens.n1, ens.n2)) if x0 is None else check_matrix(x0)
     if not np.any(y):
         return _report(ens, y, np.zeros((ens.n1, ens.n2)), True)
     stages = _Stages(1.0)
-    start = (x0, apply_ensemble(ens, x0), nuclear_norm(x0) if np.any(x0) else 0.0)
-    (x, _, _), conv, flags = _penalized_core(
+    start = (x0, apply_ensemble(ens, x0))
+    (x, _), _, conv, flags = _penalized_core(
         ens, y, tau, start, stages, cfg.max_iters, CERTIFIED_EPS)
     return _report(ens, y, x, conv, flags, stages)
 
@@ -361,8 +321,8 @@ def choose_lambda(n, sigma):
     """
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     return float(LAMBDA_MULT * math.sqrt(2.0 * n) * sigma)
 
 
@@ -373,8 +333,8 @@ def choose_delta(m, sigma):
     (Candes and Plan, "Matrix completion with noise", arXiv 0903.3131)."""
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    if sigma < 0:
-        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
     return math.sqrt((m + math.sqrt(8.0 * m)) * sigma ** 2)
 
 
@@ -390,8 +350,8 @@ def solve_dantzig(ens, y, lam, config=None):
     when every entry is observed (vectorization_ensemble), where both are the
     singular-value soft threshold of A*(y) at lambda.
     """
-    if lam <= 0:
-        raise ValueError(f"lambda must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"lambda must be positive and finite, got {lam}")
     return solve_penalized(ens, y, lam, config=config)
 
 
@@ -632,8 +592,8 @@ def solve_lasso(ens, y, delta, config=None):
     (seeds 1-5, passes 1-3, against certified penalized solves bisected to
     a tau ratio of 1 + 1e-8), in 5-7 stages.
     """
-    if delta < 0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
+    if not 0 <= delta < math.inf:
+        raise ValueError(f"delta must be nonnegative and finite, got {delta}")
     cfg = config or SolverConfig()
     y = _check_y(ens, y)
     ynorm = float(np.linalg.norm(y))
@@ -647,18 +607,19 @@ def solve_lasso(ens, y, delta, config=None):
     tau0 = operator_norm(adjoint_ensemble(ens, y))
     stages = _Stages()
     records = []    # (tau, x, ||x||_*, log excess) of every stage
-    point = (np.zeros((ens.n1, ens.n2)), np.zeros(ens.m), 0.0)
+    point = (np.zeros((ens.n1, ens.n2)), np.zeros(ens.m))
     cap_flag = ()   # ("stage-iteration-cap",) once a stage ends uncertified at max_iters
 
     def log_excess(tau, eps):
         """Run the stage at tau from the last stage's point at stop-rule eps;
         returns log(residual / feas_tol), feasible when <= 0."""
         nonlocal point, cap_flag
-        point, _, flags = _penalized_core(ens, y, tau, point, stages, cfg.max_iters, eps)
+        point, nuc, _, flags = _penalized_core(ens, y, tau, point, stages,
+                                               cfg.max_iters, eps)
         if "iteration-cap" in flags:
             cap_flag = ("stage-iteration-cap",)
         f = math.log(max(stages.residuals[-1] / feas_tol, 1e-300))
-        records.append((tau, point[0], point[2], f))
+        records.append((tau, point[0], nuc, f))
         return f
 
     # continuation down from tau0 until feasible

@@ -127,6 +127,17 @@ def test_solve_noise_injection_is_seeded(tmp_path, truth_files):
     assert np.abs(outs[0] - outs[2]).max() > 0
 
 
+@pytest.mark.parametrize("args", [
+    ["--program", "dantzig", "--lambda", "nan"],
+    ["--program", "lasso", "--sigma", "nan"],
+], ids=["dantzig-lambda", "lasso-sigma"])
+def test_solve_non_finite_penalty_returns_2(capsys, truth_files, args):
+    _, _, mpath, _ = truth_files
+    assert main(["solve", "--matrix", mpath, *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "finite, got nan" in err
+
+
 def test_solve_shape_mismatch_exits(tmp_path, capsys, truth_files):
     _, _, mpath, _ = truth_files
     small = tmp_path / "small.txt"
@@ -231,6 +242,18 @@ def test_bounds_missing_parameters_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["bounds", "--bound", "stable", "--n", "10"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["--bound", "minimax", "--n", "10", "--r", "2", "--sigma", "nan"],
+    ["--bound", "stable", "--n", "10", "--p", "0.5", "--delta", "inf"],
+    ["--bound", "ideal", "--n", "10", "--sigmas", "1,nan"],
+], ids=["minimax-sigma", "stable-delta", "ideal-sigmas"])
+def test_bounds_non_finite_input_returns_2(capsys, args):
+    # a NaN or infinite value is not JSON, so no report is printed
+    assert main(["bounds", *args]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error:") and "finite" in out.err
 
 
 def test_bounds_empty_sigmas_returns_2(capsys):

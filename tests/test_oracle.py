@@ -302,6 +302,34 @@ def test_optspace_noisy_validation():
         gaussian_noise_opnorm(10, 50, -0.1)
 
 
+# Two numeric inputs of each bound, each set non-finite in turn: the spectrum,
+# the noise level, a dimension, the radius, kappa or the noise norm
+BOUND_CALLS = {
+    "ideal": (lambda bad: ideal_risk((1.0, bad), 10, 0.1),
+              lambda bad: ideal_risk((1.0, 0.5), 10, bad)),
+    "minimax": (lambda bad: minimax_bound(10, 2, bad),
+                lambda bad: minimax_bound(bad, 2, 0.1)),
+    "instance": (lambda bad: instance_optimal_bound((1.0, bad), 10, 0.1, 1),
+                 lambda bad: instance_optimal_bound((1.0, 0.5), 10, bad, 1)),
+    "stable": (lambda bad: completion_stability_bound(10, 0.5, bad),
+               lambda bad: completion_stability_bound(bad, 0.5, 0.1)),
+    "optspace": (lambda bad: optspace_noisy_bound(10, 50, 1, bad, 0.1),
+                 lambda bad: optspace_noisy_bound(10, 50, 1, 1.0, bad)),
+    "noise-opnorm": (lambda bad: gaussian_noise_opnorm(10, 50, bad),
+                     lambda bad: gaussian_noise_opnorm(10, bad, 0.1)),
+}
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("bound", sorted(BOUND_CALLS))
+def test_bounds_reject_non_finite_inputs(bound, bad):
+    # a non-finite input would give a NaN or infinite value, which JSON
+    # cannot carry
+    for call in BOUND_CALLS[bound]:
+        with pytest.raises(ValueError, match="finite"):
+            call(bad)
+
+
 # ------------------------------------------------------ report invariants
 
 @given(st.integers(0, 10_000))

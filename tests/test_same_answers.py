@@ -6,12 +6,13 @@ import same_answers  # noqa: E402  (a script, importable from scripts/)
 
 
 def record(kind, seed, nuclear=2.0, rel_err=0.1, ok=True, digest="d",
-           prox_steps=10, capped=False, iter_capped=False, unconverged=False,
-           workload="w", equality_residual=0.5, dual_residual=0.25, flags=()):
+           prox_steps=10, restarts=1, capped=False, iter_capped=False,
+           unconverged=False, workload="w", equality_residual=0.5,
+           dual_residual=0.25, flags=()):
     return {"workload": workload, "kind": kind, "seed": seed, "pass": 0,
             "valid": True, "ok": ok, "nuclear": nuclear, "rel_err": rel_err,
             "digest": digest, "iterations": prox_steps - 1,
-            "prox_steps": prox_steps, "capped": capped,
+            "prox_steps": prox_steps, "restarts": restarts, "capped": capped,
             "iter_capped": iter_capped, "unconverged": unconverged,
             "objective": nuclear, "equality_residual": equality_residual,
             "dual_residual": dual_residual, "flags": list(flags)}
@@ -46,6 +47,7 @@ def test_identical_records_are_the_same_answers():
             "flags differ in 0") in text
     assert "iterations 18 -> 18 (differs in 0)" in text
     assert "prox steps 20 -> 20 (differs in 0)" in text
+    assert "restarts 2 -> 2 (differs in 0)" in text
     assert "converged=False 0 -> 0 (differs in 0)" in text
 
 
@@ -135,8 +137,10 @@ def test_per_operation_work_differences_are_counted():
     change = [record("a", 1, prox_steps=11), record("a", 2, prox_steps=19),
               record("a", 3, prox_steps=30)]
     change[2]["iterations"] += 2    # iterations move without the prox steps
+    change[0]["restarts"] = 0       # one restart fewer, the others unchanged
     lines, ok = same_answers.compare(parent, change)
     assert ok
     text = block(lines, "a")
     assert "iterations 57 -> 59 (differs in 3)" in text
     assert "prox steps 60 -> 60 (differs in 2)" in text
+    assert "restarts 3 -> 2 (differs in 1)" in text

@@ -276,6 +276,13 @@ def test_solvers_reject_non_finite_inputs(bad):
             solve_penalized(ens, data, 0.1, x0=x0)
     with pytest.raises(ValueError, match="shape"):
         solve_penalized(ens, np.ones(12), 0.1, x0=np.zeros((4, 5)))
+    # nor may the penalty or the radius be: NaN fails the curvature test at
+    # every L, and regula falsi would carry it into tau
+    for solve, name in ((lambda: solve_penalized(ens, np.ones(12), bad), "tau"),
+                        (lambda: solve_dantzig(ens, np.ones(12), bad), "lambda"),
+                        (lambda: solve_lasso(ens, np.ones(12), bad), "delta")):
+        with pytest.raises(ValueError, match=f"{name} must be .*finite, got {bad}"):
+            solve()
 
 
 def test_penalized_zero_data_short_circuits():
@@ -326,6 +333,9 @@ def test_choose_lambda_values():
         choose_lambda(0, 1.0)
     with pytest.raises(ValueError):
         choose_lambda(10, -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
+            choose_lambda(10, bad)
 
 
 def test_choose_delta_values():
@@ -339,6 +349,9 @@ def test_choose_delta_values():
         choose_delta(0, 1.0)
     with pytest.raises(ValueError):
         choose_delta(10, -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma must be nonnegative and finite"):
+            choose_delta(10, bad)
 
 
 def test_choose_lambda_dominates_backprojected_noise():
@@ -722,23 +735,51 @@ def test_lasso_matches_residual_ball_reference(kind, n, m, seed):
     assert len(rep.tau_path) < 16
 
 
-def test_lasso_measures_each_stage_start_once(monkeypatch):
-    # a stage starts from the point, A(point) and nuclear norm the previous
-    # stage returned, and the records keep their stages' nuclear norms: A runs
-    # once per prox step and once in the report, the nuclear-norm SVD only
-    # in the report
+def count_calls(monkeypatch, *names):
+    """Count the calls made through lowrankrec.solve's ``names``; returns one
+    list per name, one entry per call."""
     import lowrankrec.solve as solve_mod
-    applies, norms = [], []
-    apply, nuclear = solve_mod.apply_ensemble, solve_mod.nuclear_norm
-    monkeypatch.setattr(solve_mod, "apply_ensemble",
-                        lambda *args: applies.append(1) or apply(*args))
-    monkeypatch.setattr(solve_mod, "nuclear_norm",
-                        lambda *args: norms.append(1) or nuclear(*args))
+    counts = []
+    for name in names:
+        calls, func = [], getattr(solve_mod, name)
+        monkeypatch.setattr(solve_mod, name,
+                            lambda *args, calls=calls, func=func:
+                            calls.append(1) or func(*args))
+        counts.append(calls)
+    return counts
+
+
+def test_lasso_measures_each_stage_start_once(monkeypatch):
+    # a stage starts from the point and A(point) the previous stage returned,
+    # and the records keep the nuclear norms their stages' last prox gave: A
+    # runs once per prox step and once in the report, the nuclear-norm SVD
+    # only in the report.  One A* per iteration: the gradient; the operator
+    # norms of tau0, the certificate checks and the report take one A* each
+    applies, norms, adjoints, opnorms = count_calls(
+        monkeypatch, "apply_ensemble", "nuclear_norm", "adjoint_ensemble",
+        "operator_norm")
     ens, y, delta = lasso_instance("gaussian", 12, 100, 3)
     rep = solve_lasso(ens, y, delta)
     assert rep.converged and len(rep.tau_path) > 2
     assert len(applies) == rep.prox_steps + 1
     assert len(norms) == 1
+    assert len(adjoints) - len(opnorms) == rep.iterations
+
+
+@pytest.mark.parametrize("program", ["penalized", "dantzig"])
+def test_one_gradient_per_iteration(monkeypatch, program):
+    # each iteration takes one A*, the gradient at the momentum point, and no
+    # step is retaken with a second one (on this instance a rule retaking the
+    # steps that raise the objective retakes two in each solve).  Each
+    # certificate check and the report take one A* and one operator norm
+    ens, y, _ = lasso_instance("gaussian", 8, 60, 1)
+    adjoints, opnorms = count_calls(monkeypatch, "adjoint_ensemble", "operator_norm")
+    if program == "penalized":
+        rep = solve_penalized(ens, y, 0.05)
+    else:
+        rep = solve_dantzig(ens, y, choose_lambda(8, 1e-2))
+    assert rep.converged and rep.restarts >= 1
+    assert len(adjoints) - len(opnorms) == rep.iterations
 
 
 def test_lasso_completion_stays_within_stability_bound_small():
