@@ -85,6 +85,7 @@ POWER_RTOL = 1e-6   # ... ending when the singular value grows less, relatively
 DENSE_FRACTION = 0.125  # observed fraction from which Omega is laid out dense
 GRAD_TOL = 1e-8     # stop at a gradient norm <= GRAD_TOL ||P_Omega(Y)||_F^2
 TRIM_MULTIPLIER = 2.0   # trimming's degree cap, TRIM_MULTIPLIER m / n
+REFINE_RTOL = 1e-4  # a half-sweep system below this eigenvalue ratio is refined
 
 
 @dataclass(frozen=True)
@@ -283,20 +284,31 @@ def _half_sweep(fixed, om, side):
     in one batched k x k solve.  A row without entries stays zero.  A system
     whose smallest eigenvalue is at most 1e-12 of its largest (fewer than k
     entries, or a degenerate fixed factor) gets the minimum-norm solution
-    instead.  Returns (factor, any system deficient).
+    instead.  Forming W_i squares the condition number of row i's design, so
+    where some system's eigenvalue ratio is below REFINE_RTOL the rows take
+    one step of refinement with the residual on Omega (the corrected
+    seminormal equations), which brings the fit to that of a QR solve.
+    Returns (factor, any system deficient).
     """
     gram, rhs = om.normal_equations(fixed, side)
     eigs = np.linalg.eigvalsh(gram)
     bad = eigs[:, 0] <= 1e-12 * eigs[:, -1]
     deficient = bool(bad.any())
-    if deficient:
-        sol = np.empty(rhs.shape)
-        sol[~bad] = np.linalg.solve(gram[~bad], rhs[~bad])
-        sol[bad] = np.linalg.pinv(gram[bad]) @ rhs[bad]
-    else:
-        sol = np.linalg.solve(gram, rhs)
+
+    def solve(b):
+        if not deficient:
+            return np.linalg.solve(gram, b)[..., 0]
+        x = np.empty(b.shape)
+        x[~bad] = np.linalg.solve(gram[~bad], b[~bad])
+        x[bad] = np.linalg.pinv(gram[bad]) @ b[bad]
+        return x[..., 0]
+
+    ids = om.ids[side]
     out = np.zeros((om.shape[side], fixed.shape[1]))
-    out[om.ids[side]] = sol[..., 0]
+    out[ids] = solve(rhs)
+    if (eigs[:, 0] < REFINE_RTOL * eigs[:, -1]).any():
+        resid = om.residual(fixed, out) if side else om.residual(out, fixed)
+        out[ids] -= solve(om.times(resid, fixed.T, side)[ids, :, None])
     return out, deficient
 
 
