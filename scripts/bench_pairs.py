@@ -18,8 +18,11 @@ traced run's sign of a hook target that is gone), stops the script with an
 error naming the tree, workload and seed.
 
 At the end it prints, per workload and end-to-end metric, each side's median
-and quartiles over the untraced runs and the number of pairs in which the
-change read lower, then the share of failed operations on each side.
+and quartiles over the untraced runs, the median and quartiles of the
+per-pair ratio change/parent (pairs whose parent reads 0 left out), and the
+number of pairs in which the change read lower, then the share of failed
+operations on each side.  The ratios are reported only; the verdict below
+does not read them.
 
 It then prints a verdict by the benchmark's rule, and exits 1 unless every
 line of it passes.  With ``--claim WORKLOAD:METRIC``, the claim holds when
@@ -157,9 +160,16 @@ def summarize(runs, workloads):
                 vals = values(pairs, side, name)
                 q1, q3 = quartiles(vals)
                 cols.append(f"{side} {statistics.median(vals):.4g} [{q1:.4g}, {q3:.4g}]")
+            ratios = [c / p for p, c in zip(values(pairs, "parent", name),
+                                            values(pairs, "change", name)) if p]
+            if ratios:
+                q1, q3 = quartiles(ratios)
+                cols.append(f"ratio {statistics.median(ratios):.4g} [{q1:.4g}, {q3:.4g}]")
+            else:
+                cols.append("ratio -")
             wins = sum(p["change"]["metrics"][name]["value"]
                        < p["parent"]["metrics"][name]["value"] for p in pairs)
-            lines.append(f"  {name:12s} {cols[0]:32s} {cols[1]:32s} "
+            lines.append(f"  {name:12s} {cols[0]:32s} {cols[1]:32s} {cols[2]:30s} "
                          f"change lower in {wins}/{len(pairs)}")
         fails = []
         for side in ("parent", "change"):

@@ -98,6 +98,10 @@ def _load_problem(args):
 
 
 def _cmd_solve(args):
+    if not np.isfinite(args.sigma):
+        raise ValueError(f"--sigma must be finite, got {args.sigma}")
+    if args.sigma < 0:
+        raise ValueError(f"--sigma must be nonnegative, got {args.sigma}")
     matrix, ens, y = _load_problem(args)
     if args.seed is not None and args.sigma > 0:
         y = add_noise(y, NoiseModel(args.sigma, args.seed))

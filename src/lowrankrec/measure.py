@@ -239,6 +239,8 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self):
+        if not np.isfinite(self.sigma):
+            raise ValueError(f"sigma must be finite, got {self.sigma}")
         if self.sigma < 0:
             raise ValueError(f"sigma must be nonnegative, got {self.sigma}")
 

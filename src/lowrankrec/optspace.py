@@ -50,7 +50,10 @@ sweep costs O(m r^2) for the group sums and the certificate O(m r), but
 at gather speed, and no n1 x n2 matrix is formed.  The two cost the same
 between p = 0.1 and 0.15 (measured at rank 3, n = 300 and 400, one BLAS
 thread).  Either layout adds one batched r x r solve per row and per
-column to a sweep.
+column to a sweep, and one batched r x r determinant that screens those
+systems: only a system it cannot show well conditioned has its
+eigenvalues computed (_half_sweep), so a well-conditioned sweep computes
+none, and every system is decided as its eigenvalues would decide it.
 
 F and its gradient both scale as the data squared, so the descent stops at
 a gradient norm <= GRAD_TOL ||P_Omega(Y)||_F^2, a scale-free test.
@@ -288,11 +291,28 @@ def _half_sweep(fixed, om, side):
     where some system's eigenvalue ratio is below REFINE_RTOL the rows take
     one step of refinement with the residual on Omega (the corrected
     seminormal equations), which brings the fit to that of a QR solve.
-    Returns (factor, any system deficient).
+
+    Only the systems a determinant screen leaves undecided take those
+    eigenvalues (np.linalg.eigvalsh).  The screen det(W_i / tr W_i) =
+    det(W_i) / tr(W_i)^k is at most lambda_min / lambda_max for a positive
+    semidefinite W_i, since det <= lambda_min lambda_max^(k-1) and
+    tr >= lambda_max.  A system screened above 2 REFINE_RTOL (the 2 covers
+    rounding) is thus neither deficient nor due for refinement; NaN, zero,
+    negative, overflowed or underflowed screens compare false and stay
+    undecided.  So the flag, the pinv rows and the refinement come out as with
+    every system's eigenvalues, and the batched solve is the same, bit for
+    bit.  Returns (factor, any system deficient).
     """
     gram, rhs = om.normal_equations(fixed, side)
-    eigs = np.linalg.eigvalsh(gram)
-    bad = eigs[:, 0] <= 1e-12 * eigs[:, -1]
+    with np.errstate(all="ignore"):
+        screen = np.linalg.det(gram / np.trace(gram, axis1=1, axis2=2)[:, None, None])
+    undecided = ~(screen > 2 * REFINE_RTOL)
+    bad = np.zeros(gram.shape[0], dtype=bool)
+    refine = False
+    if undecided.any():
+        eigs = np.linalg.eigvalsh(gram[undecided])
+        bad[undecided] = eigs[:, 0] <= 1e-12 * eigs[:, -1]
+        refine = bool((eigs[:, 0] < REFINE_RTOL * eigs[:, -1]).any())
     deficient = bool(bad.any())
 
     def solve(b):
@@ -306,7 +326,7 @@ def _half_sweep(fixed, om, side):
     ids = om.ids[side]
     out = np.zeros((om.shape[side], fixed.shape[1]))
     out[ids] = solve(rhs)
-    if (eigs[:, 0] < REFINE_RTOL * eigs[:, -1]).any():
+    if refine:
         resid = om.residual(fixed, out) if side else om.residual(out, fixed)
         out[ids] -= solve(om.times(resid, fixed.T, side)[ids, :, None])
     return out, deficient

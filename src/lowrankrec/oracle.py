@@ -83,6 +83,12 @@ def _check_finite(**values):
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _check_noise(sigma):
+    _check_finite(sigma=sigma)
+    if sigma < 0:
+        raise ValueError(f"sigma must be nonnegative, got {sigma}")
+
+
 def _check_spectrum(sigmas):
     s = np.asarray(sigmas, dtype=float).ravel()
     if s.size == 0:
@@ -98,7 +104,8 @@ def ideal_risk(sigmas, n, sigma_noise):
     """1/2 sum_i min(sigma_i^2, n sigma_noise^2): the keep-or-kill risk of an
     oracle that retains exactly the components worth estimating."""
     s = _check_spectrum(sigmas)
-    _check_finite(n=n, sigma=sigma_noise)
+    _check_finite(n=n)
+    _check_noise(sigma_noise)
     value = 0.5 * float(np.minimum(s * s, n * sigma_noise ** 2).sum())
     return BoundReport(name="ideal-risk", value=value,
                        inputs={"n": n, "sigma": sigma_noise,
@@ -109,7 +116,8 @@ def oracle_risk_scan(sigmas, n, sigma_noise):
     """Exhaustive scan of rank cutoffs: min over r of
     sum_{i>r} sigma_i^2 + n r sigma_noise^2.  Returns (best_r, value)."""
     s = _check_spectrum(sigmas)
-    _check_finite(n=n, sigma=sigma_noise)
+    _check_finite(n=n)
+    _check_noise(sigma_noise)
     tails = np.concatenate([np.cumsum((s * s)[::-1])[::-1], [0.0]])
     values = [tails[r] + n * r * sigma_noise ** 2 for r in range(s.size + 1)]
     best = int(np.argmin(values))
@@ -119,7 +127,8 @@ def oracle_risk_scan(sigmas, n, sigma_noise):
 def minimax_bound(n, r, sigma, delta_r=0.0):
     """n r sigma^2 / (1 + delta_r): the minimax risk floor over rank-r
     matrices, tightened by the isometry constant of the ensemble."""
-    _check_finite(n=n, r=r, sigma=sigma)
+    _check_finite(n=n, r=r)
+    _check_noise(sigma)
     if not (0 <= delta_r < 1):
         raise ValueError(f"delta_r must be in [0, 1), got {delta_r}")
     if n < 1 or r < 1:
@@ -133,7 +142,8 @@ def instance_optimal_bound(sigmas, n, sigma_noise, r_bar):
     """sum_{i<=r_bar} min(sigma_i^2, n sigma^2) + sum_{i>r_bar} sigma_i^2:
     the per-instance risk reference at truncation level r_bar."""
     s = _check_spectrum(sigmas)
-    _check_finite(n=n, sigma=sigma_noise)
+    _check_finite(n=n)
+    _check_noise(sigma_noise)
     if not (0 <= r_bar <= s.size):
         raise ValueError(f"r_bar must be in [0, {s.size}], got {r_bar}")
     head = np.minimum(s[:r_bar] ** 2, n * sigma_noise ** 2).sum()
@@ -173,9 +183,8 @@ def optspace_noisy_bound(n, m, r, kappa, noise_opnorm):
 def gaussian_noise_opnorm(n, m, sigma):
     """Typical ||P_Omega(Z)||_op for iid Gaussian noise on m of n^2 entries:
     sqrt(m log(n) / n) * sigma."""
-    _check_finite(n=n, m=m, sigma=sigma)
+    _check_finite(n=n, m=m)
+    _check_noise(sigma)
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
     return float(math.sqrt(m * math.log(n) / n) * sigma)

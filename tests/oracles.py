@@ -191,3 +191,32 @@ def binomial_tail_bound_max_count(n_draws, p, k_sigma):
     """mean + k_sigma * sqrt(variance) for a Binomial(n_draws, p) count."""
     mean = n_draws * p
     return mean + k_sigma * math.sqrt(mean * (1.0 - p))
+
+
+def half_sweep_all_eigenvalues(fixed, om, side, refine_rtol):
+    """optspace._half_sweep deciding every system by its eigenvalues, with
+    no screen: the sweep the screened one must match bit for bit.  It
+    checks the screen's decisions, not the solves, so it solves with the
+    same numpy calls (pinv included).  Returns (factor, any system
+    deficient, refined)."""
+    gram, rhs = om.normal_equations(fixed, side)
+    eigs = np.linalg.eigvalsh(gram)
+    bad = eigs[:, 0] <= 1e-12 * eigs[:, -1]
+    deficient = bool(bad.any())
+
+    def solve(b):
+        if not deficient:
+            return np.linalg.solve(gram, b)[..., 0]
+        x = np.empty(b.shape)
+        x[~bad] = np.linalg.solve(gram[~bad], b[~bad])
+        x[bad] = np.linalg.pinv(gram[bad]) @ b[bad]
+        return x[..., 0]
+
+    ids = om.ids[side]
+    out = np.zeros((om.shape[side], fixed.shape[1]))
+    out[ids] = solve(rhs)
+    refined = bool((eigs[:, 0] < refine_rtol * eigs[:, -1]).any())
+    if refined:
+        resid = om.residual(fixed, out) if side else om.residual(out, fixed)
+        out[ids] -= solve(om.times(resid, fixed.T, side)[ids, :, None])
+    return out, deficient, refined

@@ -46,6 +46,18 @@ def test_parse_claim():
         bench_pairs.parse_claim("wall_s")
 
 
+def test_summary_prints_paired_ratios():
+    # per-pair change/parent ratios 0.8-1.2 on parent values that differ from
+    # pair to pair; peak_rss_mb reads 0 at the parent, so it has no ratio
+    parent = [5.0, 4.0, 3.0, 2.0, 1.0]
+    change = [4.0, 3.6, 3.0, 2.2, 1.2]
+    text = bench_pairs.summarize(ledger(parent, change, rss=(0.0, 50.0)), ["w"])
+    lines = {line.split()[0]: line for line in text.splitlines()}
+    assert "ratio 1 [0.9, 1.1]" in lines["wall_s"]
+    assert "change lower in 2/5" in lines["wall_s"]
+    assert "ratio -" in lines["peak_rss_mb"]
+
+
 def test_claim_holds_on_nine_of_ten_with_wide_gap():
     parent = [5.0, 5.1, 4.9, 5.2, 5.0, 4.8, 5.1, 5.0, 4.9, 5.3]
     change = [3.8, 3.9, 3.7, 4.0, 3.6, 3.9, 3.8, 3.7, 4.9, 3.9]   # pair 9 ties

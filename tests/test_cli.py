@@ -138,6 +138,19 @@ def test_solve_non_finite_penalty_returns_2(capsys, truth_files, args):
     assert err.startswith("error:") and "finite, got nan" in err
 
 
+@pytest.mark.parametrize("sigma, seed", [
+    ("nan", None), ("inf", None), ("-1", None), ("inf", "3"), ("-0.001", "3"),
+])
+def test_solve_checks_sigma_with_or_without_seed(capsys, truth_files, sigma, seed):
+    # --sigma sets the default lambda and delta, and with --seed the noise,
+    # so it is checked once, before the problem is read, for every program
+    _, _, mpath, _ = truth_files
+    args = ["solve", "--program", "noiseless", "--matrix", mpath, "--sigma", sigma]
+    assert main(args + (["--seed", seed] if seed else [])) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: --sigma must be")
+
+
 def test_solve_shape_mismatch_exits(tmp_path, capsys, truth_files):
     _, _, mpath, _ = truth_files
     small = tmp_path / "small.txt"
@@ -254,6 +267,15 @@ def test_bounds_non_finite_input_returns_2(capsys, args):
     assert main(["bounds", *args]) == 2
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error:") and "finite" in out.err
+
+
+def test_bounds_negative_sigma_returns_2(capsys):
+    # sigma enters squared, so -1 would print the value of sigma = 1
+    for args in (["--bound", "minimax", "--n", "10", "--r", "2"],
+                 ["--bound", "ideal", "--n", "10", "--sigmas", "1,2"]):
+        assert main(["bounds", *args, "--sigma", "-1"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: sigma must be nonnegative, got -1.0\n"
 
 
 def test_bounds_empty_sigmas_returns_2(capsys):

@@ -109,6 +109,33 @@ def test_operator_norm_matches_jacobi_oracle():
     assert abs(operator_norm(m) - expected) < 1e-9
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+@pytest.mark.parametrize("shape, rank", [
+    ((40, 40), None), ((300, 300), None), ((60, 7), None), ((7, 60), None),
+    ((30, 20), 1), ((1, 9), None), ((9, 1), None),
+], ids=["square", "square-300", "tall", "wide", "rank-1", "row", "column"])
+def test_operator_norm_is_the_top_singular_value(shape, rank, scale):
+    # the Gram route against numpy's SVD, on either side's Gram and at
+    # scales whose squares would overflow or underflow
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    m = rng.standard_normal(shape)
+    if rank is not None:
+        m = rng.standard_normal((shape[0], rank)) @ rng.standard_normal((rank, shape[1]))
+    m *= scale
+    top = np.linalg.svd(m, compute_uv=False)[0]
+    assert abs(operator_norm(m) - top) <= 1e-13 * top
+
+
+def test_operator_norm_of_zero_and_power_of_two_scalings():
+    for shape in ((1, 1), (4, 7), (7, 4)):
+        assert operator_norm(np.zeros(shape)) == 0.0
+    m = rand_matrix(13, 30, 40)
+    base = operator_norm(m)
+    for e in (-10, 10):
+        assert operator_norm(m * 2.0 ** e) == base * 2.0 ** e
+        assert operator_norm(m.T * 2.0 ** e) == operator_norm(m.T) * 2.0 ** e
+
+
 # ------------------------------------------------------------ soft threshold
 
 def test_soft_threshold_zero_lambda_is_identity():

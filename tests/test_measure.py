@@ -261,6 +261,12 @@ def test_noise_model_rejects_negative_sigma():
         NoiseModel(-0.1, 0)
 
 
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf"), float("-inf")])
+def test_noise_model_rejects_non_finite_sigma(sigma):
+    with pytest.raises(ValueError, match="sigma must be finite"):
+        NoiseModel(sigma, 0)
+
+
 # ------------------------------------------------------------------ file I/O
 
 def test_omega_roundtrip(tmp_path):

@@ -4,6 +4,7 @@ pipeline."""
 import functools
 import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from lowrankrec.measure import (
 )
 from lowrankrec.optspace import (
     GRAD_TOL,
+    REFINE_RTOL,
     OptspaceConfig,
     OptspaceState,
     _Omega,
@@ -32,6 +34,8 @@ from lowrankrec.optspace import (
     trim,
 )
 from lowrankrec.oracle import optspace_noisy_bound
+
+from oracles import half_sweep_all_eigenvalues
 
 optspace_mod = importlib.import_module("lowrankrec.optspace")
 
@@ -424,6 +428,106 @@ def test_half_sweeps_match_dense_reference(n1, n2, k, density, empty_rows, empty
                 np.testing.assert_allclose(got[i], ref[i], rtol=1e-6, atol=1e-8)
 
 
+# (id, the last system's eigenvalue ratio, or None for one entry, fewer than
+# k = 2; deficient; refined; the screen clears every system)
+SCREEN_CASES = [
+    ("well-conditioned", 0.5, False, False, True),
+    ("above-refine", 1.5 * REFINE_RTOL, False, False, False),
+    ("below-refine", 0.5 * REFINE_RTOL, False, True, False),
+    ("above-deficient", 1e-11, False, True, False),
+    ("below-deficient", 1e-13, True, True, False),
+    ("fewer-than-k", None, True, True, False),
+]
+
+
+def screen_instance(ratio):
+    """(groups, F) for k = 2: system i of a half-sweep sums f_j f_j^T over
+    the fixed rows j in groups[i], F holding the f_j.  Four well-conditioned
+    systems, an empty one, and a last one at about ``ratio``: f_0 = (1, 0)
+    and f_4 = (1, d) give [[2, d], [d, d^2]], of eigenvalue ratio about
+    d^2 / 4; with ratio None the last system holds one entry."""
+    d = 2.0 * math.sqrt(ratio or 1.0)
+    fixed = np.array([[1.0, 0.0], [1.0, 1.0], [1.0, -1.0], [0.0, 1.0], [1.0, d]])
+    last = [1] if ratio is None else [0, 4]
+    return [[0, 1, 2], [1, 2, 3], [0, 3], [0, 1, 3], [], last], fixed
+
+
+def k1_screen_instance(zero_gram):
+    """(groups, F) for k = 1; with ``zero_gram`` the last system sums only
+    the zero row of F, a 1 x 1 zero Gram, deficient but not refined (its
+    eigenvalue ratio is 0 / 0)."""
+    fixed = np.array([[1.0], [2.0], [-1.0], [0.0]])
+    return [[0, 1], [1, 2], [0, 2, 3], [], [3] if zero_gram else [0, 1]], fixed
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["grouped", "dense"])
+@pytest.mark.parametrize("instance, deficient, refined, cleared", [
+    *[pytest.param(screen_instance(ratio), *flags, id=name)
+      for name, ratio, *flags in SCREEN_CASES],
+    pytest.param(k1_screen_instance(False), False, False, True,
+                 id="k1-well-conditioned"),
+    pytest.param(k1_screen_instance(True), True, False, False, id="k1-zero-gram"),
+])
+def test_screened_half_sweep_decides_as_every_systems_eigenvalues(
+        monkeypatch, instance, deficient, refined, cleared, dense):
+    # systems on both sides of 1e-12 and REFINE_RTOL, some inside the
+    # screen's band (2 REFINE_RTOL), on both layouts and both sides: the
+    # screened half-sweep raises the same flag, refines alike and returns
+    # the same bits as the sweep that takes every system's eigenvalues; a
+    # sweep of well-conditioned systems takes none
+    groups, fixed = instance
+    design = np.zeros((len(groups), fixed.shape[0]), dtype=bool)
+    for i, group in enumerate(groups):
+        design[i, group] = True
+    rng = np.random.default_rng(17)
+    eigvalsh = np.linalg.eigvalsh
+    for side, mask in ((0, design), (1, design.T)):
+        omega = ObservationSet(*mask.shape, np.argwhere(mask))
+        om = _Omega(omega, rng.normal(size=omega.m), dense=dense)
+        ref, ref_deficient, ref_refined = half_sweep_all_eigenvalues(
+            fixed, om, side, REFINE_RTOL)
+        assert (ref_deficient, ref_refined) == (deficient, refined)
+        residuals, eig_calls = [], []
+        residual = om.residual   # called by the refinement step alone
+        om.residual = lambda *a: residuals.append(1) or residual(*a)
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigvalsh", lambda a: eig_calls.append(1) or eigvalsh(a))
+            got, got_deficient = _half_sweep(fixed, om, side)
+        assert np.array_equal(got, ref)
+        assert got_deficient == deficient
+        assert bool(residuals) == refined
+        assert bool(eig_calls) != cleared
+
+
+def noisy_completion_120(kappa):
+    """The 120 x 120 rank-3 instance at p = 0.3 and noise 1e-3, spectrum
+    (kappa, sqrt kappa, 1): (observed data, Omega)."""
+    n = 120
+    spec = LowRankSpec(n, n, 3, (kappa, kappa ** 0.5, 1.0), "random-orthogonal", 61)
+    truth, _ = gen_low_rank(spec)
+    omega = sample_omega(n, n, int(0.3 * n * n), seed=62)
+    yobs = project_omega(omega, truth)
+    yobs[omega.pairs[:, 0], omega.pairs[:, 1]] += add_noise(np.zeros(omega.m),
+                                                            NoiseModel(1e-3, seed=63))
+    return yobs, omega
+
+
+def test_well_conditioned_half_sweeps_take_no_eigenvalues(monkeypatch):
+    # every system of every half-sweep clears the determinant screen here,
+    # so the pipeline's one eigenvalue problem is the report's operator norm
+    yobs, omega = noisy_completion_120(1.0)
+    eigvalsh, callers = np.linalg.eigvalsh, []
+
+    def counted(a):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    rep = optspace(yobs, omega, r=3)
+    assert rep.converged and rep.iterations >= 1
+    assert callers == ["operator_norm"]
+
+
 def test_rank_seed_is_the_same_on_both_layouts():
     # _top_pair's power iteration through either layout's E x and E^T x:
     # the same pair to rounding, near the top pair of (1/p) E
@@ -459,19 +563,13 @@ def test_layout_follows_the_observed_fraction():
 def test_layouts_take_the_same_sweeps_to_the_same_estimate(monkeypatch, kappa):
     # 120 x 120 at p = 0.3, rank 3, noise 1e-3: the whole pipeline on the
     # dense and on the grouped layout sweeps alike and agrees to rounding
-    n, r = 120, 3
-    spec = LowRankSpec(n, n, r, (kappa, kappa ** 0.5, 1.0), "random-orthogonal", 61)
-    truth, _ = gen_low_rank(spec)
-    omega = sample_omega(n, n, int(0.3 * n * n), seed=62)
-    yobs = project_omega(omega, truth)
-    yobs[omega.pairs[:, 0], omega.pairs[:, 1]] += add_noise(np.zeros(omega.m),
-                                                            NoiseModel(1e-3, seed=63))
+    yobs, omega = noisy_completion_120(kappa)
     layout = optspace_mod._Omega
     reps = []
     for dense in (False, True):
         monkeypatch.setattr(optspace_mod, "_Omega",
                             functools.partial(layout, dense=dense))
-        reps.append(optspace(yobs, omega, r=r))
+        reps.append(optspace(yobs, omega, r=3))
     grouped, dense = reps
     assert grouped.converged and dense.converged
     assert grouped.iterations == dense.iterations >= 1

@@ -330,6 +330,24 @@ def test_bounds_reject_non_finite_inputs(bound, bad):
             call(bad)
 
 
+# every function of the noise level, each at sigma = -1
+NOISE_LEVEL_CALLS = {
+    "ideal": lambda sigma: ideal_risk((1.0, 0.5), 10, sigma),
+    "scan": lambda sigma: oracle_risk_scan((1.0, 0.5), 10, sigma),
+    "minimax": lambda sigma: minimax_bound(10, 2, sigma),
+    "instance": lambda sigma: instance_optimal_bound((1.0, 0.5), 10, sigma, 1),
+    "noise-opnorm": lambda sigma: gaussian_noise_opnorm(10, 50, sigma),
+}
+
+
+@pytest.mark.parametrize("call", NOISE_LEVEL_CALLS.values(), ids=NOISE_LEVEL_CALLS.keys())
+def test_bounds_reject_a_negative_noise_level(call):
+    # each squares sigma, so a negative one would read as its absolute value
+    with pytest.raises(ValueError, match="sigma must be nonnegative"):
+        call(-1.0)
+    call(0.0)
+
+
 # ------------------------------------------------------ report invariants
 
 @given(st.integers(0, 10_000))
