@@ -36,7 +36,7 @@ from .measure import (MAX_DIM_PRODUCT, MAX_MEASUREMENTS, NoiseModel, add_noise,
                       adjoint_ensemble, apply_ensemble, entry_sampling_ensemble,
                       gaussian_ensemble, rademacher_ensemble, sample_omega)
 from .oracle import (completion_stability_bound, ideal_risk,
-                     instance_optimal_bound)
+                     instance_optimal_bound, minimax_bound)
 from .optspace import optspace
 from .rand import spawn_seeds
 from .solve import (SolverConfig, choose_delta, choose_lambda, solve_dantzig,
@@ -128,6 +128,16 @@ class ExperimentConfig:
             if not math.isfinite(value):
                 raise ValueError(f"floor {key} must be finite, got {value}")
         exp = self.experiment
+        if "bound_rate" in self.floors and exp != "completion-stability":
+            raise ValueError(f"floor bound_rate: {exp} records no bounds "
+                             "(only completion-stability does)")
+        if "ratio_spread" in self.floors and exp in ("phase-transition",
+                                                     "optspace-compare"):
+            raise ValueError(f"floor ratio_spread: {exp} records no formula value")
+        # the formula value is 0 at sigma = 0, so that cell fits no constant
+        if "ratio_spread" in self.floors and sum(c.sigma > 0 for c in self.cells) < 2:
+            raise ValueError(f"floor ratio_spread: this {exp} grid has fewer than "
+                             "2 cells with sigma > 0 to fit a constant in")
         for cell in self.cells:
             if exp in ("completion-stability", "optspace-compare") and cell.p is None:
                 raise ValueError(f"{exp} samples entries: give p, not m, in [grid]")
@@ -247,7 +257,7 @@ def _run_trial(cfg, cell_idx, trial_idx):
         rep = solve_dantzig(ens, y, choose_lambda(cell.n, cell.sigma), cfg.solver)
         spectrum = np.asarray(_spectrum_of(cell, cfg))
         if exp == "dantzig-scaling":
-            record["formula_value"] = cell.n * cell.r * cell.sigma ** 2
+            record["formula_value"] = minimax_bound(cell.n, cell.r, cell.sigma).value
         elif exp == "bias-variance":
             record["formula_value"] = ideal_risk(spectrum, cell.n, cell.sigma).value
         else:
@@ -601,7 +611,7 @@ def result_json(result):
         "cells": [asdict(c) for c in result.cells],
         "trials": [list(cell_recs) for cell_recs in result.detail],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _plot_svg(result):
@@ -623,7 +633,7 @@ def _plot_svg(result):
     kx, ky = varying[0], varying[1]
     xs = sorted({getattr(c, kx) for c in cells})
     ys = sorted({getattr(c, ky) for c in cells})
-    grid = [[0.0] * len(xs) for _ in ys]
+    grid = [[None] * len(xs) for _ in ys]   # None: no cell ran there
     for c in cells:
         grid[ys.index(getattr(c, ky))][xs.index(getattr(c, kx))] = c.success_rate
     return heat_map(xs, ys, grid, title=title, xlabel=kx, ylabel=ky)

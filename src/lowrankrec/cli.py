@@ -10,6 +10,7 @@ Subcommands:
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -18,7 +19,7 @@ import numpy as np
 from ._version import VERSION
 from . import bench as bench_mod
 from .diagnostics import coherence, theory_advisor
-from .matcore import read_lrm, svd
+from .matcore import read_lrm
 from .measure import (NoiseModel, add_noise, adjoint_ensemble, apply_ensemble,
                       entry_sampling_ensemble, read_omega, vectorization_ensemble)
 from .oracle import (completion_stability_bound, gaussian_noise_opnorm,
@@ -31,10 +32,17 @@ from .solve import (SolverConfig, choose_delta, choose_lambda, solve_dantzig,
 __all__ = ["main"]
 
 
+def _nulled(values):
+    """``values`` with each non-finite float as None, which JSON writes as
+    null (RFC 8259 has no NaN or Infinity)."""
+    return {k: None if isinstance(v, float) and not math.isfinite(v) else v
+            for k, v in values.items()}
+
+
 def _write_report(rep, out):
     if out:
         with open(out, "w") as fh:
-            json.dump(rep.to_json_dict(), fh, indent=2, sort_keys=True)
+            json.dump(rep.to_json_dict(), fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
 
@@ -52,21 +60,20 @@ def _config(cls, args):
 
 def _cmd_diagnose(args):
     matrix = read_lrm(args.matrix)
-    factors = svd(matrix)
-    rep = coherence(factors, r=args.rank)
+    rep = coherence(matrix, r=args.rank)
     measures = asdict(rep)
     del measures["r"]   # written as the top-level rank
     payload = {"n1": matrix.shape[0], "n2": matrix.shape[1], "rank": rep.r,
-               "coherence": measures}
+               "coherence": _nulled(measures)}
     rows = None
     if args.m is not None:
         n = max(matrix.shape)
         rows = theory_advisor(rep, n, rep.r, args.m)
         payload["m"] = args.m
-        payload["advisor"] = [asdict(w) for w in rows]
+        payload["advisor"] = [_nulled(asdict(w)) for w in rows]
 
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
         return 0
     print(f"matrix {matrix.shape[0]} x {matrix.shape[1]}, rank {rep.r}")
     for key, value in measures.items():
@@ -131,10 +138,11 @@ def _cmd_optspace(args):
 
 
 def _parse_sigmas(text):
-    vals = [float(t) for t in text.split(",") if t.strip()]
-    if not vals:
-        raise ValueError("--sigmas needs at least one value")
-    return np.array(vals)
+    items = text.split(",")
+    if not all(t.strip() for t in items):
+        raise ValueError(f"--sigmas needs at least one value in every "
+                         f"comma-separated item, got {text!r}")
+    return np.array([float(t) for t in items])
 
 
 def _cmd_bounds(args):
@@ -153,7 +161,7 @@ def _cmd_bounds(args):
         if noise_op is None:
             noise_op = gaussian_noise_opnorm(args.n, args.m, args.sigma)
         rep = optspace_noisy_bound(args.n, args.m, args.r, args.kappa, noise_op)
-    print(json.dumps(asdict(rep), indent=2, sort_keys=True))
+    print(json.dumps(asdict(rep), indent=2, sort_keys=True, allow_nan=False))
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Recovery diagnostics: coherence statistics of a factorization, an
+"""Recovery diagnostics: coherence statistics of a matrix, an
 empirical lower-bound probe for the restricted isometry constant, a
 measurement concentration check, and a table comparing the available sample
 budget against the sufficient conditions known for each recovery regime.
@@ -9,9 +9,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import RANK_RTOL, check_matrix
+from .matcore import check_matrix, numerical_rank
 from .measure import (apply_ensemble, apply_stack, gaussian_ensemble,
                       rademacher_ensemble, vectorization_ensemble)
+from .oracle import _power
 from .rand import spawn_rng, spawn_seeds
 
 __all__ = [
@@ -27,9 +28,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoherenceReport:
-    """Coherence statistics of a rank-r factorization, all scaled so that the
-    most spread-out ("flat") singular vectors give O(1) values and spiky ones
-    give values growing with n."""
+    """Coherence statistics of a matrix's leading r singular triplets, all
+    scaled so that the most spread-out ("flat") singular vectors give O(1)
+    values and spiky ones give values growing with n."""
 
     mu_b: float       # n * (max entry magnitude over u_k, v_k)^2
     mu0: float        # (n/r) * max_i max(||P_U e_i||^2, ||P_V e_i||^2)
@@ -40,22 +41,25 @@ class CoherenceReport:
     r: int            # rank used
 
 
-def coherence(factors, r=None):
-    """Coherence statistics of ``factors``, truncated to rank ``r``.
-
-    When ``r`` is omitted the numerical rank (singular values above
-    1e-9 * sigma_1) is used.  For rectangular inputs n = max(n1, n2).
+def coherence(matrix, r=None):
+    """Coherence statistics of the leading ``r`` singular triplets of
+    ``matrix``, r in [1, min(n1, n2)] and by default its numerical rank
+    (matcore.numerical_rank).  Each statistic is unchanged when a pair
+    (u_i, v_i) flips sign, so numpy's SVD serves as it comes.  For
+    rectangular inputs n = max(n1, n2).
     """
+    matrix = check_matrix(matrix)
+    u, s, vt = np.linalg.svd(matrix, full_matrices=False)
     if r is None:
-        r = factors.rank()
+        r = numerical_rank(s)
     if r < 1:
-        raise ValueError("coherence requires a factorization of rank >= 1")
-    if r > factors.sigma.shape[0]:
-        raise ValueError(f"rank {r} exceeds stored factors ({factors.sigma.shape[0]})")
-    u = factors.u[:, :r]
-    v = factors.v[:, :r]
-    s = factors.sigma[:r]
-    n1, n2 = factors.shape
+        raise ValueError("coherence requires a matrix of rank >= 1")
+    if r > s.shape[0]:
+        raise ValueError(f"rank {r} exceeds min(n1, n2) = {s.shape[0]}")
+    u = u[:, :r]
+    v = vt[:r].T
+    s = s[:r]
+    n1, n2 = matrix.shape
     n = max(n1, n2)
     sr = math.sqrt(r)
 
@@ -230,9 +234,9 @@ def theory_advisor(report, n, r, m):
          float(n * n), "r <= c n", None),
         ("optspace-noisy",
          "n kappa^2 max(mu0 r log n, mu0^2 r^2 kappa^2, mu2^2 r^2 kappa^4)",
-         n * kappa ** 2 * max(mu0 * r * ln,
-                              mu0 ** 2 * r ** 2 * kappa ** 2,
-                              mu2 ** 2 * r ** 2 * kappa ** 4), "", None),
+         n * _power(kappa, 2) * max(mu0 * r * ln,
+                                    mu0 ** 2 * r ** 2 * _power(kappa, 2),
+                                    _power(mu2, 2) * r ** 2 * _power(kappa, 4)), "", None),
     ]
 
     out = []

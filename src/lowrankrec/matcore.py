@@ -1,4 +1,4 @@
-"""Dense matrix core: SVD with a fixed sign convention, the top singular
+"""Dense matrix core: the numerical rank of a spectrum, the top singular
 triplets by certified block subspace iteration, nuclear norm, the
 operator norm from the smaller Gram, the singular-value soft thresholding
 step, low-rank test matrix generation, and the ``lrm`` text format for
@@ -17,10 +17,9 @@ from .rand import spawn_rng
 
 __all__ = [
     "RANK_RTOL",
-    "SvdFactors",
     "LowRankSpec",
     "check_matrix",
-    "svd",
+    "numerical_rank",
     "top_svd",
     "nuclear_norm",
     "operator_norm",
@@ -33,7 +32,7 @@ __all__ = [
 ]
 
 # A singular value counts toward the numerical rank iff it exceeds
-# RANK_RTOL * sigma_1.
+# RANK_RTOL * sigma_1 (numerical_rank).
 RANK_RTOL = 1e-9
 
 # top_svd's constants, measured on the rescaled trimmed data of OptSpace's
@@ -76,66 +75,13 @@ def check_matrix(a):
     return m
 
 
-@dataclass(frozen=True)
-class SvdFactors:
-    """Thin SVD ``u @ diag(sigma) @ v.T`` with orthonormal columns in u, v."""
-
-    u: np.ndarray       # (n1, k)
-    sigma: np.ndarray   # (k,), nonnegative, nonincreasing
-    v: np.ndarray       # (n2, k)
-
-    def __post_init__(self):
-        u, s, v = self.u, self.sigma, self.v
-        if u.ndim != 2 or v.ndim != 2 or s.ndim != 1:
-            raise ValueError("SvdFactors: u, v must be 2-d and sigma 1-d")
-        k = s.shape[0]
-        if u.shape[1] != k or v.shape[1] != k:
-            raise ValueError(
-                f"SvdFactors: inconsistent shapes u{u.shape} sigma{s.shape} v{v.shape}")
-        if k and (np.any(s < 0) or np.any(np.diff(s) > 0)):
-            raise ValueError("SvdFactors: sigma must be nonnegative and nonincreasing")
-        for name, w in (("u", u), ("v", v)):
-            gram_err = np.abs(w.T @ w - np.eye(k)).max() if k else 0.0
-            if gram_err > 1e-10:
-                raise ValueError(
-                    f"SvdFactors: {name} columns not orthonormal "
-                    f"(max Gram deviation {gram_err:.3g})")
-
-    @property
-    def shape(self):
-        return (self.u.shape[0], self.v.shape[0])
-
-    def rank(self, rtol=RANK_RTOL):
-        """Numerical rank: number of singular values above rtol * sigma_1."""
-        if self.sigma.size == 0 or self.sigma[0] <= 0:
-            return 0
-        return int(np.count_nonzero(self.sigma > rtol * self.sigma[0]))
-
-    def reconstruct(self):
-        return (self.u * self.sigma) @ self.v.T
-
-
-def svd(m):
-    """Thin SVD of ``m`` with a deterministic sign convention.
-
-    The first nonzero entry of each left singular vector is made nonnegative,
-    with the sign change propagated to the matching right singular vector, so
-    the factorization of a given matrix is reproducible.
-    """
-    m = check_matrix(m)
-    try:
-        u, s, vt = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as e:
-        raise np.linalg.LinAlgError(
-            f"SVD failed to converge for {m.shape[0]}x{m.shape[1]} matrix") from e
-    v = vt.T
-    for i in range(s.shape[0]):
-        col = u[:, i]
-        nz = np.nonzero(col)[0]
-        if nz.size and col[nz[0]] < 0:
-            u[:, i] = -col
-            v[:, i] = -v[:, i]
-    return SvdFactors(u=u, sigma=s, v=v)
+def numerical_rank(sigma):
+    """Number of singular values in ``sigma`` (nonincreasing, as numpy's
+    SVD returns them) above RANK_RTOL * sigma_1; 0 for an empty or zero
+    spectrum."""
+    if sigma.size == 0 or sigma[0] <= 0:
+        return 0
+    return int(np.count_nonzero(sigma > RANK_RTOL * sigma[0]))
 
 
 def top_svd(a, k):
@@ -183,17 +129,9 @@ def top_svd(a, k):
     return u[:, :k], s[:k], vt[:k]
 
 
-def _svdvals(m):
-    try:
-        return np.linalg.svd(m, compute_uv=False)
-    except np.linalg.LinAlgError as e:
-        raise np.linalg.LinAlgError(
-            f"SVD failed to converge for {m.shape[0]}x{m.shape[1]} matrix") from e
-
-
 def nuclear_norm(m):
     """Sum of singular values."""
-    return float(_svdvals(check_matrix(m)).sum())
+    return float(np.linalg.svd(check_matrix(m), compute_uv=False).sum())
 
 
 def operator_norm(m):
@@ -280,7 +218,9 @@ def _haar_block(rng, n, r):
 
 
 def gen_low_rank(spec):
-    """Generate (matrix, factors) for a LowRankSpec; deterministic per seed."""
+    """Generate (matrix, (u, sigma, v)) for a LowRankSpec, matrix =
+    u @ diag(sigma) @ v.T with orthonormal columns in u (n1 x r) and v
+    (n2 x r); deterministic per seed."""
     s = np.asarray(spec.spectrum, dtype=float)
     if spec.model == "spiky":
         u = np.zeros((spec.n1, spec.r))
@@ -293,7 +233,7 @@ def gen_low_rank(spec):
         u = _haar_block(rng, spec.n1, spec.r)
         v = _haar_block(rng, spec.n2, spec.r)
     m = (u * s) @ v.T
-    return m, SvdFactors(u=u, sigma=s, v=v)
+    return m, (u, s, v)
 
 
 # --- lrm text format -------------------------------------------------------

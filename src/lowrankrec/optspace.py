@@ -67,7 +67,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .matcore import check_matrix, nuclear_norm, top_svd, RANK_RTOL
+from .matcore import (RANK_RTOL, check_matrix, nuclear_norm, numerical_rank,
+                      top_svd)
 from .measure import ObservationSet, entry_sampling_ensemble, project_omega
 from .solve import _report
 
@@ -153,7 +154,7 @@ def spectral_init(trimmed, omega, r):
     and the full SVD's leading part when that is cheaper (a matrix whose
     smaller side is under 20 times the block) or when the iteration cap
     passes without the certificate.  The requested rank must be achievable:
-    sigma_r > RANK_RTOL sigma_1 among the computed values.  The state's
+    matcore.numerical_rank of the computed values is r.  The state's
     objective is the fit at S = diag(sigma), on the trimmed entries.
     """
     trimmed = check_matrix(trimmed)
@@ -162,7 +163,7 @@ def spectral_init(trimmed, omega, r):
     if not (1 <= r <= min(omega.n1, omega.n2)):
         raise ValueError(f"rank must be in [1, {min(omega.n1, omega.n2)}], got {r}")
     u, sv, vt = top_svd(trimmed / omega.p, r)
-    achievable = int(np.count_nonzero(sv > RANK_RTOL * sv[0])) if sv[0] > 0 else 0
+    achievable = numerical_rank(sv)
     if achievable < r:
         raise ValueError(
             f"requested rank {r} exceeds achievable rank {achievable} of the data")
@@ -379,8 +380,8 @@ def _top_pair(resid, om):
 def optspace_descent(state, y_obs, omega, config=None):
     """Rank-incremental alternating least squares on X = L R^T from ``state``.
 
-    ``state.s`` must be nonsingular, sigma_min(S) > RANK_RTOL sigma_max(S),
-    else ValueError: at a singular S the certificate can hold where nothing
+    ``state.s`` must be nonsingular, of full matcore.numerical_rank, else
+    ValueError: at a singular S the certificate can hold where nothing
     fits (at S = 0 it always does).  A state meeting it (module docstring)
     comes back at once, with its fit and gradient norm on this data.
     Otherwise the fit starts from the state's rank-1 point, the top singular
@@ -418,7 +419,7 @@ def optspace_descent(state, y_obs, omega, config=None):
     if omega.m == 0:
         raise ValueError("cannot descend on an empty observation set")
     p, sv, qt = np.linalg.svd(state.s)
-    if not sv[-1] > RANK_RTOL * sv[0]:
+    if numerical_rank(sv) < sv.size:
         raise ValueError(f"the state's S is singular (singular values {sv})")
     y = y_obs[omega.pairs[:, 0], omega.pairs[:, 1]]
     om = _Omega(omega, y)
@@ -480,15 +481,15 @@ def _incremental_als(l, r, rank, om, max_sweeps, grad_tol):
 
 def estimate_rank(trimmed, p):
     """Rank guess: position of the largest consecutive singular-value gap
-    ratio of (1/p) * trimmed, among values above the rank tolerance."""
+    ratio of (1/p) * trimmed, among the values matcore.numerical_rank
+    counts."""
     trimmed = check_matrix(trimmed)
     if not (0 < p <= 1):
         raise ValueError(f"p must be in (0, 1], got {p}")
     s = np.linalg.svd(trimmed / p, compute_uv=False)
     if s[0] <= 0:
         raise ValueError("cannot estimate rank of a zero matrix")
-    k = int(np.count_nonzero(s > RANK_RTOL * s[0]))
-    hi = min(k, s.shape[0] - 1)
+    hi = min(numerical_rank(s), s.shape[0] - 1)
     if hi < 1:
         return 1
     floor = RANK_RTOL * s[0]

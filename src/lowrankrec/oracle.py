@@ -89,6 +89,28 @@ def _check_noise(sigma):
         raise ValueError(f"sigma must be nonnegative, got {sigma}")
 
 
+def _power(x, k):
+    """x ** k, or inf where a float's ** would raise OverflowError."""
+    try:
+        return x ** k
+    except OverflowError:
+        return math.inf
+
+
+def _finite_value(name, value, inputs):
+    """``value`` as a float, or a ValueError naming ``inputs`` when it is
+    not finite (a bound past the largest float says nothing)."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is not finite at "
+                         + ", ".join(f"{k}={v}" for k, v in inputs.items()))
+    return float(value)
+
+
+def _bound(name, value, inputs):
+    return BoundReport(name=name, value=_finite_value(name, value, inputs),
+                       inputs=inputs)
+
+
 def _check_spectrum(sigmas):
     s = np.asarray(sigmas, dtype=float).ravel()
     if s.size == 0:
@@ -106,10 +128,10 @@ def ideal_risk(sigmas, n, sigma_noise):
     s = _check_spectrum(sigmas)
     _check_finite(n=n)
     _check_noise(sigma_noise)
-    value = 0.5 * float(np.minimum(s * s, n * sigma_noise ** 2).sum())
-    return BoundReport(name="ideal-risk", value=value,
-                       inputs={"n": n, "sigma": sigma_noise,
-                               "spectrum_len": int(s.size)})
+    with np.errstate(over="ignore"):   # an overflow is reported as not finite
+        value = 0.5 * float(np.minimum(s * s, n * _power(sigma_noise, 2)).sum())
+    return _bound("ideal-risk", value,
+                  {"n": n, "sigma": sigma_noise, "spectrum_len": int(s.size)})
 
 
 def oracle_risk_scan(sigmas, n, sigma_noise):
@@ -118,10 +140,14 @@ def oracle_risk_scan(sigmas, n, sigma_noise):
     s = _check_spectrum(sigmas)
     _check_finite(n=n)
     _check_noise(sigma_noise)
-    tails = np.concatenate([np.cumsum((s * s)[::-1])[::-1], [0.0]])
-    values = [tails[r] + n * r * sigma_noise ** 2 for r in range(s.size + 1)]
+    noise = _power(sigma_noise, 2)
+    with np.errstate(over="ignore"):
+        tails = np.concatenate([np.cumsum((s * s)[::-1])[::-1], [0.0]])
+        # r = 0 adds no noise term, which 0 * inf would make NaN
+        values = [tails[0]] + [tails[r] + n * r * noise for r in range(1, s.size + 1)]
     best = int(np.argmin(values))
-    return best, float(values[best])
+    return best, _finite_value("oracle risk", values[best],
+                               {"n": n, "sigma": sigma_noise})
 
 
 def minimax_bound(n, r, sigma, delta_r=0.0):
@@ -133,9 +159,8 @@ def minimax_bound(n, r, sigma, delta_r=0.0):
         raise ValueError(f"delta_r must be in [0, 1), got {delta_r}")
     if n < 1 or r < 1:
         raise ValueError("n and r must be positive")
-    value = n * r * sigma ** 2 / (1.0 + delta_r)
-    return BoundReport(name="minimax", value=float(value),
-                       inputs={"n": n, "r": r, "sigma": sigma, "delta_r": delta_r})
+    return _bound("minimax", n * r * _power(sigma, 2) / (1.0 + delta_r),
+                  {"n": n, "r": r, "sigma": sigma, "delta_r": delta_r})
 
 
 def instance_optimal_bound(sigmas, n, sigma_noise, r_bar):
@@ -146,10 +171,11 @@ def instance_optimal_bound(sigmas, n, sigma_noise, r_bar):
     _check_noise(sigma_noise)
     if not (0 <= r_bar <= s.size):
         raise ValueError(f"r_bar must be in [0, {s.size}], got {r_bar}")
-    head = np.minimum(s[:r_bar] ** 2, n * sigma_noise ** 2).sum()
-    tail = (s[r_bar:] ** 2).sum()
-    return BoundReport(name="instance-optimal", value=float(head + tail),
-                       inputs={"n": n, "sigma": sigma_noise, "r_bar": int(r_bar)})
+    with np.errstate(over="ignore"):
+        value = (np.minimum(s[:r_bar] ** 2, n * _power(sigma_noise, 2)).sum()
+                 + (s[r_bar:] ** 2).sum())
+    return _bound("instance-optimal", value,
+                  {"n": n, "sigma": sigma_noise, "r_bar": int(r_bar)})
 
 
 def completion_stability_bound(n, p, delta):
@@ -160,9 +186,9 @@ def completion_stability_bound(n, p, delta):
         raise ValueError(f"p must be in (0, 1], got {p}")
     if n < 1 or delta < 0:
         raise ValueError("need n >= 1 and delta >= 0")
-    value = 4.0 * math.sqrt((2.0 + p) * n / p) * delta + 2.0 * delta
-    return BoundReport(name="completion-stability", value=float(value),
-                       inputs={"n": n, "p": p, "delta": delta})
+    return _bound("completion-stability",
+                  4.0 * math.sqrt((2.0 + p) * n / p) * delta + 2.0 * delta,
+                  {"n": n, "p": p, "delta": delta})
 
 
 def optspace_noisy_bound(n, m, r, kappa, noise_opnorm):
@@ -174,10 +200,10 @@ def optspace_noisy_bound(n, m, r, kappa, noise_opnorm):
         raise ValueError(f"kappa must be >= 1, got {kappa}")
     if noise_opnorm < 0:
         raise ValueError("noise operator norm must be nonnegative")
-    value = kappa ** 2 * (n * n * math.sqrt(r) / m) * noise_opnorm
-    return BoundReport(name="optspace-noisy", value=float(value),
-                       inputs={"n": n, "m": m, "r": r, "kappa": kappa,
-                               "noise_opnorm": noise_opnorm})
+    return _bound("optspace-noisy",
+                  _power(kappa, 2) * (n * n * math.sqrt(r) / m) * noise_opnorm,
+                  {"n": n, "m": m, "r": r, "kappa": kappa,
+                   "noise_opnorm": noise_opnorm})
 
 
 def gaussian_noise_opnorm(n, m, sigma):
@@ -187,4 +213,6 @@ def gaussian_noise_opnorm(n, m, sigma):
     _check_noise(sigma)
     if n < 2 or m < 1:
         raise ValueError("need n >= 2 and m >= 1")
-    return float(math.sqrt(m * math.log(n) / n) * sigma)
+    return _finite_value("gaussian noise opnorm",
+                         math.sqrt(m * math.log(n) / n) * sigma,
+                         {"n": n, "m": m, "sigma": sigma})

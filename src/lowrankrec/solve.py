@@ -73,6 +73,7 @@ import numpy as np
 
 from .matcore import check_matrix, nuclear_norm, operator_norm, prox_nuclear
 from .measure import adjoint_ensemble, apply_ensemble
+from .oracle import _finite_value, _power
 
 __all__ = [
     "SolverConfig",
@@ -323,7 +324,8 @@ def choose_lambda(n, sigma):
         raise ValueError(f"n must be positive, got {n}")
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
-    return float(LAMBDA_MULT * math.sqrt(2.0 * n) * sigma)
+    return _finite_value("lambda", LAMBDA_MULT * math.sqrt(2.0 * n) * sigma,
+                         {"n": n, "sigma": sigma})
 
 
 def choose_delta(m, sigma):
@@ -335,7 +337,8 @@ def choose_delta(m, sigma):
         raise ValueError(f"m must be positive, got {m}")
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be nonnegative and finite, got {sigma}")
-    return math.sqrt((m + math.sqrt(8.0 * m)) * sigma ** 2)
+    return _finite_value("delta", math.sqrt((m + math.sqrt(8.0 * m)) * _power(sigma, 2)),
+                         {"m": m, "sigma": sigma})
 
 
 def solve_dantzig(ens, y, lam, config=None):

@@ -69,18 +69,21 @@ def line_plot(xs, ys, title="", xlabel="", ylabel=""):
 
 def heat_map(xs, ys, values, title="", xlabel="", ylabel=""):
     """Grid heat map: values[i][j] drawn at row ys[i], column xs[j], with a
-    white-to-blue ramp over [0, max]."""
+    white-to-blue ramp over [0, max]; a None value is left unfilled."""
     if not ys or not xs or len(values) != len(ys) or any(len(row) != len(xs) for row in values):
         raise ValueError("values must be a len(ys) x len(xs) grid")
-    vmax = max(max(row) for row in values) or 1.0
+    vmax = max((v for row in values for v in row if v is not None), default=0.0) or 1.0
     cw = (_W - _ML - _MR) / len(xs)
     ch = (_H - _MT - _MB) / len(ys)
     body = []
     for i, yv in enumerate(ys):
         for j, xv in enumerate(xs):
-            frac = max(0.0, min(1.0, values[i][j] / vmax))
-            shade = int(round(255 * (1 - frac)))
-            color = f"rgb({shade},{shade},255)"
+            if values[i][j] is None:
+                color = "none"
+            else:
+                frac = max(0.0, min(1.0, values[i][j] / vmax))
+                shade = int(round(255 * (1 - frac)))
+                color = f"rgb({shade},{shade},255)"
             body.append(
                 f'<rect x="{_fmt(_ML + j * cw)}" y="{_fmt(_MT + i * ch)}" '
                 f'width="{_fmt(cw)}" height="{_fmt(ch)}" fill="{color}" '

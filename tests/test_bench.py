@@ -4,6 +4,7 @@ bookkeeping, determinism, constant fitting, and file emission."""
 import json
 import re
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +32,9 @@ from lowrankrec.bench import (
 )
 from lowrankrec.optspace import OptspaceConfig
 from lowrankrec.solve import SolverConfig
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def tiny_config(**overrides):
@@ -171,10 +175,10 @@ def test_build_config_rejects_unknown_sections_and_keys(head, tail, named):
 def test_build_config_types_values_at_load():
     cfg = build_experiment_config(parse_config_text(
         "trials = 3.0\n" + BASE_CFG + "[solver]\nmax_iters = 30.0\n"
-        "[floors]\nratio_spread = 10\n"))
+        "[floors]\nsuccess_rate = 1\n"))
     assert cfg.trials == 3 and isinstance(cfg.trials, int)
     assert cfg.solver.max_iters == 30 and isinstance(cfg.solver.max_iters, int)
-    assert cfg.floors == {"ratio_spread": 10}   # an int is kept in a float field
+    assert cfg.floors == {"success_rate": 1}   # an int is kept in a float field
     cfg = build_experiment_config(parse_config_text(
         BASE_CFG + "kappa = 1, 20\nsigma = 0\n"))
     # a grid float field holds floats, an int one ints
@@ -196,6 +200,58 @@ def test_build_config_types_values_at_load():
     with pytest.raises(ValueError, match="unknown .*'sucess_rate'"):
         build_experiment_config(parse_config_text(
             BASE_CFG + "[floors]\nsucess_rate = 0.5\n"))
+
+
+@pytest.mark.parametrize("text, named", [
+    pytest.param(BASE_CFG + "[floors]\nbound_rate = 0.5\n",
+                 "floor bound_rate: phase-transition records no bounds", id="bound-rate"),
+    pytest.param(BASE_CFG + "[floors]\nratio_spread = 3\n",
+                 "floor ratio_spread: phase-transition records no formula value",
+                 id="spread-phase-transition"),
+    pytest.param("experiment = optspace-compare\n[grid]\nn = 10\nr = 1\np = 0.5\n"
+                 "kappa = 1, 2\n[floors]\nratio_spread = 3\n",
+                 "floor ratio_spread: optspace-compare records no formula value",
+                 id="spread-optspace-compare"),
+    pytest.param("experiment = dantzig-scaling\n[grid]\nn = 10\nr = 1\nm = 50\n"
+                 "sigma = 0.01\n[floors]\nratio_spread = 3\n",
+                 "floor ratio_spread: this dantzig-scaling grid has fewer than 2 cells",
+                 id="spread-one-cell"),
+    pytest.param("experiment = completion-stability\n[grid]\nn = 10, 12\nr = 1\n"
+                 "p = 0.6\nsigma = 0\n[floors]\nratio_spread = 3\n",
+                 "floor ratio_spread: this completion-stability grid has fewer than 2",
+                 id="spread-noiseless"),
+])
+def test_build_config_rejects_a_floor_the_family_cannot_evaluate(text, named):
+    # check_floors could only report these after every trial had run
+    with pytest.raises(ValueError, match=named):
+        build_experiment_config(parse_config_text(text))
+
+
+def test_dantzig_formula_value_past_the_largest_float_is_an_error():
+    # n r sigma^2 overflows: a ValueError naming it, not an OverflowError
+    cfg = build_experiment_config(parse_config_text(
+        "experiment = dantzig-scaling\ntrials = 1\n[grid]\nn = 5\nr = 1\nm = 30\n"
+        "sigma = 1e200\n"))
+    with np.errstate(over="ignore"), pytest.raises(
+            ValueError, match="minimax is not finite at n=5, r=1, sigma=1e"):
+        run_experiment(cfg)
+
+
+def test_build_config_keeps_floors_the_family_evaluates():
+    cfg = build_experiment_config(parse_config_text(
+        "experiment = completion-stability\n[grid]\nn = 10\nr = 1\np = 0.5\n"
+        "sigma = 0.01\n[floors]\nbound_rate = 0.9\n"))
+    assert cfg.floors == {"bound_rate": 0.9}
+    cfg = build_experiment_config(parse_config_text(
+        "experiment = dantzig-scaling\n[grid]\nn = 10, 12\nr = 1\nm = 50\n"
+        "sigma = 0.01\n[floors]\nratio_spread = 3\n"))
+    assert cfg.floors == {"ratio_spread": 3}
+
+
+@pytest.mark.parametrize("path", sorted(ROOT.glob("configs/*.cfg"))
+                         + [ROOT / "perfbench" / "harness.cfg"], ids=lambda p: p.name)
+def test_shipped_configs_load(path):
+    build_experiment_config(parse_config_text(path.read_text()))
 
 
 def test_build_config_reads_solver_section():
@@ -580,6 +636,17 @@ def test_plot_heat_map_over_two_varying_keys(tmp_path):
     assert len(grid) == len(ms) * len(sigmas)
     # one cell per grid point: the cells tile distinct positions
     assert len({(r.get("x"), r.get("y")) for r in grid}) == len(grid)
+
+
+def test_plot_heat_map_leaves_positions_no_cell_ran_unfilled(tmp_path):
+    # a zipped grid of three cells spans a 3 x 3 heat map over (m, n)
+    cells = [fake_cell(m=m, n=n, success_rate=0.0)
+             for m, n in ((40, 10), (60, 20), (80, 30))]
+    grid = [r for r in plotted(tmp_path, cells).iter(f"{SVG}rect")
+            if r.get("stroke") == "#999"]
+    assert len(grid) == 9
+    assert [r.get("fill") for r in grid].count("none") == 6
+    assert sum(r.get("fill").startswith("rgb(") for r in grid) == 3
 
 
 # ------------------------------------------------- config grammar, fuzzed

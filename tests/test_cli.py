@@ -65,6 +65,29 @@ def test_diagnose_json_with_advisor(tmp_path, capsys):
                             "condition_met"}
 
 
+def reject_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+def test_diagnose_writes_a_non_finite_measure_as_null(tmp_path, capsys):
+    m = np.zeros((5, 5))
+    m[0, 0] = 1.0
+    path = tmp_path / "one.lrm"
+    write_lrm(path, m)
+    args = ["diagnose", "--matrix", str(path), "--rank", "2"]
+    assert main(args + ["--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    assert payload["coherence"]["kappa"] is None and payload["coherence"]["mu2"] is None
+    assert payload["coherence"]["mu_b"] == 5.0
+    assert main(args + ["--m", "50", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out, parse_constant=reject_constant)
+    row = {w["row_id"]: w for w in payload["advisor"]}["optspace-noisy"]
+    assert row["raw_requirement"] is None and row["requirement"] == 25.0
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert "kappa     = inf" in out and "mu2       = inf" in out
+
+
 # ------------------------------------------------------------------- solve
 
 def test_solve_noiseless_full_observation(tmp_path, capsys, truth_files):
@@ -278,9 +301,28 @@ def test_bounds_negative_sigma_returns_2(capsys):
         assert out.out == "" and out.err == "error: sigma must be nonnegative, got -1.0\n"
 
 
+@pytest.mark.parametrize("args", [
+    ["solve", "--program", "lasso", "--sigma", "1e200"],
+    ["bounds", "--bound", "minimax", "--n", "10", "--r", "2", "--sigma", "1e200"],
+    ["bounds", "--bound", "ideal", "--n", "10", "--sigmas", "1e200,1", "--sigma", "1e200"],
+    ["bounds", "--bound", "optspace", "--n", "10", "--m", "5", "--r", "1",
+     "--kappa", "1e200", "--noise-opnorm", "1"],
+    ["bounds", "--bound", "stable", "--n", "10", "--p", "0.5", "--delta", "1e307"],
+], ids=["lasso-delta", "minimax", "ideal", "optspace", "stable"])
+def test_a_value_past_the_largest_float_returns_2(capsys, truth_files, args):
+    # an overflow neither ends in a traceback nor prints Infinity, which is not JSON
+    if args[0] == "solve":
+        args = args + ["--matrix", truth_files[2]]
+    assert main(args) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+    assert "Traceback" not in out.err
+
+
 def test_bounds_empty_sigmas_returns_2(capsys):
-    assert main(["bounds", "--bound", "ideal", "--n", "10", "--sigmas", ","]) == 2
-    assert "error: --sigmas needs at least one value" in capsys.readouterr().err
+    for sigmas in (",", "1,,2"):   # an empty item is not skipped
+        assert main(["bounds", "--bound", "ideal", "--n", "10", "--sigmas", sigmas]) == 2
+        assert "error: --sigmas needs at least one value" in capsys.readouterr().err
 
 
 # ------------------------------------------------------------------- bench

@@ -6,8 +6,7 @@ import pytest
 from lowrankrec.diagnostics import (CoherenceReport, coherence,
                                     concentration_bound, concentration_probe,
                                     rip_probe, theory_advisor)
-from lowrankrec.matcore import (LowRankSpec, SvdFactors, equal_spectrum,
-                                gen_low_rank, svd)
+from lowrankrec.matcore import LowRankSpec, equal_spectrum, gen_low_rank
 from lowrankrec.measure import (ObservationSet, entry_sampling_ensemble,
                                 gaussian_ensemble, sample_omega,
                                 vectorization_ensemble)
@@ -23,24 +22,67 @@ def hadamard4():
 
 # ------------------------------------------------------------------ coherence
 
+def factor_coherence(u, s, v):
+    """The six statistics of CoherenceReport from exact factors
+    u diag(s) v^T, entry by entry from their definitions."""
+    (n1, r), n2 = u.shape, v.shape[0]
+    n = max(n1, n2)
+    pu, pv, uvt = u @ u.T, v @ v.T, u @ v.T
+    mu1 = n / math.sqrt(r) * np.abs(uvt).max()
+    dev = max(abs(pu[i, j] - (r / n) * (i == j)) for i in range(n1) for j in range(n1))
+    dev = max([dev] + [abs(pv[i, j] - (r / n) * (i == j))
+                       for i in range(n2) for j in range(n2)])
+    return {"mu_b": n * max(np.abs(u).max(), np.abs(v).max()) ** 2,
+            "mu0": n / r * max(np.diag(pu).max(), np.diag(pv).max()),
+            "mu1": mu1,
+            "mu_strong": max(mu1, n / math.sqrt(r) * dev),
+            "mu2": n / math.sqrt(r) * np.abs(u @ np.diag(s / s[-1]) @ v.T).max(),
+            "kappa": s[0] / s[-1]}
+
+
+def test_coherence_of_the_matrix_matches_its_exact_factors():
+    m, (u, s, v) = gen_low_rank(LowRankSpec(40, 30, 3, (3.0, 2.0, 1.0),
+                                            "random-orthogonal", 5))
+    rep = coherence(m)
+    assert rep.r == 3
+    for field, value in factor_coherence(u, s, v).items():
+        assert getattr(rep, field) == pytest.approx(value, rel=1e-12, abs=1e-12)
+
+
+def test_coherence_is_sign_invariant():
+    # flipping a pair (u_i, v_i) changes no statistic, so no sign convention
+    for seed in range(5):
+        m, _ = gen_low_rank(LowRankSpec(12, 9, 3, (3.0, 2.0, 1.0),
+                                        "random-orthogonal", seed))
+        assert coherence(-m) == coherence(m)
+        assert coherence(-m, r=2) == coherence(m, r=2)
+
+
+def test_coherence_rank_out_of_range():
+    m = np.diag([3.0, 2.0, 1.0])
+    with pytest.raises(ValueError, match="exceeds"):
+        coherence(m, r=4)
+    with pytest.raises(ValueError, match="rank >= 1"):
+        coherence(np.zeros((3, 3)))
+
+
 def test_flat_singular_vectors_give_unit_mu_b():
     h = hadamard4()
-    f = SvdFactors(u=h, sigma=np.array([4.0, 3.0, 2.0, 1.0]), v=h)
-    rep = coherence(f)
+    rep = coherence(h @ np.diag([4.0, 3.0, 2.0, 1.0]) @ h.T)
     assert abs(rep.mu_b - 1.0) < 1e-12
 
 
 def test_spiky_gives_maximal_mu_b():
-    m, f = gen_low_rank(LowRankSpec(6, 6, 1, (1.0,), "spiky", 0))
-    rep = coherence(svd(m), r=1)
+    m, _ = gen_low_rank(LowRankSpec(6, 6, 1, (1.0,), "spiky", 0))
+    rep = coherence(m, r=1)
     assert abs(rep.mu_b - 6.0) < 1e-9
     assert rep.mu_strong >= rep.mu1
 
 
 def test_equal_spectrum_makes_mu2_equal_mu1():
-    _, f = gen_low_rank(LowRankSpec(12, 12, 3, equal_spectrum(3, 2.5),
+    m, _ = gen_low_rank(LowRankSpec(12, 12, 3, equal_spectrum(3, 2.5),
                                     "random-orthogonal", 4))
-    rep = coherence(f, r=3)
+    rep = coherence(m, r=3)
     assert abs(rep.mu2 - rep.mu1) < 1e-9
     assert abs(rep.kappa - 1.0) < 1e-12
 
@@ -48,30 +90,30 @@ def test_equal_spectrum_makes_mu2_equal_mu1():
 def test_condition_number_of_padded_diagonal():
     m = np.zeros((5, 5))
     m[0, 0], m[1, 1] = 4.0, 2.0
-    rep = coherence(svd(m), r=2)
+    rep = coherence(m, r=2)
     assert abs(rep.kappa - 2.0) < 1e-12
 
 
 def test_zero_smallest_singular_value_flags_infinite_kappa():
     m = np.zeros((4, 4))
     m[0, 0] = 1.0
-    rep = coherence(svd(m), r=2)
+    rep = coherence(m, r=2)
     assert math.isinf(rep.kappa)
 
 
 def test_coherence_scale_invariance():
     m, _ = gen_low_rank(LowRankSpec(10, 8, 2, (2.0, 1.0),
                                     "random-orthogonal", 7))
-    a, b = coherence(svd(m)), coherence(svd(3.7 * m))
+    a, b = coherence(m), coherence(3.7 * m)
     for field in ("mu_b", "mu0", "mu1", "mu_strong", "mu2", "kappa"):
         assert abs(getattr(a, field) - getattr(b, field)) < 1e-9
 
 
 def test_coherence_bounds_hold():
     for seed in range(10):
-        _, f = gen_low_rank(LowRankSpec(9, 9, 3, equal_spectrum(3, 1.0),
+        m, _ = gen_low_rank(LowRankSpec(9, 9, 3, equal_spectrum(3, 1.0),
                                         "random-orthogonal", seed))
-        rep = coherence(f)
+        rep = coherence(m)
         assert 1.0 - 1e-12 <= rep.mu_b <= 9.0 + 1e-12
         assert rep.mu0 >= 1.0 - 1e-12
         assert rep.mu_strong >= rep.mu1 - 1e-12
@@ -84,9 +126,9 @@ def test_random_orthogonal_coherence_statistics():
     n, r = 200, 6
     mu0s, strongs = [], []
     for seed in range(100):
-        _, f = gen_low_rank(LowRankSpec(n, n, r, equal_spectrum(r, 1.0),
+        m, _ = gen_low_rank(LowRankSpec(n, n, r, equal_spectrum(r, 1.0),
                                         "random-orthogonal", seed))
-        rep = coherence(f)
+        rep = coherence(m)
         mu0s.append(rep.mu0)
         strongs.append(rep.mu_strong)
     assert np.median(mu0s) <= 5.0
@@ -211,6 +253,15 @@ def test_advisor_requirement_monotone_in_coherence():
             > lo["incoherent-general"].raw_requirement)
     assert (hi["strong-incoherence"].raw_requirement
             > lo["strong-incoherence"].raw_requirement)
+
+
+def test_advisor_overflow_reads_as_an_infinite_requirement():
+    # kappa ** 4 = 1e800 is past the largest float: the row's raw requirement
+    # is infinite, and capped at n^2 like any other
+    rep = coherence(np.diag([1.0, 1e-200, 0.0]), r=2)
+    assert rep.kappa == 1e200
+    row = {w.row_id: w for w in theory_advisor(rep, 3, 2, 10)}["optspace-noisy"]
+    assert math.isinf(row.raw_requirement) and row.requirement == 9.0
 
 
 def test_advisor_rejects_tiny_n():

@@ -4,11 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lowrankrec.matcore import (TOP_SVD_CROSSOVER, TOP_SVD_OVERSAMPLE,
-                                LowRankSpec, SvdFactors, check_matrix,
-                                equal_spectrum, gen_low_rank,
-                                geometric_spectrum, nuclear_norm,
-                                operator_norm, prox_nuclear, read_lrm, svd,
-                                top_svd, write_lrm)
+                                LowRankSpec, check_matrix, equal_spectrum,
+                                gen_low_rank, geometric_spectrum, nuclear_norm,
+                                numerical_rank, operator_norm, prox_nuclear,
+                                read_lrm, top_svd, write_lrm)
 from lowrankrec.measure import project_omega, sample_omega
 
 from oracles import jacobi_singular_values
@@ -35,51 +34,13 @@ def test_check_matrix_casts_to_float():
     assert m.dtype == np.float64
 
 
-# ------------------------------------------------------------------------- svd
+# ------------------------------------------------------------- numerical_rank
 
-def test_svd_identity():
-    f = svd(np.eye(2))
-    assert np.allclose(f.sigma, [1.0, 1.0])
-    assert np.allclose(f.reconstruct(), np.eye(2))
-
-
-def test_svd_diagonal():
-    f = svd(np.diag([3.0, 1.0]))
-    assert np.allclose(f.sigma, [3.0, 1.0])
-    # U and V equal the identity up to column signs, and the signs must agree
-    assert np.allclose(np.abs(f.u), np.eye(2), atol=1e-12)
-    assert np.allclose(f.u, f.v)
-
-
-def test_svd_reconstruction_random():
-    m = rand_matrix(41, 5, 5)
-    f = svd(m)
-    assert np.linalg.norm(f.reconstruct() - m) <= 1e-10 * np.linalg.norm(m)
-
-
-def test_svd_sign_convention_is_deterministic():
-    m = rand_matrix(7, 6, 4)
-    f1, f2 = svd(m), svd(m.copy())
-    assert np.array_equal(f1.u, f2.u) and np.array_equal(f1.v, f2.v)
-    # first nonzero entry of every left vector is nonnegative
-    for col in f1.u.T:
-        nz = col[np.abs(col) > 0]
-        assert nz.size == 0 or nz[0] >= 0
-
-
-def test_svd_factors_validation():
-    f = svd(rand_matrix(3, 4, 4))
-    with pytest.raises(ValueError):
-        SvdFactors(u=f.u * 2.0, sigma=f.sigma, v=f.v)  # not orthonormal
-    with pytest.raises(ValueError):
-        SvdFactors(u=f.u, sigma=f.sigma[::-1].copy(), v=f.v)  # increasing
-
-
-def test_svd_factors_rank_tolerance():
-    m = np.diag([1.0, 1e-6, 1e-12])
-    f = svd(m)
-    assert f.rank() == 2
-    assert f.rank(rtol=1e-15) == 3
+def test_numerical_rank_tolerance():
+    assert numerical_rank(np.linalg.svd(np.diag([1.0, 1e-6, 1e-12]),
+                                        compute_uv=False)) == 2
+    assert numerical_rank(np.zeros(3)) == 0
+    assert numerical_rank(np.zeros(0)) == 0
 
 
 # --------------------------------------------------------------- nuclear norm
@@ -183,8 +144,8 @@ def test_nuclear_norm_duality():
         y = rng.standard_normal(m.shape)
         y /= operator_norm(y)
         assert float(np.sum(m * y)) <= nuclear_norm(m) + 1e-9
-    f = svd(m)
-    witness = f.u @ f.v.T
+    u, _, vt = np.linalg.svd(m, full_matrices=False)
+    witness = u @ vt
     assert abs(float(np.sum(m * witness)) - nuclear_norm(m)) < 1e-8
 
 
@@ -290,17 +251,18 @@ def test_top_svd_below_crossover_is_the_full_svd(k):
 
 def test_gen_low_rank_full_rank_orthonormal():
     spec = LowRankSpec(6, 6, 6, equal_spectrum(6, 2.0), "random-orthogonal", 1)
-    _, f = gen_low_rank(spec)
-    assert np.linalg.norm(f.u.T @ f.u - np.eye(6)) < 1e-10
-    assert np.linalg.norm(f.v.T @ f.v - np.eye(6)) < 1e-10
+    _, (u, _, v) = gen_low_rank(spec)
+    assert np.linalg.norm(u.T @ u - np.eye(6)) < 1e-10
+    assert np.linalg.norm(v.T @ v - np.eye(6)) < 1e-10
 
 
 def test_gen_low_rank_spectrum_roundtrip():
     spec = LowRankSpec(40, 40, 3, geometric_spectrum(3, 1.0, 0.5),
                        "random-orthogonal", 8)
     m, _ = gen_low_rank(spec)
-    assert np.allclose(svd(m).sigma[:3], [1.0, 0.5, 0.25], atol=1e-9)
-    assert np.all(svd(m).sigma[3:] < 1e-12)
+    s = np.linalg.svd(m, compute_uv=False)
+    assert np.allclose(s[:3], [1.0, 0.5, 0.25], atol=1e-9)
+    assert np.all(s[3:] < 1e-12)
 
 
 def test_gen_low_rank_deterministic():
@@ -312,11 +274,11 @@ def test_gen_low_rank_deterministic():
 
 def test_gen_low_rank_spiky_is_diagonal():
     spec = LowRankSpec(5, 4, 2, (3.0, 1.0), "spiky", 0)
-    m, f = gen_low_rank(spec)
+    m, (u, _, _) = gen_low_rank(spec)
     expected = np.zeros((5, 4))
     expected[0, 0], expected[1, 1] = 3.0, 1.0
     assert np.allclose(m, expected)
-    assert np.allclose(f.u[:, 0], np.eye(5)[:, 0])
+    assert np.allclose(u[:, 0], np.eye(5)[:, 0])
 
 
 def test_gen_low_rank_median_row_coherence_small():
@@ -326,9 +288,9 @@ def test_gen_low_rank_median_row_coherence_small():
     for seed in range(100):
         spec = LowRankSpec(n, n, r, equal_spectrum(r, 1.0),
                            "random-orthogonal", seed)
-        _, f = gen_low_rank(spec)
-        mu0 = (n / r) * max(np.sum(f.u ** 2, axis=1).max(),
-                            np.sum(f.v ** 2, axis=1).max())
+        _, (u, _, v) = gen_low_rank(spec)
+        mu0 = (n / r) * max(np.sum(u ** 2, axis=1).max(),
+                            np.sum(v ** 2, axis=1).max())
         vals.append(mu0)
     assert np.median(vals) <= 5.0
 

@@ -43,8 +43,7 @@ optspace_mod = importlib.import_module("lowrankrec.optspace")
 def rand_low_rank(n, r, seed, spectrum=None):
     spec = LowRankSpec(n, n, r, spectrum or equal_spectrum(r, 1.0),
                        "random-orthogonal", seed)
-    truth, factors = gen_low_rank(spec)
-    return truth, factors
+    return gen_low_rank(spec)   # truth, (u, sigma, v)
 
 
 def completion_instance(n, r, m, seed, spectrum=None):
@@ -233,8 +232,8 @@ def test_spectral_start_from_top_svd_matches_the_full_svd(monkeypatch):
 def test_descent_from_true_factors_returns_immediately():
     truth, factors, omega, yobs = completion_instance(20, 2, 240, seed=9,
                                                       spectrum=equal_spectrum(2, 2.0))
-    state = OptspaceState(u=factors.u, s=np.diag(factors.sigma), v=factors.v,
-                          objective=0.0, iteration=0)
+    u, sigma, v = factors
+    state = OptspaceState(u=u, s=np.diag(sigma), v=v, objective=0.0, iteration=0)
     out = optspace_descent(state, yobs, omega)
     assert out.objective <= 1e-18
     assert out.iteration == 0          # gradient test fires before any step
@@ -743,8 +742,8 @@ def test_descent_state_is_the_inner_fit(n1, n2, m, kappa, max_iters):
 @pytest.mark.parametrize("s", [np.zeros((2, 2)), np.diag([2.0, 0.0])])
 def test_descent_rejects_singular_s(s):
     # at S = 0 every gradient in U and V vanishes, fitted or not
-    _, factors, omega, yobs = completion_instance(20, 2, 240, seed=9)
-    state = OptspaceState(u=factors.u, s=s, v=factors.v, objective=0.0, iteration=0)
+    _, (u, _, v), omega, yobs = completion_instance(20, 2, 240, seed=9)
+    state = OptspaceState(u=u, s=s, v=v, objective=0.0, iteration=0)
     with pytest.raises(ValueError, match="singular"):
         optspace_descent(state, yobs, omega)
 

@@ -12,7 +12,6 @@ from lowrankrec.matcore import (
     equal_spectrum,
     gen_low_rank,
     geometric_spectrum,
-    svd,
 )
 from lowrankrec.measure import (
     ObservationSet,
@@ -61,8 +60,7 @@ def test_oracle_fit_identity_frame_interpolates():
 def test_oracle_fit_true_subspace_gives_projection():
     rng = np.random.default_rng(1)
     m_true = rng.normal(size=(6, 6))
-    f = svd(m_true)
-    u = f.u[:, :2]
+    u = np.linalg.svd(m_true)[0][:, :2]
     ens = vectorization_ensemble(6, 6)
     est = oracle_fit(u, ens, m_true.ravel())
     np.testing.assert_allclose(est, u @ (u.T @ m_true), atol=1e-10)
@@ -71,11 +69,11 @@ def test_oracle_fit_true_subspace_gives_projection():
 def test_oracle_fit_matches_dense_normal_equations():
     rng = np.random.default_rng(7)
     spec = LowRankSpec(6, 6, 2, equal_spectrum(2, 1.0), "random-orthogonal", 7)
-    truth, factors = gen_low_rank(spec)
+    truth, (u, _, _) = gen_low_rank(spec)
     ens = gaussian_ensemble(6, 6, 30, seed=7)
     y = apply_ensemble(ens, truth) + 0.01 * rng.standard_normal(30)
-    est = oracle_fit(factors.u, ens, y)
-    ref, fitted = dense_restricted_lstsq(factors.u, ens, y)
+    est = oracle_fit(u, ens, y)
+    ref, fitted = dense_restricted_lstsq(u, ens, y)
     np.testing.assert_allclose(est, ref, atol=1e-9)
     obj = np.linalg.norm(y - apply_ensemble(ens, est))
     assert obj == pytest.approx(np.linalg.norm(y - fitted), abs=1e-9)
@@ -83,13 +81,13 @@ def test_oracle_fit_matches_dense_normal_equations():
 
 def test_oracle_fit_residual_orthogonal_to_feasible_range():
     spec = LowRankSpec(6, 6, 2, equal_spectrum(2, 1.0), "random-orthogonal", 3)
-    truth, factors = gen_low_rank(spec)
+    truth, (u, _, _) = gen_low_rank(spec)
     ens = gaussian_ensemble(6, 6, 30, seed=3)
     rng = np.random.default_rng(3)
     y = apply_ensemble(ens, truth) + 0.05 * rng.standard_normal(30)
-    resid = y - apply_ensemble(ens, oracle_fit(factors.u, ens, y))
+    resid = y - apply_ensemble(ens, oracle_fit(u, ens, y))
     for _ in range(20):
-        direction = apply_ensemble(ens, factors.u @ rng.normal(size=(2, 6)))
+        direction = apply_ensemble(ens, u @ rng.normal(size=(2, 6)))
         assert abs(resid @ direction) <= 1e-9 * max(
             1.0, np.linalg.norm(resid) * np.linalg.norm(direction))
 
@@ -346,6 +344,31 @@ def test_bounds_reject_a_negative_noise_level(call):
     with pytest.raises(ValueError, match="sigma must be nonnegative"):
         call(-1.0)
     call(0.0)
+
+
+@pytest.mark.parametrize("call, named", [
+    (lambda: minimax_bound(10, 2, 1e200), "minimax is not finite at n=10, r=2"),
+    (lambda: ideal_risk([1e200, 1.0], 10, 1e200), "ideal-risk is not finite at n=10"),
+    (lambda: instance_optimal_bound([1e200], 10, 1.0, 0),
+     "instance-optimal is not finite at n=10"),
+    (lambda: completion_stability_bound(10, 0.5, 1e307),
+     "completion-stability is not finite at n=10, p=0.5"),
+    (lambda: optspace_noisy_bound(10, 5, 1, 1e200, 1.0),
+     "optspace-noisy is not finite at n=10, m=5, r=1"),
+    (lambda: gaussian_noise_opnorm(10, 10 ** 6, 1e308), "gaussian noise opnorm"),
+    (lambda: oracle_risk_scan([1e200], 10, 1e200), "oracle risk is not finite"),
+], ids=["minimax", "ideal", "instance", "stable", "optspace", "noise-opnorm",
+        "risk-scan"])
+def test_bounds_reject_a_value_past_the_largest_float(call, named):
+    with pytest.raises(ValueError, match=named):
+        call()
+
+
+def test_overflowing_noise_term_leaves_a_finite_bound():
+    # n sigma^2 overflows, yet min(s_i^2, n sigma^2) keeps every s_i^2
+    assert ideal_risk([1.0, 1.0], 10, 1e200).value == 1.0
+    assert instance_optimal_bound([2.0, 1.0], 10, 1e200, 1).value == 5.0
+    assert oracle_risk_scan([2.0, 1.0], 10, 1e200) == (0, 5.0)
 
 
 # ------------------------------------------------------ report invariants

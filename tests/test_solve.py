@@ -338,6 +338,16 @@ def test_choose_lambda_values():
             choose_lambda(10, bad)
 
 
+def test_choose_lambda_and_delta_reject_a_result_past_the_largest_float():
+    # sigma ** 2 overflows in choose_delta, the product in choose_lambda
+    with pytest.raises(ValueError, match="delta is not finite at m=400, sigma=1e"):
+        choose_delta(400, 1e200)
+    with pytest.raises(ValueError, match="lambda is not finite at n=20, sigma=1e"):
+        choose_lambda(20, 1e308)
+    assert choose_delta(400, 1e150) == pytest.approx(
+        1e150 * (400 + 3200 ** 0.5) ** 0.5, rel=1e-15)
+
+
 def test_choose_delta_values():
     # delta^2 = (m + sqrt(8 m)) sigma^2, two deviations of ||z||^2 above its mean
     assert choose_delta(50, 0.0) == 0.0
