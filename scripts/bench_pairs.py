@@ -4,10 +4,13 @@
         --workloads sensing-gaussian completion-optspace harness-jobs2 \\
         --seeds 1-10,424242 --trace-seeds 16 --seconds 30
 
-Extracts the parent revision into a temporary directory (`git archive`), then
-for each seed and workload runs ``perfbench/run.py`` once on that tree
-("parent") and once on this working tree ("change"), alternating from one
-pair to the next which side runs first.  Each run's last two stdout lines
+Writes two trees side by side into one temporary directory (make_trees): the
+parent revision ("parent", by `git archive`) and a snapshot of this working
+tree ("change": its tracked files as they are on disk, and its untracked
+files that git does not ignore), so both sides run from copies made the
+same way at the same depth.  Then for each seed and workload it runs
+``perfbench/run.py`` once on each tree, alternating from one pair to the
+next which side runs first.  Each run's last two stdout lines
 (environment, result) are kept with side, workload, seed, trace and ran_first
 added, and the output file is rewritten after every run.  Traced runs
 (``--trace 1``) are made once per side for each ``--trace-seeds`` seed.
@@ -41,6 +44,8 @@ import argparse
 import io
 import json
 import math
+import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -87,15 +92,29 @@ def parse_claim(text):
     return workload, metric
 
 
-def extract(rev, dest):
-    """Write the tree of ``rev`` into ``dest``; returns the full commit id."""
-    commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", rev + "^{commit}"],
-                            capture_output=True, text=True, check=True).stdout.strip()
-    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", commit],
-                         capture_output=True, check=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(tar)) as tf:
-        tf.extractall(dest, filter="data")
-    return commit
+def make_trees(rev, tmp, repo=ROOT):
+    """The two trees a comparison runs, written side by side under ``tmp``:
+    ``tmp/parent`` holds the tree of git revision ``rev`` of ``repo``, and
+    ``tmp/change`` a snapshot of ``repo``'s working tree, its tracked files as
+    they are on disk (a deleted one left out) and its untracked files that
+    git does not ignore.  Returns (the parent's full commit id, {"parent":
+    path, "change": path})."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), *args], capture_output=True,
+                              check=True).stdout
+
+    trees = {side: Path(tmp) / side for side in ("parent", "change")}
+    commit = git("rev-parse", "--verify", rev + "^{commit}").decode().strip()
+    with tarfile.open(fileobj=io.BytesIO(git("archive", "--format=tar", commit))) as tf:
+        tf.extractall(trees["parent"], filter="data")
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, map(os.fsdecode, listed.split(b"\0"))):
+        src, dst = Path(repo) / name, trees["change"] / name
+        if src.is_file() or src.is_symlink():
+            dst.parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dst, follow_symlinks=False)
+    trees["change"].mkdir(exist_ok=True)
+    return commit, trees
 
 
 def run_once(tree, workload, seed, trace, seconds):
@@ -236,13 +255,13 @@ def main(argv=None):
               f"and end-to-end metric in BENCHMARK.json", file=sys.stderr)
         return 2
     out = Path(args.out)
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        commit = extract(args.parent, tmp)
-        trees = {"parent": tmp, "change": str(ROOT)}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        commit, trees = make_trees(args.parent, tmp)
         ledger = {
             "about": (f"Result lines of perfbench/run.py (its last two stdout lines: "
                       f"env, then the result), one per run, for the parent commit "
-                      f"{commit[:7]} and the working tree on top of it. Untraced runs "
+                      f"{commit[:7]} and the working tree on top of it, each run from "
+                      f"its own copy under one temporary directory. Untraced runs "
                       f"are pairs that alternate which side runs first (ran_first); "
                       f"trace 1 runs are one per side per traced seed."),
             "command": " ".join(["python3", "scripts/bench_pairs.py", *argv]),

@@ -3,9 +3,9 @@ benchmark's instances.
 
     python3 scripts/same_answers.py --parent HEAD --seeds 1-3,424242 --passes 3
 
-Extracts the parent revision into a temporary directory with bench_pairs.py's
-`git archive` helper.  Then, in a subprocess per tree ("parent" and this
-working tree, "change"), it imports that tree's package and its
+Writes the parent revision ("parent") and a snapshot of this working tree
+("change") side by side into one temporary directory with bench_pairs.py's
+make_trees.  Then, in a subprocess per tree, it imports that tree's package and its
 ``perfbench/workloads.py`` (read only) and, for every seed, pass and
 operation of the sensing-gaussian and completion-optspace workloads, draws
 the instance as the benchmark does, runs the operation and applies its gate.
@@ -45,7 +45,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-from bench_pairs import ROOT, extract, parse_seeds
+from bench_pairs import make_trees, parse_seeds
 
 WORKLOADS = ("sensing-gaussian", "completion-optspace")
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -190,10 +190,10 @@ def main(argv=None):
     if args.collect:
         print(json.dumps(collect(args.collect, args.seeds, args.passes)))
         return 0
-    with tempfile.TemporaryDirectory(prefix="same-answers-parent-") as tmp:
-        commit = extract(args.parent, tmp)
-        parent = run_collector(tmp, args)
-    change = run_collector(ROOT, args)
+    with tempfile.TemporaryDirectory(prefix="same-answers-") as tmp:
+        commit, trees = make_trees(args.parent, tmp)
+        parent = run_collector(trees["parent"], args)
+        change = run_collector(trees["change"], args)
     print(f"parent {commit[:7]} against the working tree; seeds "
           f"{','.join(map(str, args.seeds))}, passes 0-{args.passes - 1}")
     lines, ok = compare(parent, change)

@@ -4,11 +4,11 @@ parent commit on whole experiment configs, and time each config end to end.
     python3 scripts/same_configs.py --parent HEAD --jobs 2 configs/*.cfg \\
         [--out CONFIGS_<n>.json]
 
-Extracts the parent revision into a temporary directory with bench_pairs.py's
-`git archive` helper.  Then, for every config, it runs
-``python3 -m lowrankrec.cli bench --config CFG --jobs N`` once on that tree
-("parent") and once on this working tree ("change"), each importing its own
-``src/``, with BLAS pinned to one thread.  Which tree runs first alternates
+Writes the parent revision ("parent") and a snapshot of this working tree
+("change") side by side into one temporary directory with bench_pairs.py's
+make_trees.  Then, for every config, it runs
+``python3 -m lowrankrec.cli bench --config CFG --jobs N`` once on each tree,
+each importing its own ``src/``, with BLAS pinned to one thread.  Which tree runs first alternates
 from one config to the next.
 
 Per config it prints the wall time of each side's run, then compares:
@@ -45,7 +45,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_pairs import ROOT, extract
+from bench_pairs import make_trees
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 RUN_TIMEOUT_S = 3600
@@ -154,9 +154,7 @@ def main(argv=None):
     configs = [Path(c).resolve() for c in args.configs]
     ok = True
     with tempfile.TemporaryDirectory(prefix="same-configs-") as tmp:
-        trees = {"parent": Path(tmp) / "parent", "change": ROOT}
-        trees["parent"].mkdir()
-        commit = extract(args.parent, trees["parent"])
+        commit, trees = make_trees(args.parent, tmp)
         print(f"parent {commit[:7]} against the working tree; --jobs {args.jobs}")
         ledger = {"parent": commit, "jobs": args.jobs, "configs": []}
         for k, config in enumerate(configs):

@@ -150,6 +150,11 @@ class ExperimentConfig:
             if exp in ("bias-variance", "instance-optimal") and cell.kappa != 1:
                 raise ValueError(f"{exp} draws the truth's spectrum without kappa: "
                                  f"[grid] kappa must be 1, got {cell.kappa:g}")
+            try:   # a formula value past the largest float says nothing
+                _formula_value(self, cell)
+            except ValueError as exc:
+                raise ValueError(f"[grid] cell n={cell.n} r={cell.r} m={_cell_m(cell)} "
+                                 f"sigma={cell.sigma:g}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -217,6 +222,31 @@ def _cell_m(cell):
     return cell.m if cell.m is not None else int(round(cell.p * cell.n * cell.n))
 
 
+def _r_bar(cell):
+    """instance-optimal's truncation level, a tenth of m / n, at most r."""
+    return max(0, min(cell.r, int(0.1 * _cell_m(cell) / cell.n)))
+
+
+def _formula_value(cfg, cell):
+    """The closed-form reference level of ``cell`` in ``cfg``'s family, None
+    for a family without one.  It depends on the cell alone, so
+    ExperimentConfig evaluates it at load, where a value that is not finite
+    is the oracle's ValueError."""
+    exp = cfg.experiment
+    if exp == "dantzig-scaling":
+        return minimax_bound(cell.n, cell.r, cell.sigma).value
+    if exp == "completion-stability":
+        m = _cell_m(cell)
+        return completion_stability_bound(cell.n, m / cell.n ** 2,
+                                          choose_delta(m, cell.sigma)).value
+    if exp == "bias-variance":
+        return ideal_risk(np.asarray(_spectrum_of(cell, cfg)), cell.n, cell.sigma).value
+    if exp == "instance-optimal":
+        return instance_optimal_bound(np.asarray(_spectrum_of(cell, cfg)), cell.n,
+                                      cell.sigma, _r_bar(cell)).value
+    return None
+
+
 def _ensemble(cell, cfg, seed):
     """The measurement operator of one trial of ``cell``: entry sampling of
     round(p n^2) entries for a cell given by p, else m rows of the config's
@@ -245,8 +275,7 @@ def _run_trial(cfg, cell_idx, trial_idx):
     elif exp == "completion-stability":
         delta = record["delta"] = choose_delta(ens.m, cell.sigma)
         rep = solve_lasso(ens, y, delta, cfg.solver)
-        record["formula_value"] = completion_stability_bound(
-            cell.n, ens.m / cell.n ** 2, delta).value
+        record["formula_value"] = _formula_value(cfg, cell)
     elif exp == "optspace-compare":
         # A*(y) of entry sampling: the observed entries, zero elsewhere
         rep = optspace(adjoint_ensemble(ens, y), ens.omega, r=cell.r)
@@ -255,15 +284,9 @@ def _run_trial(cfg, cell_idx, trial_idx):
         record["nuclear_converged"] = bool(rep_nuc.converged)
     else:   # dantzig-scaling, bias-variance, instance-optimal
         rep = solve_dantzig(ens, y, choose_lambda(cell.n, cell.sigma), cfg.solver)
-        spectrum = np.asarray(_spectrum_of(cell, cfg))
-        if exp == "dantzig-scaling":
-            record["formula_value"] = minimax_bound(cell.n, cell.r, cell.sigma).value
-        elif exp == "bias-variance":
-            record["formula_value"] = ideal_risk(spectrum, cell.n, cell.sigma).value
-        else:
-            r_bar = record["r_bar"] = max(0, min(cell.r, int(0.1 * ens.m / cell.n)))
-            record["formula_value"] = instance_optimal_bound(
-                spectrum, cell.n, cell.sigma, r_bar).value
+        if exp == "instance-optimal":
+            record["r_bar"] = _r_bar(cell)
+        record["formula_value"] = _formula_value(cfg, cell)
 
     err = float(np.linalg.norm(rep.estimate - truth))
     if exp == "completion-stability":

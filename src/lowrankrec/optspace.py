@@ -1,14 +1,18 @@
-"""Spectral completion pipeline: trim over-observed rows/columns, initialize
-from the top r singular triplets of the rescaled trimmed data, then fit the
-observed entries by rank-incremental alternating least squares.
+"""Spectral completion pipeline: trim over-observed rows/columns, seed from
+the top singular pair of the rescaled trimmed data, then fit the observed
+entries by rank-incremental alternating least squares.
 
-The triplets come from matcore.top_svd (Keshavan, Montanari and Oh's
-spectral start, arXiv 0901.3150, without the dense SVD): block subspace
-iteration that stops at a certificate, max_i ||A^T u_i - sigma_i v_i|| <=
-1e-11 sigma_1 with A v_i = sigma_i u_i exact, which puts the values within
-that residual of singular values of A and the vectors within residual / gap
-of theirs.  Small matrices, and a call that reaches the iteration cap
-without the certificate, get the full SVD's leading part instead.
+The pair comes from matcore.top_svd (Keshavan, Montanari and Oh's spectral
+start, arXiv 0901.3150, without the dense SVD): block subspace iteration
+that stops at a certificate, ||A^T u_1 - sigma_1 v_1|| <= 1e-11 sigma_1 with
+A v_1 = sigma_1 u_1 exact, which puts sigma_1 within that residual of A's
+top singular value and the vectors within residual / gap of its pair.
+Small matrices, and a call that reaches the iteration cap without the
+certificate, get the full SVD's leading part instead.  The pipeline seeds
+the fit below with that pair alone, L = u_1 sqrt(sigma_1) and R = v_1
+sqrt(sigma_1), since the fit grows every later component itself.
+spectral_init builds the full rank-r spectral state, a start that
+optspace_descent accepts and of which it keeps that same rank-1 point.
 
 The descent fits X = L R^T, L and R with k <= r columns, to Y on Omega by
 alternating exact least squares (AltMin: Jain, Netrapalli and Sanghavi,
@@ -18,7 +22,7 @@ arXiv 1212.0467).  With R held, row i of L solves the k x k normal equations
                      z_i = sum_{j in Omega_i} y_ij r_j,
 
 and the columns of R likewise with L held.  The rank grows one component
-at a time from the state's rank-1 point, each new one seeded from a
+at a time from the rank-1 point, each new one seeded from a
 power-iteration estimate of the top singular pair of the rescaled residual
 (uncertified; see _top_pair), as Incremental OptSpace proposes
 for ill-conditioned matrices (Keshavan, Montanari and Oh, arXiv 0906.2027):
@@ -63,7 +67,7 @@ optspace's report comes from solve's one report builder.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -147,7 +151,9 @@ def trim(y_obs, omega):
 
 def spectral_init(trimmed, omega, r):
     """Rank-r state from the top r singular triplets of (1/p) * trimmed, p
-    the observed fraction.
+    the observed fraction: a start for optspace_descent, which keeps only
+    its rank-1 point unless the state already meets the certificate.  The
+    optspace pipeline seeds from the top pair alone and does not call it.
 
     The triplets come from matcore.top_svd: block subspace iteration that
     stops at the certificate max_i ||A^T u_i - sigma_i v_i|| <= 1e-11 sigma_1,
@@ -160,19 +166,28 @@ def spectral_init(trimmed, omega, r):
     trimmed = check_matrix(trimmed)
     if omega.m == 0:
         raise ValueError("cannot initialize from an empty observation set")
-    if not (1 <= r <= min(omega.n1, omega.n2)):
-        raise ValueError(f"rank must be in [1, {min(omega.n1, omega.n2)}], got {r}")
+    _check_rank(r, omega)
     u, sv, vt = top_svd(trimmed / omega.p, r)
-    achievable = numerical_rank(sv)
-    if achievable < r:
-        raise ValueError(
-            f"requested rank {r} exceeds achievable rank {achievable} of the data")
+    _require_achievable(sv, r)
     v = vt.T
     rows, cols = omega.pairs[:, 0], omega.pairs[:, 1]
     resid = _entry_residual(u * sv, v, rows, cols, trimmed[rows, cols])
     obj = 0.5 * float(resid @ resid)
     return OptspaceState(u=u, s=np.diag(sv), v=v, objective=obj, iteration=0,
                          history=(obj,))
+
+
+def _check_rank(r, omega):
+    if not (1 <= r <= min(omega.n1, omega.n2)):
+        raise ValueError(f"rank must be in [1, {min(omega.n1, omega.n2)}], got {r}")
+
+
+def _require_achievable(sv, r):
+    """ValueError unless matcore.numerical_rank of the values ``sv`` is r."""
+    achievable = numerical_rank(sv)
+    if achievable < r:
+        raise ValueError(
+            f"requested rank {r} exceeds achievable rank {achievable} of the data")
 
 
 class _Omega:
@@ -421,29 +436,32 @@ def optspace_descent(state, y_obs, omega, config=None):
     p, sv, qt = np.linalg.svd(state.s)
     if numerical_rank(sv) < sv.size:
         raise ValueError(f"the state's S is singular (singular values {sv})")
-    y = y_obs[omega.pairs[:, 0], omega.pairs[:, 1]]
-    om = _Omega(omega, y)
-    grad_tol = GRAD_TOL * float(y @ y)
+    om, grad_tol = _layout(y_obs, omega)
     u, s, v = state.u, state.s, state.v
     fit, resid = _fit(u @ s, v, om)
-    gnorm2 = _gradient(u, s, v, resid, om)[2]
-    sweeps, history, deficient = 0, [fit], False
-    if math.sqrt(gnorm2) > grad_tol:
-        root = math.sqrt(sv[0])
-        sweeps, history, deficient, (u, s, v, fit, gnorm2) = _incremental_als(
-            u @ p[:, :1] * root, v @ qt[:1].T * root, u.shape[1], om,
-            cfg.max_iters, grad_tol)
-    return OptspaceState(u=u, s=s, v=v, objective=fit,
-                         iteration=state.iteration + sweeps,
-                         history=tuple(history),
-                         rank_deficient=state.rank_deficient or deficient,
-                         grad_norm=math.sqrt(gnorm2))
+    gnorm = math.sqrt(_gradient(u, s, v, resid, om)[2])
+    if gnorm <= grad_tol:
+        return OptspaceState(u=u, s=s, v=v, objective=fit, iteration=state.iteration,
+                             history=(fit,), rank_deficient=state.rank_deficient,
+                             grad_norm=gnorm)
+    root = math.sqrt(sv[0])
+    out = _incremental_als(u @ p[:, :1] * root, v @ qt[:1].T * root, u.shape[1], om,
+                           cfg.max_iters, grad_tol)
+    return replace(out, iteration=state.iteration + out.iteration,
+                   rank_deficient=state.rank_deficient or out.rank_deficient)
+
+
+def _layout(y_obs, omega):
+    """(_Omega of ``omega`` and the data on it, the certificate's gradient
+    tolerance GRAD_TOL ||P_Omega(Y)||_F^2)."""
+    y = y_obs[omega.pairs[:, 0], omega.pairs[:, 1]]
+    return _Omega(omega, y), GRAD_TOL * float(y @ y)
 
 
 def _incremental_als(l, r, rank, om, max_sweeps, grad_tol):
-    """The sweeps of optspace_descent from the rank-1 point L R^T: returns
-    (sweeps, history, some half-sweep system deficient, (U, S, V, fit,
-    gradient norm^2) at the end)."""
+    """The sweeps of optspace_descent from the rank-1 point L R^T up to rank
+    ``rank``: the state they end at, ``iteration`` counting the sweeps.
+    optspace seeds them from the top spectral pair directly."""
     fit, resid = _fit(l, r, om)
     history = [fit]
     deficient = False
@@ -472,7 +490,9 @@ def _incremental_als(l, r, rank, om, max_sweeps, grad_tol):
             if not stage:   # the budget ran out before this rank's first sweep
                 u, sv, v = _rebalance(l, r)
                 gnorm2 = _gradient(u, np.diag(sv), v, resid, om)[2]
-            return sweeps, history, deficient, (u, np.diag(sv), v, fit, gnorm2)
+            return OptspaceState(u=u, s=np.diag(sv), v=v, objective=fit,
+                                 iteration=sweeps, history=tuple(history),
+                                 rank_deficient=deficient, grad_norm=math.sqrt(gnorm2))
         a, sigma, b = _top_pair(-resid, om)
         root = math.sqrt(sigma)
         l, r = np.column_stack([l, root * a]), np.column_stack([r, root * b])
@@ -498,10 +518,17 @@ def estimate_rank(trimmed, p):
 
 
 def optspace(y_obs, omega, r=None, config=None):
-    """Full pipeline: trim -> (estimate_rank) -> spectral_init -> descent.
+    """Full pipeline: trim -> (estimate_rank) -> top spectral pair -> descent.
 
-    The descent runs on the untrimmed data; trimming only stabilizes the
-    spectral initialization.  Returns solve's report for the entry-sampling
+    The descent is optspace_descent's rank-incremental sweeps, seeded
+    directly from the rank-1 point u_1 sqrt(sigma_1), v_1 sqrt(sigma_1) of
+    the top singular pair of (1/p) * trimmed (matcore.top_svd(., 1)): the
+    only part of the rank-r spectral state that optspace_descent keeps
+    when that state does not meet the certificate at once, so no other
+    triplet is computed.  The descent runs on the untrimmed data; trimming
+    only stabilizes the spectral seed.  A rank the data cannot carry, a
+    final S whose matcore.numerical_rank is below r, is the ValueError
+    spectral_init raises.  Returns solve's report for the entry-sampling
     operator of Omega: its estimate is U S V^T at the final state and its
     objective ||S||_*, the estimate's nuclear norm since U and V have
     orthonormal columns.  It is converged at a gradient norm at most
@@ -522,8 +549,12 @@ def optspace(y_obs, omega, r=None, config=None):
                        np.zeros((omega.n1, omega.n2)), not y.any(), ("zero-data",))
     if r is None:
         r = estimate_rank(trimmed, omega.p)
-    state = spectral_init(trimmed, trimmed_omega, r)
-    state = optspace_descent(state, y_obs, omega, cfg)
+    _check_rank(r, omega)
+    u, sv, vt = top_svd(trimmed / trimmed_omega.p, 1)
+    root = math.sqrt(sv[0])
+    om, grad_tol = _layout(y_obs, omega)
+    state = _incremental_als(u * root, vt.T * root, r, om, cfg.max_iters, grad_tol)
+    _require_achievable(np.diag(state.s), r)
     # y and the operator are made after the descent, off its peak memory
     y = y_obs[omega.pairs[:, 0], omega.pairs[:, 1]]
     yy = float(y @ y)

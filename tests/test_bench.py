@@ -3,6 +3,7 @@ bookkeeping, determinism, constant fitting, and file emission."""
 
 import json
 import re
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -30,6 +31,8 @@ from lowrankrec.bench import (
     _cell_m,
     _ensemble,
 )
+import lowrankrec.bench as bench_mod
+from lowrankrec.cli import main as cli_main
 from lowrankrec.optspace import OptspaceConfig
 from lowrankrec.solve import SolverConfig
 
@@ -227,14 +230,33 @@ def test_build_config_rejects_a_floor_the_family_cannot_evaluate(text, named):
         build_experiment_config(parse_config_text(text))
 
 
+OVERFLOW_CFG = ("experiment = dantzig-scaling\ntrials = 1\n[grid]\nn = 5\nr = 1\nm = 30\n"
+                "sigma = 1e200\n")
+OVERFLOW_ERROR = ("[grid] cell n=5 r=1 m=30 sigma=1e+200: minimax is not finite at "
+                  "n=5, r=1, sigma=1e+200, delta_r=0.0")
+
+
 def test_dantzig_formula_value_past_the_largest_float_is_an_error():
-    # n r sigma^2 overflows: a ValueError naming it, not an OverflowError
-    cfg = build_experiment_config(parse_config_text(
-        "experiment = dantzig-scaling\ntrials = 1\n[grid]\nn = 5\nr = 1\nm = 30\n"
-        "sigma = 1e200\n"))
-    with np.errstate(over="ignore"), pytest.raises(
-            ValueError, match="minimax is not finite at n=5, r=1, sigma=1e"):
-        run_experiment(cfg)
+    # n r sigma^2 overflows: a ValueError naming the cell at load, not an
+    # OverflowError, and not a failure inside the first trial
+    with pytest.raises(ValueError, match=re.escape(OVERFLOW_ERROR)):
+        build_experiment_config(parse_config_text(OVERFLOW_CFG))
+
+
+def test_bench_rejects_an_overflowing_formula_before_any_trial(tmp_path, capsys,
+                                                               monkeypatch):
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(bench_mod, "_run_trial", no_trial)
+    path, out = tmp_path / "overflow.cfg", tmp_path / "out"
+    path.write_text(OVERFLOW_CFG)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # numpy's overflow warning would raise
+        code = cli_main(["bench", "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {OVERFLOW_ERROR}\n"
+    assert not out.exists()
 
 
 def test_build_config_keeps_floors_the_family_evaluates():

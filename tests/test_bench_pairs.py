@@ -164,13 +164,47 @@ def test_main_without_claim_prints_verdict_and_exit_status(
     # a run that claims nothing still gets a verdict, and any case not within
     # bound makes the exit status 1
     def fake_run_once(tree, workload, seed, trace, seconds):
-        wall = change_wall if tree == str(bench_pairs.ROOT) else 5.0
+        wall = change_wall if tree.name == "change" else 5.0
         return {"correct": True, "attempted": 4, "failed": 0, "metrics": {
             m: {"value": wall} for m in ("setup_s", "wall_s", "op_s.p50", "peak_rss_mb")}}
 
-    monkeypatch.setattr(bench_pairs, "extract", lambda rev, dest: "0" * 40)
+    monkeypatch.setattr(bench_pairs, "make_trees", lambda rev, tmp: (
+        "0" * 40, {side: Path(tmp) / side for side in ("parent", "change")}))
     monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
     rc = bench_pairs.main(["--out", str(tmp_path / "b.json"), "--workloads", "w",
                            "--seeds", "1-3"])
     assert rc == status
     assert verdict_line in capsys.readouterr().out
+
+
+def test_make_trees_puts_both_sides_under_one_parent(tmp_path):
+    # the parent side is the commit, the change side the working tree as it
+    # is on disk: an uncommitted edit and an untracked file, but no ignored one
+    repo = tmp_path / "repo"
+    (repo / "pkg").mkdir(parents=True)
+    (repo / "pkg" / "mod.py").write_text("X = 1\n")
+    (repo / "gone.txt").write_text("tracked, then deleted\n")
+    (repo / ".gitignore").write_text("*.log\n")
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c",
+                        "user.email=t@t", *args], capture_output=True, check=True)
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "parent")
+    (repo / "pkg" / "mod.py").write_text("X = 2\n")
+    (repo / "pkg" / "new.py").write_text("Y = 3\n")
+    (repo / "run.log").write_text("ignored\n")
+    (repo / "gone.txt").unlink()
+
+    commit, trees = bench_pairs.make_trees("HEAD", tmp_path / "out", repo=repo)
+    assert len(commit) == 40
+    assert trees["parent"].parent == trees["change"].parent == tmp_path / "out"
+    assert (trees["parent"] / "pkg" / "mod.py").read_text() == "X = 1\n"
+    assert (trees["change"] / "pkg" / "mod.py").read_text() == "X = 2\n"
+    assert (trees["change"] / "pkg" / "new.py").exists()
+    assert not (trees["parent"] / "pkg" / "new.py").exists()
+    assert (trees["parent"] / "gone.txt").exists()
+    assert not (trees["change"] / "gone.txt").exists()
+    assert not (trees["change"] / "run.log").exists()
+    assert (trees["change"] / ".gitignore").exists()

@@ -225,6 +225,17 @@ def test_optspace_accepts_knobs(tmp_path, truth_files):
     assert read_report(out)["iterations"] <= 3
 
 
+def test_optspace_refuses_a_rank_the_data_cannot_carry(tmp_path, capsys):
+    mpath, opath = tmp_path / "m.lrm", tmp_path / "omega.txt"
+    write_lrm(mpath, np.outer(np.arange(1.0, 5.0), np.ones(4)))   # rank 1
+    write_omega(opath, ObservationSet(4, 4, np.array([(i, j) for i in range(4)
+                                                      for j in range(4)])))
+    assert main(["optspace", "--matrix", str(mpath), "--omega", str(opath),
+                 "--rank", "3"]) == 2
+    assert capsys.readouterr().err == (
+        "error: requested rank 3 exceeds achievable rank 1 of the data\n")
+
+
 def test_optspace_has_no_tolerance_or_trimming_flags(truth_files, capsys):
     # the certificate's tolerance and the trimming cap are module constants
     _, _, mpath, opath = truth_files

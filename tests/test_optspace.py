@@ -204,10 +204,9 @@ def test_spectral_init_objective_is_the_fit_on_the_trimmed_entries():
     assert state.objective == _fit(state.u * sv, state.v, om)[0]
 
 
-def test_spectral_start_from_top_svd_matches_the_full_svd(monkeypatch):
-    # the benchmark's completion size, n = 300, p = 0.3, kappa = 10: the
-    # descent from the kernel's start takes the same sweeps to the same
-    # estimate as from the full SVD's leading part
+def kappa10_instance():
+    """The benchmark's completion size, n = 300, p = 0.3, r = 3, kappa = 10,
+    sigma = 1e-3: (omega, observed data, r)."""
     n, r, m = 300, 3, 27_000
     spec = LowRankSpec(n, n, r, (10.0, 10.0 ** 0.5, 1.0), "random-orthogonal", 41)
     truth, _ = gen_low_rank(spec)
@@ -215,6 +214,14 @@ def test_spectral_start_from_top_svd_matches_the_full_svd(monkeypatch):
     y = add_noise(truth[omega.pairs[:, 0], omega.pairs[:, 1]], NoiseModel(1e-3, 43))
     yobs = np.zeros((n, n))
     yobs[omega.pairs[:, 0], omega.pairs[:, 1]] = y
+    return omega, yobs, r
+
+
+def test_spectral_start_from_top_svd_matches_the_full_svd(monkeypatch):
+    # at the benchmark's completion size the descent from the kernel's start
+    # takes the same sweeps to the same estimate as from the full SVD's
+    # leading part
+    omega, yobs, r = kappa10_instance()
     kernel = optspace(yobs, omega, r=r)
 
     def full_svd(a, k):
@@ -737,6 +744,34 @@ def test_descent_state_is_the_inner_fit(n1, n2, m, kappa, max_iters):
         wg = w.T @ g
         off_tangent += (np.linalg.norm(w @ ((wg + wg.T) / 2)) ** 2)
     assert np.sqrt(off_tangent) <= 1e-12 * (yobs ** 2).sum()
+
+
+@pytest.mark.parametrize("case", ["n300-kappa10", *FINAL_STATES])
+def test_pipeline_seed_takes_the_sweeps_of_the_spectral_state(case):
+    # the pipeline seeds the sweeps from the top spectral pair alone; from
+    # the rank-r spectral state the descent keeps only its rank-1 point, so
+    # both take the same sweeps to the same estimate
+    if case == "n300-kappa10":
+        (omega, yobs, r), max_iters = kappa10_instance(), 500
+    else:
+        n1, n2, m, kappa, max_iters = case
+        (omega, yobs), r = noisy_rank2_instance(n1, n2, m, kappa), 2
+    cfg = OptspaceConfig(max_iters=max_iters)
+    rep = optspace(yobs, omega, r=r, config=cfg)
+    tm, tom = trim(yobs, omega)
+    state = optspace_descent(spectral_init(tm, tom, r), yobs, omega, cfg)
+    assert rep.iterations == state.iteration
+    assert (np.linalg.norm(rep.estimate - state.estimate())
+            <= 1e-12 * np.linalg.norm(state.estimate()))
+
+
+def test_optspace_refuses_a_rank_the_data_cannot_carry():
+    # rank-1 data, fully observed, fitted at rank 3: the sweeps end with an S
+    # of numerical rank 1, and the pipeline names it as spectral_init does
+    omega = ObservationSet(4, 4, np.array([(i, j) for i in range(4) for j in range(4)]))
+    y = np.outer(np.arange(1.0, 5.0), np.ones(4))
+    with pytest.raises(ValueError, match="requested rank 3 exceeds achievable rank 1"):
+        optspace(y, omega, r=3)
 
 
 @pytest.mark.parametrize("s", [np.zeros((2, 2)), np.diag([2.0, 0.0])])

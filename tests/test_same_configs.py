@@ -86,12 +86,13 @@ def test_out_writes_a_ledger_of_wall_times_and_verdicts(tmp_path, monkeypatch):
     # both trees stubbed: the parent side of the second config reports a
     # lower success rate, so that config differs and the run exits 1
     def fake_run(tree, config, out_dir, jobs):
-        side_is_parent = tree != same_configs.ROOT
+        side_is_parent = tree.name == "parent"
         rate = 0.5 if side_is_parent and config.name == "b.cfg" else 1.0
         write_run(out_dir, rate=rate)
         return 0, 2.0 if side_is_parent else 1.0
 
-    monkeypatch.setattr(same_configs, "extract", lambda rev, dest: "f" * 40)
+    monkeypatch.setattr(same_configs, "make_trees", lambda rev, tmp: (
+        "f" * 40, {side: Path(tmp) / side for side in ("parent", "change")}))
     monkeypatch.setattr(same_configs, "run_bench", fake_run)
     out = tmp_path / "CONFIGS.json"
     code = same_configs.main(["--jobs", "2", "--out", str(out),
